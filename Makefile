@@ -29,14 +29,16 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Record the benchmark trajectory: run the suite and write BENCH_PR10.json
-# with ns/op, B/op, allocs/op, custom metrics, and the git SHA, diffed
-# against the committed PR 9 baseline (-before). Three repetitions per
-# benchmark, recording the fastest — min-of-runs is the noise-robust
-# estimator on a shared box. See DESIGN.md's Performance section for
-# how to read the trajectory files.
+# Record a benchmark trajectory point: run the suite and write the scratch
+# file bench_new.json with ns/op, B/op, allocs/op, custom metrics, and the
+# git SHA, diffed against the newest committed BENCH_PR*.json (-before).
+# Three repetitions per benchmark, recording the fastest — min-of-runs is
+# the noise-robust estimator on a shared box. To commit a new point,
+# rename bench_new.json to the next BENCH_PR<n>.json; `make clean`
+# removes the scratch file. See DESIGN.md's Performance section for how
+# to read the trajectory files.
 bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR10.json -before BENCH_PR9.json -count 3
+	$(GO) run ./cmd/benchjson -out bench_new.json -before $$(ls BENCH_PR*.json | sort -V | tail -1) -count 3
 
 # Regression gate over the committed trajectory: fail when the newest
 # BENCH_PR*.json regressed past 15% in ns/op or allocs/op against its
@@ -112,13 +114,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCurveOps -fuzztime=10s ./internal/minplus/
 	$(GO) test -run='^$$' -fuzz=FuzzPseudoInverse -fuzztime=10s ./internal/minplus/
 
-# CI gate: formatting, static analysis, race-sensitive packages (the
-# scenario tier carries the replication worker-count parity tests, the
-# obs tier the tracer/registry concurrency tests, the shard tier the
-# lease/claim races), the chaos suite (fault-injected sharded sweeps
-# must merge byte-identical), the bench regression gate over the
-# committed trajectory, a live probe of the /metrics endpoint, and a
-# fuzz smoke test of the numeric kernels.
+# CI gate: formatting, static analysis, the full test suite, race-
+# sensitive packages (the scenario tier carries the replication
+# worker-count parity tests, the obs tier the tracer/registry concurrency
+# tests, the shard tier the lease/claim races), the chaos suite
+# (fault-injected sharded sweeps must merge byte-identical), the bench
+# regression gate over the committed trajectory, a live probe of the
+# /metrics endpoint, and a fuzz smoke test of the numeric kernels.
 check:
 	@unformatted=$$(gofmt -l cmd internal examples bench_test.go); \
 	if [ -n "$$unformatted" ]; then \
@@ -126,6 +128,7 @@ check:
 	fi
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(GO) test ./...
 	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/scenario/ ./internal/measure/ ./internal/obs/ ./internal/shard/ ./internal/faults/
 	$(MAKE) chaos
 	$(MAKE) bench-smoke

@@ -1,6 +1,7 @@
 package envelope
 
 import (
+	"math"
 	"testing"
 )
 
@@ -24,6 +25,8 @@ func TestMMOOValidate(t *testing.T) {
 		{"paper", PaperSource(), false},
 		{"zero peak", MMOO{Peak: 0, P11: 0.9, P22: 0.9}, true},
 		{"prob above 1", MMOO{Peak: 1, P11: 1.2, P22: 0.9}, true},
+		{"NaN P11", MMOO{Peak: 1, P11: math.NaN(), P22: 0.9}, true},
+		{"NaN P22", MMOO{Peak: 1, P11: 0.9, P22: math.NaN()}, true},
 		{"negatively correlated", MMOO{Peak: 1, P11: 0.2, P22: 0.2}, true}, // p12+p21 = 1.6 > 1
 		{"iid boundary", MMOO{Peak: 1, P11: 0.5, P22: 0.5}, false},         // p12+p21 = 1
 	}

@@ -102,6 +102,65 @@ func (r *Rand) Uint64() uint64 {
 	return uint64(x)
 }
 
+// Fill sets dst to the next len(dst) Uint64 outputs: the same values, and
+// the same final stream position, as len(dst) successive Uint64 calls.
+// It steps the recurrence over runs on which neither the tap nor the feed
+// index wraps, so the wrap tests are paid once per run (at most three
+// runs per 607 draws) instead of once per draw. Within a run both indices
+// fall by one per step, and the steps execute in stream order, so a read
+// of a slot written earlier in the same run sees the written value exactly
+// as Uint64's one-step loop would.
+func (r *Rand) Fill(dst []uint64) {
+	tap, feed := int(r.tap), int(r.feed)
+	for len(dst) > 0 {
+		if tap == 0 {
+			tap = fibLen
+		}
+		if feed == 0 {
+			feed = fibLen
+		}
+		n := min(tap, feed, len(dst))
+		// Step k reads vec[tap-1-k] and rewrites vec[feed-1-k]; as in
+		// Uint64, the vecLen mask only proves the indices in bounds.
+		out := dst[:n]
+		t, f := tap-1, feed-1
+		for k := range out {
+			x := r.vec[(f-k)&(vecLen-1)] + r.vec[(t-k)&(vecLen-1)]
+			r.vec[(f-k)&(vecLen-1)] = x
+			out[k] = uint64(x)
+		}
+		tap -= n
+		feed -= n
+		dst = dst[n:]
+	}
+	r.tap, r.feed = int32(tap), int32(feed)
+}
+
+// Float64Threshold returns T(p), the number of 63-bit draws x whose
+// Float64 value float64(x)·2⁻⁶³ is below p. Rounding to the nearest
+// float64 is monotone in x and the power-of-two scaling is exact, so those
+// draws form the prefix [0, T(p)): for every x < 2⁶³,
+//
+//	float64(x)·2⁻⁶³ < p  exactly when  x < T(p),
+//
+// and, for p other than NaN, float64(x)·2⁻⁶³ >= p exactly when x >= T(p).
+// Float64Threshold(1) is the first draw that Float64 rounds to 1.0 and
+// redraws. T(p) is found by binary search over Float64's own expression,
+// so the equivalence holds bit for bit rather than up to a rounding
+// argument; p <= 0 gives 0, p > 1 gives 2⁶³, and NaN gives 0.
+func Float64Threshold(p float64) uint64 {
+	lo, hi := uint64(0), uint64(1<<63)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(int64(mid))*inv63 < p {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // Int63 matches rand.(*Rand).Int63 for the same stream position.
 func (r *Rand) Int63() int64 { return int64(r.Uint64() & fibMask) }
 

@@ -13,8 +13,11 @@ import (
 // original interface paths: a source built on the concrete *randx.Rand
 // must emit the bit-identical per-slot sequence as one built on the
 // equally-seeded *math/rand.Rand, for single MMOO flows, shared-RNG
-// aggregates, and count aggregates. This is the property that lets the
-// scenario runner swap its RNG without touching a single golden.
+// aggregates, and count aggregates, and for netsim's tandem wiring (one
+// RNG behind a 30-flow through bank and ten 80-flow cross banks, drained
+// slot-major), which pins the stream position where one bank's block of
+// draws ends and the next one's begins. This is the property that lets
+// the scenario runner swap its RNG without touching a single golden.
 func TestFastRNGStreamParity(t *testing.T) {
 	m := envelope.PaperSource()
 	for _, seed := range []int64{1, 9, 42, -3} {
@@ -61,7 +64,42 @@ func TestFastRNGStreamParity(t *testing.T) {
 				t.Fatalf("seed %d slot %d: countagg %x != %x", seed, i, w, g)
 			}
 		}
+
+		legacyTandem := tandemBanks(t, m, rand.New(rand.NewSource(seed)))
+		fastTandem := tandemBanks(t, m, randx.NewRand(seed))
+		for b, agg := range fastTandem {
+			if !agg.uniform {
+				t.Fatalf("tandem bank %d on *randx.Rand did not take the uniform bank path", b)
+			}
+		}
+		for i := 0; i < 4_000; i++ {
+			for b := range legacyTandem {
+				if w, g := legacyTandem[b].Next(), fastTandem[b].Next(); w != g {
+					t.Fatalf("seed %d slot %d: tandem bank %d %x != %x", seed, i, b, w, g)
+				}
+			}
+		}
 	}
+}
+
+// tandemBanks builds netsim's default per-source wiring on one RNG: the
+// 30-flow through bank, then one 80-flow cross bank per node of a
+// 10-node path, in the order the simulator drains them each slot.
+func tandemBanks(t *testing.T, m envelope.MMOO, rng randx.Uniform) []*Aggregate {
+	t.Helper()
+	banks := make([]*Aggregate, 11)
+	for b := range banks {
+		n := 80
+		if b == 0 {
+			n = 30
+		}
+		agg, err := NewMMOOAggregate(m, n, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		banks[b] = agg
+	}
+	return banks
 }
 
 // TestNextBlockMatchesNext pins the BlockSource contract on every
@@ -143,3 +181,22 @@ func TestNextBlockMatchesNext(t *testing.T) {
 type nextOnly struct{ s Source }
 
 func (n nextOnly) Next() float64 { return n.s.Next() }
+
+// BenchmarkMMOOAggregate times the per-source bank's slot step on the
+// paper's 80-flow cross aggregate and reports ns per flow-slot, the unit
+// of the fill cost per simulated flow.
+func BenchmarkMMOOAggregate(b *testing.B) {
+	const n = 80
+	agg, err := NewMMOOAggregate(envelope.PaperSource(), n, randx.NewRand(9))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		sum += agg.Next()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/flow-slot")
+	_ = sum
+}

@@ -16,10 +16,9 @@ import (
 	"deltasched/internal/randx"
 )
 
-// inv63 is the exact power-of-two reciprocal 2⁻⁶³ used by the
-// hand-inlined uniform draw in nextBank — the same scaling constant
-// randx.(*Rand).Float64 multiplies by.
-const inv63 = 1.0 / (1 << 63)
+// mask63 truncates a Uint64 output to the Int63 draw that Float64
+// scales.
+const mask63 = 1<<63 - 1
 
 // Source generates per-slot arrivals.
 type Source interface {
@@ -174,16 +173,23 @@ type Aggregate struct {
 	// Uniform dispatch entirely.
 	mm []*MMOO
 	// uniform marks a bank whose members all share one RNG and one model
-	// (NewMMOOAggregate's wiring): the per-slot sum then keeps the RNG
-	// pointer and the three model constants in registers, and steps the
-	// packed `on` flags instead of chasing a pointer per member — four
-	// cache lines of mutable state for the paper's 210 flows. The member
-	// structs are not advanced on this path, so a source handed to
-	// NewAggregate must afterwards be driven only through the aggregate.
+	// (NewMMOOAggregate's wiring). The per-slot step then works on
+	// integers only (see nextUniform): one Fill of the shared RNG, the
+	// packed `on` flags stepped against the model's integer thresholds,
+	// and the emission read from a table. The member structs are not
+	// advanced on this path, so a source handed to NewAggregate must
+	// afterwards be driven only through the aggregate.
 	uniform bool
 	bankR   *randx.Rand
-	bankM   envelope.MMOO
-	on      []bool
+	on      []uint8   // per-flow ON flags, 0 or 1
+	draws   []uint64  // one slot's draws, one per flow
+	sums    []float64 // sums[k]: Peak added k times to 0.0
+	// Integer thresholds T(p) of randx.Float64Threshold: for an Int63
+	// draw x, Float64() < p exactly when x < T(p). thr[o] is the one a
+	// flow in state o compares against, T(P11) OFF and T(P22) ON; t1 =
+	// T(1) is the first draw Float64 rounds to 1.0 and redraws.
+	thr [2]uint64
+	t1  uint64
 }
 
 // NewAggregate bundles the given sources.
@@ -203,18 +209,27 @@ func NewAggregate(sources ...Source) *Aggregate {
 		if mm != nil {
 			a.uniform = true
 			a.bankR = mm[0].fast
-			a.bankM = mm[0].model
+			model := mm[0].model
 			for _, m := range mm {
-				if m.fast != a.bankR || m.model != a.bankM {
+				if m.fast != a.bankR || m.model != model {
 					a.uniform = false
 					break
 				}
 			}
 			if a.uniform {
-				a.on = make([]bool, len(mm))
+				a.on = make([]uint8, len(mm))
 				for i, m := range mm {
-					a.on[i] = m.on
+					if m.on {
+						a.on[i] = 1
+					}
 				}
+				a.draws = make([]uint64, len(mm))
+				a.sums = make([]float64, len(mm)+1)
+				for k := 1; k < len(a.sums); k++ {
+					a.sums[k] = a.sums[k-1] + model.Peak
+				}
+				a.thr = [2]uint64{randx.Float64Threshold(model.P11), randx.Float64Threshold(model.P22)}
+				a.t1 = randx.Float64Threshold(1)
 			}
 		}
 	}
@@ -252,38 +267,12 @@ func (a *Aggregate) Next() float64 {
 // nextBank sums the all-MMOO member bank with concrete calls only. The
 // members' draws happen in the same order as the generic loop, and
 // skipping the += for OFF members does not change the float sum (adding
-// +0.0 is an identity on every non-negative accumulator). On a uniform
-// bank the shared RNG and model constants are hoisted out of the loop —
-// the same comparisons against the same values, one member flag load
-// per flow.
+// +0.0 is an identity on every non-negative accumulator).
 func (a *Aggregate) nextBank() float64 {
-	total := 0.0
 	if a.uniform {
-		r := a.bankR
-		peak, p22, p11 := a.bankM.Peak, a.bankM.P22, a.bankM.P11
-		on := a.on
-		for i, o := range on {
-			// Hand-inlined randx.(*Rand).Float64: the redraw loop keeps
-			// Float64 itself over the compiler's inline budget, and at one
-			// draw per flow per slot the call is measurable. float64(Int63())
-			// times the exact reciprocal of 2⁶³, redrawn on rounding to 1.0,
-			// is the Go-1 stream bit for bit; TestFastRNGStreamParity pins
-			// this loop against the interface path every run. Each flow
-			// consumes exactly one draw on either branch, so hoisting the
-			// draw above the state test preserves the stream.
-			f := float64(r.Int63()) * inv63
-			for f == 1 {
-				f = float64(r.Int63()) * inv63
-			}
-			if o {
-				total += peak
-				on[i] = f < p22
-			} else {
-				on[i] = f >= p11
-			}
-		}
-		return total
+		return a.nextUniform()
 	}
+	total := 0.0
 	for _, m := range a.mm {
 		r := m.fast
 		if m.on {
@@ -294,6 +283,71 @@ func (a *Aggregate) nextBank() float64 {
 		}
 	}
 	return total
+}
+
+// nextUniform is nextBank on a uniform bank, in the integer domain. It
+// takes the slot's len(on) draws in one Fill and compares each Int63
+// draw x with the integer thresholds, which decides exactly what the
+// per-flow loop's Float64 compares decide (randx.Float64Threshold). The
+// emission is sums[k] for the k flows ON at the start of the slot: the
+// per-flow loop adds Peak to 0.0 once per ON flow, and with equal addends
+// its partial sums depend only on how many there were. A draw at or above
+// T(1) is one Float64 would redraw; redrawTail finishes the slot from it.
+// DESIGN.md §18 gives the argument in full; TestFastRNGStreamParity and
+// the forced-redraw test pin it against the math/rand stream.
+func (a *Aggregate) nextUniform() float64 {
+	draws := a.draws
+	a.bankR.Fill(draws)
+	on := a.on[:len(draws)]
+	thr, t1 := &a.thr, a.t1
+	k := 0
+	for i, x := range draws {
+		x &= mask63
+		if x >= t1 {
+			return a.redrawTail(i, k)
+		}
+		o := on[i]
+		k += int(o)
+		on[i] = mmooStep(o, x, thr)
+	}
+	return a.sums[k]
+}
+
+// redrawTail finishes a slot of nextUniform whose draw for flow i rounded
+// to 1.0; k flows before i were ON. Like Float64's redraw loop it skips
+// every such draw, so flow i and each later flow take the next accepted
+// draw: first the slot's unused buffered draws, then fresh ones.
+func (a *Aggregate) redrawTail(i, k int) float64 {
+	on := a.on
+	pending := a.draws[i+1:]
+	for ; i < len(on); i++ {
+		var x uint64
+		for {
+			if len(pending) > 0 {
+				x, pending = pending[0]&mask63, pending[1:]
+			} else {
+				x = uint64(a.bankR.Int63())
+			}
+			if x < a.t1 {
+				break
+			}
+		}
+		o := on[i]
+		k += int(o)
+		on[i] = mmooStep(o, x, &a.thr)
+	}
+	return a.sums[k]
+}
+
+// mmooStep is one flow's transition on an accepted draw x < T(1): an ON
+// flow (o = 1) stays ON when x < T(P22), i.e. Float64() < P22, and an OFF
+// flow turns ON when x >= T(P11), i.e. Float64() >= P11. It is branch
+// free: both x and the threshold are at most 2⁶³, so bit 63 of x − thr is
+// the borrow of the compare, 1 exactly when x < thr, and the OFF state's
+// sense is flipped by the xor.
+func mmooStep(o uint8, x uint64, thr *[2]uint64) uint8 {
+	lt := uint8((x - thr[o&1]) >> 63)
+	return lt ^ o ^ 1
 }
 
 // NextBlock implements BlockSource. The fill stays slot-major across
