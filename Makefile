@@ -129,7 +129,7 @@ check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/scenario/ ./internal/measure/ ./internal/obs/ ./internal/shard/ ./internal/faults/
+	$(MAKE) race
 	$(MAKE) chaos
 	$(MAKE) bench-smoke
 	$(MAKE) bench-diff

@@ -212,6 +212,27 @@ func BenchmarkSimulatorSlotsH30(b *testing.B) {
 	b.ReportMetric(slotsPerOp, "slots/op")
 }
 
+// BenchmarkSimulatorSlotsEDF is BenchmarkSimulatorSlots with EDF nodes
+// (deadlines 5 and 50 slots, the netsim defaults): every node runs on the
+// generic precedence heap, so this times the serve pass that any non-FIFO
+// discipline, probe or per-node recording takes instead of the fused
+// all-FIFO pass.
+func BenchmarkSimulatorSlotsEDF(b *testing.B) {
+	tan := benchTandem(b, false, 3)
+	tan.MakeSched = func(int) sim.Scheduler {
+		return sim.NewEDF(map[core.FlowID]float64{sim.ThroughFlow: 5, sim.CrossFlow: 50})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	const slotsPerOp = 2000
+	for i := 0; i < b.N; i++ {
+		if _, _, err := tan.Run(slotsPerOp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(slotsPerOp, "slots/op")
+}
+
 // BenchmarkSimulatorSlotsCountAgg is BenchmarkSimulatorSlots with the
 // O(1)-per-slot ON-count aggregates instead of per-flow draws (ISSUE 4):
 // the same topology and the same arrival law, sampled with two binomial

@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
+
+	"deltasched/internal/core"
 )
 
 func TestParseBackend(t *testing.T) {
@@ -167,6 +170,76 @@ func TestValidateWeights(t *testing.T) {
 	}
 	if err := validateWeights(0, 1); err == nil {
 		t.Fatal("zero weight must be rejected")
+	}
+}
+
+// TestSchedulerForRejectsBadParams pins the parameter checks: every
+// combination the factories could not run on — or would run on NaN
+// arithmetic — fails up front with ErrBadConfig instead of panicking
+// inside a replication or simulating garbage.
+func TestSchedulerForRejectsBadParams(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		label          string
+		name           string
+		d0, dc, w0, wc float64
+	}{
+		{"unknown scheduler", "wfq", 5, 50, 1, 1},
+		{"drr infinite weight", "drr", 5, 50, inf, 1},
+		{"drr zero weight", "drr", 5, 50, 1, 0},
+		{"gps NaN weight", "gps", 5, 50, nan, 1},
+		{"gps infinite weight", "gps", 5, 50, inf, 1},
+		{"gps negative weight", "gps", 5, 50, 1, -2},
+		{"edf NaN deadline", "edf", nan, 50, 1, 1},
+		{"edf infinite deadlines", "edf", inf, inf, 1, 1},
+	} {
+		mk, _, err := SchedulerFor(tc.name, tc.d0, tc.dc, tc.w0, tc.wc)
+		if !errors.Is(err, core.ErrBadConfig) {
+			t.Errorf("%s: err = %v, want ErrBadConfig", tc.label, err)
+		}
+		if mk != nil {
+			t.Errorf("%s: rejected parameters still produced a factory", tc.label)
+		}
+	}
+	// One infinite deadline leaves Δ = ±∞, the BMUX/SP limits of EDF.
+	if _, delta, err := SchedulerFor("edf", inf, 50, 1, 1); err != nil || !math.IsInf(delta, 1) {
+		t.Fatalf("edf d0=+Inf: delta %g, err %v; want +Inf, nil", delta, err)
+	}
+}
+
+// TestTandemRejectsBadPktsize pins the -pktsize domain: 0 (fluid) or a
+// positive finite packet size on a precedence discipline.
+func TestTandemRejectsBadPktsize(t *testing.T) {
+	sc, err := Get("tandem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{"pktsize": math.NaN()},
+		{"pktsize": -3.0},
+		{"pktsize": math.Inf(1)},
+		{"pktsize": 1.5, "sched": "gps"},
+		{"pktsize": 1.5, "sched": "drr"},
+	} {
+		cfg["slots"] = 100
+		pts, err := sc.Points(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sc.Evaluate(context.Background(), cfg, pts[0], Sim); !errors.Is(err, core.ErrBadConfig) {
+			t.Errorf("cfg %v: err = %v, want ErrBadConfig", cfg, err)
+		}
+	}
+	// Every precedence discipline accepts a packet size.
+	for _, sched := range []string{"fifo", "bmux", "sp", "edf"} {
+		cfg := Config{"pktsize": 1.5, "sched": sched, "slots": 100}
+		pts, err := sc.Points(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sc.Evaluate(context.Background(), cfg, pts[0], Sim); err != nil {
+			t.Errorf("%s with -pktsize 1.5: %v", sched, err)
+		}
 	}
 }
 

@@ -130,7 +130,9 @@ func runTandem(ctx context.Context, spec simSpec) (measure.Summary, sim.Stats, *
 // the Δ_{0,c} constant that summarizes it for the analysis. GPS and DRR
 // are not Δ-schedulers; they report delta = NaN and the analytic backend
 // falls back to the BMUX bound (valid for any work-conserving
-// locally-FIFO discipline).
+// locally-FIFO discipline). Parameters the named discipline cannot run
+// on — an undefined EDF Δ, non-positive or infinite weights — fail with
+// core.ErrBadConfig, so the factory never sees them.
 func SchedulerFor(name string, d0, dc, w0, wc float64) (func(int) sim.Scheduler, float64, error) {
 	switch name {
 	case "fifo":
@@ -142,33 +144,46 @@ func SchedulerFor(name string, d0, dc, w0, wc float64) (func(int) sim.Scheduler,
 			return sim.NewSP(map[core.FlowID]int{sim.ThroughFlow: 2, sim.CrossFlow: 1})
 		}, math.Inf(-1), nil
 	case "edf":
+		delta := d0 - dc
+		if math.IsNaN(delta) {
+			return nil, 0, fmt.Errorf("%w: edf deadlines d0=%g, dc=%g leave Δ = d0 − dc undefined",
+				core.ErrBadConfig, d0, dc)
+		}
 		return func(int) sim.Scheduler {
 			return sim.NewEDF(map[core.FlowID]float64{sim.ThroughFlow: d0, sim.CrossFlow: dc})
-		}, d0 - dc, nil
+		}, delta, nil
 	case "gps":
+		if err := validateWeights(w0, wc); err != nil {
+			return nil, 0, err
+		}
 		return func(int) sim.Scheduler {
 			g, err := sim.NewGPS(map[core.FlowID]float64{sim.ThroughFlow: w0, sim.CrossFlow: wc})
 			if err != nil {
-				panic(err) // weights validated by validateWeights below
+				panic(err) // weights validated above
 			}
 			return g
-		}, math.NaN(), validateWeights(w0, wc)
+		}, math.NaN(), nil
 	case "drr":
+		if err := validateWeights(w0, wc); err != nil {
+			return nil, 0, err
+		}
 		return func(int) sim.Scheduler {
 			d, err := sim.NewDRR(map[core.FlowID]float64{sim.ThroughFlow: w0, sim.CrossFlow: wc})
 			if err != nil {
-				panic(err) // weights validated by validateWeights below
+				panic(err) // weights validated above
 			}
 			return d
-		}, math.NaN(), validateWeights(w0, wc)
+		}, math.NaN(), nil
 	default:
-		return nil, 0, fmt.Errorf("unknown scheduler %q", name)
+		return nil, 0, fmt.Errorf("%w: unknown scheduler %q", core.ErrBadConfig, name)
 	}
 }
 
+// validateWeights checks the gps/drr weights (-gps-w0, -gps-wc).
 func validateWeights(w0, wc float64) error {
-	if w0 <= 0 || wc <= 0 {
-		return fmt.Errorf("gps weights must be positive (w0=%g, wc=%g)", w0, wc)
+	if !(w0 > 0) || !(wc > 0) || math.IsInf(w0, 0) || math.IsInf(wc, 0) {
+		return fmt.Errorf("%w: gps/drr weights must be positive and finite (w0=%g, wc=%g)",
+			core.ErrBadConfig, w0, wc)
 	}
 	return nil
 }

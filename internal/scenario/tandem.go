@@ -121,6 +121,9 @@ func (tandemScenario) Evaluate(ctx context.Context, cfg Config, _ Point, be Back
 	if eps <= 0 || eps >= 1 || math.IsNaN(eps) {
 		return Result{}, fmt.Errorf("%w: -eps must be in (0,1), got %g", core.ErrBadConfig, eps)
 	}
+	if !(pkt >= 0) || math.IsInf(pkt, 0) {
+		return Result{}, fmt.Errorf("%w: -pktsize must be 0 (fluid) or positive and finite, got %g", core.ErrBadConfig, pkt)
+	}
 	backend, err := measure.ParseBackend(cfg.Str("measure", "exact"))
 	if err != nil {
 		return Result{}, fmt.Errorf("%w: %v", core.ErrBadConfig, err)
@@ -135,17 +138,14 @@ func (tandemScenario) Evaluate(ctx context.Context, cfg Config, _ Point, be Back
 	}
 	if pkt > 0 {
 		if sched == "gps" || sched == "drr" {
-			return Result{}, fmt.Errorf("-pktsize applies to precedence schedulers only")
+			return Result{}, fmt.Errorf("%w: -pktsize applies to precedence schedulers only", core.ErrBadConfig)
 		}
 		inner := mkSched
 		mkSched = func(node int) sim.Scheduler {
-			p, ok := inner(node).(sim.HeadQueue)
-			if !ok {
-				return inner(node)
-			}
-			np, err := sim.NewNonPreemptive(p, pkt)
+			// Every remaining discipline runs on a HeadQueue.
+			np, err := sim.NewNonPreemptive(inner(node).(sim.HeadQueue), pkt)
 			if err != nil {
-				panic(err) // packet size validated by the check above
+				panic(err) // packet size validated above
 			}
 			return np
 		}

@@ -75,46 +75,8 @@ func (d *DRR) activate(f core.FlowID) {
 	sort.Slice(d.active, func(i, j int) bool { return d.active[i] < d.active[j] })
 }
 
-// Serve implements Scheduler: cycle through backlogged flows, topping up
-// deficits by one quantum per visit and draining up to the deficit.
-func (d *DRR) Serve(budget float64, out map[core.FlowID]float64) {
-	guard := 0
-	for budget > 1e-12 && len(d.active) > 0 {
-		guard++
-		if guard > 1<<20 {
-			return // defensive: cannot happen with positive quanta
-		}
-		if d.next >= len(d.active) {
-			d.next = 0
-		}
-		f := d.active[d.next]
-		if !d.midVisit {
-			d.deficit[f] += d.quantum[f]
-		}
-		d.midVisit = false
-		spend := math.Min(budget, d.deficit[f])
-		served := d.drain(f, spend)
-		out[f] += served
-		budget -= served
-		d.deficit[f] -= served
-		if len(d.queues[f]) == 0 {
-			// Flow emptied: reset its deficit and remove from the round.
-			d.deficit[f] = 0
-			d.active = append(d.active[:d.next], d.active[d.next+1:]...)
-			continue // next flow now occupies d.next
-		}
-		if budget <= 1e-12 && d.deficit[f] > 1e-12 {
-			// Slot boundary interrupted the visit: resume it next slot
-			// without topping the deficit up again.
-			d.midVisit = true
-			return
-		}
-		d.next++
-	}
-}
-
-// ServeInto implements SliceServer: Serve's round-robin loop with a dense
-// output slice, bit-identical per-flow amounts and deficit evolution.
+// ServeInto implements Scheduler: cycle through backlogged flows, topping
+// up deficits by one quantum per visit and draining up to the deficit.
 func (d *DRR) ServeInto(budget float64, out []float64) {
 	guard := 0
 	for budget > 1e-12 && len(d.active) > 0 {
@@ -179,7 +141,7 @@ func (d *DRR) drain(f core.FlowID, amount float64) float64 {
 // Backlog implements Scheduler.
 func (d *DRR) Backlog() float64 { return d.backlog }
 
-// QueueLen implements QueueLener: queued chunks across all flows.
+// QueueLen implements Scheduler: queued chunks across all flows.
 func (d *DRR) QueueLen() int {
 	n := 0
 	for _, q := range d.queues {

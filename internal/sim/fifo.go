@@ -7,8 +7,8 @@ import (
 )
 
 // FIFO serves strictly in arrival order (simultaneous arrivals ordered by
-// flow id) — the ring-buffer specialization of the heap-backed Precedence
-// instance newHeapFIFO.
+// flow id) — the ring-buffer specialization of a heap-backed Precedence
+// keyed (slot, 0), which the tests keep as the reference.
 //
 // Why a ring is safe: FIFO keys are (slot, 0), and every chunk a tandem
 // node admits arrives with a non-decreasing slot, so admissions are
@@ -31,11 +31,7 @@ type FIFO struct {
 	seq     int
 }
 
-var (
-	_ Scheduler   = (*FIFO)(nil)
-	_ SliceServer = (*FIFO)(nil)
-	_ HeadQueue   = (*FIFO)(nil)
-)
+var _ HeadQueue = (*FIFO)(nil)
 
 // NewFIFO serves strictly in arrival order; simultaneous arrivals are
 // ordered by flow id. The ring starts with room for 128 queued chunks —
@@ -69,29 +65,10 @@ func (p *FIFO) Enqueue(f core.FlowID, slot int, bits float64) {
 	p.backlog += bits
 }
 
-// ServeInto implements SliceServer. The loop body performs the exact
-// float operation sequence of Precedence.Serve on the head chunk, so
-// served amounts and residual backlog are bit-identical to the heap FIFO.
+// ServeInto implements Scheduler. The loop body performs the exact float
+// operation sequence of Precedence.ServeInto on the head chunk, so served
+// amounts and residual backlog are bit-identical to the heap FIFO.
 func (p *FIFO) ServeInto(budget float64, out []float64) {
-	for budget > 1e-12 && p.head < len(p.q) {
-		c := &p.q[p.head]
-		take := math.Min(budget, c.bits)
-		out[c.flow] += take
-		c.bits -= take
-		p.backlog -= take
-		budget -= take
-		if c.bits <= 1e-12 {
-			p.backlog += c.bits // absorb the fp residue
-			p.head++
-		}
-	}
-	if p.backlog < 0 {
-		p.backlog = 0
-	}
-}
-
-// Serve implements Scheduler (the map-output twin of ServeInto).
-func (p *FIFO) Serve(budget float64, out map[core.FlowID]float64) {
 	for budget > 1e-12 && p.head < len(p.q) {
 		c := &p.q[p.head]
 		take := math.Min(budget, c.bits)
@@ -222,7 +199,7 @@ func (p *FIFO) serveSlot(budget float64, slot int, thr, cross float64, thrFirst 
 // Backlog implements Scheduler.
 func (p *FIFO) Backlog() float64 { return p.backlog }
 
-// QueueLen implements QueueLener: the number of queued chunks.
+// QueueLen implements Scheduler.
 func (p *FIFO) QueueLen() int { return len(p.q) - p.head }
 
 // headChunk implements HeadQueue.

@@ -7,6 +7,16 @@ import (
 	"deltasched/internal/randx"
 )
 
+// newHeapFIFO is the generic-heap FIFO — the pre-ring implementation,
+// kept as the reference the ring is pinned against. Production callers
+// get the ring via NewFIFO.
+func newHeapFIFO() *Precedence {
+	return &Precedence{
+		name:  "FIFO",
+		keyOf: func(_ core.FlowID, slot int, _ float64) (float64, float64) { return float64(slot), 0 },
+	}
+}
+
 // TestFIFORingMatchesHeap drives the ring-buffer FIFO and the heap-backed
 // Precedence FIFO through an identical randomized admission/serve
 // schedule and requires bit-identical served amounts, backlog, and queue
@@ -26,8 +36,6 @@ func TestFIFORingMatchesHeap(t *testing.T) {
 
 	outRing := make([]float64, flows)
 	outHeap := make([]float64, flows)
-	mapRing := make(map[core.FlowID]float64, flows)
-	mapHeap := make(map[core.FlowID]float64, flows)
 
 	slot := 0
 	for step := 0; step < steps; step++ {
@@ -46,26 +54,13 @@ func TestFIFORingMatchesHeap(t *testing.T) {
 		}
 
 		budget := rng.Float64() * 12
-		if step%2 == 0 {
-			for i := range outRing {
-				outRing[i], outHeap[i] = 0, 0
-			}
-			ring.ServeInto(budget, outRing)
-			heap.ServeInto(budget, outHeap)
-			for i := range outRing {
-				if outRing[i] != outHeap[i] {
-					t.Fatalf("step %d: ServeInto flow %d: ring %x, heap %x", step, i, outRing[i], outHeap[i])
-				}
-			}
-		} else {
-			clear(mapRing)
-			clear(mapHeap)
-			ring.Serve(budget, mapRing)
-			heap.Serve(budget, mapHeap)
-			for f := core.FlowID(0); f < flows; f++ {
-				if mapRing[f] != mapHeap[f] {
-					t.Fatalf("step %d: Serve flow %d: ring %x, heap %x", step, f, mapRing[f], mapHeap[f])
-				}
+		clear(outRing)
+		clear(outHeap)
+		ring.ServeInto(budget, outRing)
+		heap.ServeInto(budget, outHeap)
+		for i := range outRing {
+			if outRing[i] != outHeap[i] {
+				t.Fatalf("step %d: ServeInto flow %d: ring %x, heap %x", step, i, outRing[i], outHeap[i])
 			}
 		}
 

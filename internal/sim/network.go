@@ -112,20 +112,9 @@ func (n *Network) Run(slots int) ([]*measure.DelayRecorder, error) {
 		progressEvery = 1000
 	}
 
-	// Dense serve path where the scheduler supports it: flow ids index
-	// Flows, so one slice spans them all. Forwarding then walks flows in
-	// id order instead of map order — serve order downstream is unchanged
-	// (a node enqueues each flow at most once per slot, and the chunk
-	// order (k1, k2, flow, seq) never reaches the seq tie-breaker for
-	// distinct flows), but runs are now deterministic even under probes.
-	slicers := make([]SliceServer, len(nodes))
-	for i, nd := range nodes {
-		if ss, ok := nd.(SliceServer); ok {
-			slicers[i] = ss
-		}
-	}
+	// Flow ids index Flows, so one dense serve output spans them all, and
+	// forwarding walks flows in id order — deterministic even under probes.
 	out := make([]float64, len(n.Flows))
-	outMap := make(map[core.FlowID]float64, len(n.Flows))
 	for slot := 0; slot < slots; slot++ {
 		probing := n.Probe != nil && n.Probe.Sample(slot)
 		// External arrivals at each flow's ingress.
@@ -136,18 +125,8 @@ func (n *Network) Run(slots int) ([]*measure.DelayRecorder, error) {
 		}
 		// Serve nodes in feed-forward order; forward within the slot.
 		for node := 0; node < len(nodes); node++ {
-			if ss := slicers[node]; ss != nil {
-				for i := range out {
-					out[i] = 0
-				}
-				ss.ServeInto(n.Capacities[node], out)
-			} else {
-				clear(outMap)
-				nodes[node].Serve(n.Capacities[node], outMap)
-				for i := range out {
-					out[i] = outMap[core.FlowID(i)]
-				}
-			}
+			clear(out)
+			nodes[node].ServeInto(n.Capacities[node], out)
 			if probing {
 				total := 0.0
 				for _, b := range out {

@@ -28,7 +28,8 @@ type NonPreemptive struct {
 var _ Scheduler = (*NonPreemptive)(nil)
 
 // NewNonPreemptive wraps the given precedence scheduler (any HeadQueue:
-// the heap-backed *Precedence disciplines or the *FIFO ring).
+// the heap-backed *Precedence disciplines, SCED included, or the *FIFO
+// ring).
 func NewNonPreemptive(inner HeadQueue, packetSize float64) (*NonPreemptive, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("sim: NonPreemptive needs an inner scheduler")
@@ -49,9 +50,10 @@ func (n *NonPreemptive) Enqueue(f core.FlowID, slot int, bits float64) {
 	n.inner.Enqueue(f, slot, bits)
 }
 
-// Serve implements Scheduler: finish the packet on the wire first, then
-// repeatedly commit whole packets picked by the inner precedence order.
-func (n *NonPreemptive) Serve(budget float64, out map[core.FlowID]float64) {
+// ServeInto implements Scheduler: finish the packet on the wire first,
+// then repeatedly commit whole packets picked by the inner precedence
+// order.
+func (n *NonPreemptive) ServeInto(budget float64, out []float64) {
 	for budget > 1e-12 {
 		if n.residBits > 1e-12 {
 			take := math.Min(budget, n.residBits)
@@ -86,7 +88,7 @@ func (n *NonPreemptive) Backlog() float64 {
 	return n.inner.Backlog() + n.residBits
 }
 
-// QueueLen implements QueueLener: queued chunks plus the packet on the
+// QueueLen implements Scheduler: queued chunks plus the packet on the
 // wire, if any.
 func (n *NonPreemptive) QueueLen() int {
 	ql := n.inner.QueueLen()

@@ -16,23 +16,11 @@ type Probe interface {
 	Sample(slot int) bool
 	// ObserveNode receives one node's post-service state for a sampled
 	// slot: bits transmitted this slot, the slot's capacity budget, the
-	// backlog left buffered, and the scheduler queue depth (-1 when the
-	// scheduler does not expose one).
+	// backlog left buffered, and the scheduler's QueueLen.
 	ObserveNode(node, slot int, served, capacity, backlog float64, queueLen int)
 }
 
-// QueueLener is optionally implemented by schedulers that can report how
-// many queued chunks/packets they hold; probes fall back to -1 otherwise.
-type QueueLener interface {
-	QueueLen() int
-}
-
-// observeNode forwards one node's state to the probe, resolving the
-// optional queue depth.
+// observeNode forwards one node's state to the probe.
 func observeNode(p Probe, sched Scheduler, node, slot int, served, capacity float64) {
-	ql := -1
-	if q, ok := sched.(QueueLener); ok {
-		ql = q.QueueLen()
-	}
-	p.ObserveNode(node, slot, served, capacity, sched.Backlog(), ql)
+	p.ObserveNode(node, slot, served, capacity, sched.Backlog(), sched.QueueLen())
 }

@@ -206,22 +206,17 @@ func TestTandemProbeParity(t *testing.T) {
 func TestQueueLenAllSchedulers(t *testing.T) {
 	for name, mk := range schedulerFactories(t) {
 		s := mk(0)
-		q, ok := s.(QueueLener)
-		if !ok {
-			t.Fatalf("%s: scheduler does not implement QueueLen", name)
-		}
-		if q.QueueLen() != 0 {
-			t.Fatalf("%s: fresh scheduler queue len = %d", name, q.QueueLen())
+		if s.QueueLen() != 0 {
+			t.Fatalf("%s: fresh scheduler queue len = %d", name, s.QueueLen())
 		}
 		s.Enqueue(ThroughFlow, 0, 4)
 		s.Enqueue(CrossFlow, 0, 4)
-		if q.QueueLen() == 0 {
+		if s.QueueLen() == 0 {
 			t.Fatalf("%s: queue len must reflect enqueued chunks", name)
 		}
-		out := make(map[core.FlowID]float64)
-		s.Serve(1000, out)
-		if q.QueueLen() != 0 {
-			t.Fatalf("%s: queue len = %d after draining serve", name, q.QueueLen())
+		serveAll(s, 1000)
+		if s.QueueLen() != 0 {
+			t.Fatalf("%s: queue len = %d after draining serve", name, s.QueueLen())
 		}
 	}
 }

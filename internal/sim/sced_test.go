@@ -72,17 +72,15 @@ func TestSCEDGuaranteesServiceCurves(t *testing.T) {
 	dep := map[core.FlowID][]float64{}
 	cumA := map[core.FlowID]float64{}
 	cumD := map[core.FlowID]float64{}
-	out := map[core.FlowID]float64{}
+	out := make([]float64, 3)
 	for slot := 0; slot < slots; slot++ {
 		for f := core.FlowID(0); f <= 2; f++ {
 			a := srcs[f].Next()
 			cumA[f] += a
 			s.Enqueue(f, slot, a)
 		}
-		for k := range out {
-			delete(out, k)
-		}
-		s.Serve(c, out)
+		clear(out)
+		s.ServeInto(c, out)
 		for f := core.FlowID(0); f <= 2; f++ {
 			cumD[f] += out[f]
 			arr[f] = append(arr[f], cumA[f])

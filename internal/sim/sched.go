@@ -25,25 +25,18 @@ type Scheduler interface {
 	Name() string
 	// Enqueue admits bits of flow f arriving at the given slot.
 	Enqueue(f core.FlowID, slot int, bits float64)
-	// Serve transmits up to budget bits in precedence order, accumulating
-	// the served amount per flow into out. Implementations must be
-	// work-conserving: they serve min(budget, backlog).
-	Serve(budget float64, out map[core.FlowID]float64)
+	// ServeInto transmits up to budget bits in precedence order, adding
+	// flow f's served bits to out[f]. Implementations must be
+	// work-conserving: they serve min(budget, backlog). Flow ids index
+	// out directly, so callers size it past every flow id the scheduler
+	// has been asked to enqueue (tandem nodes have exactly two) and zero
+	// the entries they read before each call.
+	ServeInto(budget float64, out []float64)
 	// Backlog returns the total buffered bits.
 	Backlog() float64
-}
-
-// SliceServer is the dense-output serve path of the slot loop: ServeInto
-// is Serve with out[f] accumulating flow f's served bits, for flow ids
-// indexing into out. The serve order and the float operations are
-// identical to Serve — the two paths produce bit-identical simulations
-// (pinned by the tandem parity tests) — but the slice path avoids the
-// per-slot map clear and hashing, which dominated the serve cost of
-// Tandem.Run's inner loop. Callers must size out past every flow id the
-// scheduler has been asked to enqueue (tandem nodes have exactly two).
-type SliceServer interface {
-	Scheduler
-	ServeInto(budget float64, out []float64)
+	// QueueLen returns the number of queued chunks — plus the packet on
+	// the wire for the packetized wrapper.
+	QueueLen() int
 }
 
 // HeadQueue is the contract NonPreemptive needs from its inner
@@ -52,7 +45,6 @@ type SliceServer interface {
 // and the FIFO ring (*FIFO) — provide it.
 type HeadQueue interface {
 	Scheduler
-	QueueLen() int
 	headChunk() *chunk // precedence-minimal queued chunk; nil when empty
 	popHead()          // drop the head chunk (after its bits reached zero)
 	addBacklog(d float64)
@@ -138,30 +130,22 @@ func (h *chunkHeap) popMin() {
 	*h = q[:n]
 }
 
-// Precedence is a generic Δ-scheduler executor: chunks are served in
-// increasing key order, with keys assigned at arrival by a discipline-
-// specific function. FIFO, static priority, BMUX and EDF are all instances
-// (their precedence between any two arrivals is fixed at arrival time —
-// precisely the Δ-scheduler property of Definition 1).
+// Precedence is a generic executor for disciplines that fix a chunk's
+// precedence at arrival: chunks are served in increasing key order, with
+// keys assigned at arrival by a discipline-specific function of the
+// chunk's flow, slot and size. Static priority, BMUX and EDF are
+// instances (their precedence between any two arrivals is fixed at
+// arrival time — precisely the Δ-scheduler property of Definition 1), and
+// so is SCED, whose key function carries per-flow service-curve state.
 type Precedence struct {
 	name    string
-	keyOf   func(f core.FlowID, slot int) (k1, k2 float64)
+	keyOf   func(f core.FlowID, slot int, bits float64) (k1, k2 float64)
 	q       chunkHeap
 	backlog float64
 	seq     int
 }
 
-var _ Scheduler = (*Precedence)(nil)
-
-// newHeapFIFO is the generic-heap FIFO — the pre-ring implementation,
-// kept constructible so the parity tests can pin the ring against it.
-// Production callers get the ring via NewFIFO.
-func newHeapFIFO() *Precedence {
-	return &Precedence{
-		name:  "FIFO",
-		keyOf: func(_ core.FlowID, slot int) (float64, float64) { return float64(slot), 0 },
-	}
-}
+var _ HeadQueue = (*Precedence)(nil)
 
 // NewSP serves by static priority (higher level first), FIFO within a
 // level. Flows absent from the map default to level 0.
@@ -172,7 +156,7 @@ func NewSP(level map[core.FlowID]int) *Precedence {
 	}
 	return &Precedence{
 		name: "SP",
-		keyOf: func(f core.FlowID, slot int) (float64, float64) {
+		keyOf: func(f core.FlowID, slot int, _ float64) (float64, float64) {
 			return -float64(cp[f]), float64(slot)
 		},
 	}
@@ -183,7 +167,7 @@ func NewSP(level map[core.FlowID]int) *Precedence {
 func NewBMUX(low core.FlowID) *Precedence {
 	return &Precedence{
 		name: "BMUX",
-		keyOf: func(f core.FlowID, slot int) (float64, float64) {
+		keyOf: func(f core.FlowID, slot int, _ float64) (float64, float64) {
 			if f == low {
 				return 1, float64(slot)
 			}
@@ -202,7 +186,7 @@ func NewEDF(deadline map[core.FlowID]float64) *Precedence {
 	}
 	return &Precedence{
 		name: "EDF",
-		keyOf: func(f core.FlowID, slot int) (float64, float64) {
+		keyOf: func(f core.FlowID, slot int, _ float64) (float64, float64) {
 			return float64(slot) + cp[f], float64(slot)
 		},
 	}
@@ -216,34 +200,14 @@ func (p *Precedence) Enqueue(f core.FlowID, slot int, bits float64) {
 	if bits <= 0 {
 		return
 	}
-	k1, k2 := p.keyOf(f, slot)
+	k1, k2 := p.keyOf(f, slot, bits)
 	p.seq++
 	p.q.push(chunk{k1: k1, k2: k2, flow: f, bits: bits, seq: p.seq})
 	p.backlog += bits
 }
 
-// Serve implements Scheduler.
-func (p *Precedence) Serve(budget float64, out map[core.FlowID]float64) {
-	for budget > 1e-12 && p.q.Len() > 0 {
-		c := &p.q[0]
-		take := math.Min(budget, c.bits)
-		out[c.flow] += take
-		c.bits -= take
-		p.backlog -= take
-		budget -= take
-		if c.bits <= 1e-12 {
-			p.backlog += c.bits // absorb the fp residue
-			p.q.popMin()
-		}
-	}
-	if p.backlog < 0 {
-		p.backlog = 0
-	}
-}
-
-// ServeInto implements SliceServer: the Serve loop with a dense output
-// slice. The float operation sequence is identical, so the served amounts
-// and the residual backlog match Serve bit for bit.
+// ServeInto implements Scheduler: drain the heap minimum until the budget
+// or the queue runs out.
 func (p *Precedence) ServeInto(budget float64, out []float64) {
 	for budget > 1e-12 && p.q.Len() > 0 {
 		c := &p.q[0]
@@ -265,7 +229,7 @@ func (p *Precedence) ServeInto(budget float64, out []float64) {
 // Backlog implements Scheduler.
 func (p *Precedence) Backlog() float64 { return p.backlog }
 
-// QueueLen implements QueueLener: the number of queued chunks.
+// QueueLen implements Scheduler.
 func (p *Precedence) QueueLen() int { return p.q.Len() }
 
 // headChunk implements HeadQueue.
@@ -305,8 +269,8 @@ func NewGPS(weight map[core.FlowID]float64) (*GPS, error) {
 	cp := make(map[core.FlowID]float64, len(weight))
 	var order []core.FlowID
 	for f, w := range weight {
-		if w <= 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("sim: GPS weight for flow %d must be positive, got %g", f, w)
+		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("sim: GPS weight for flow %d must be positive and finite, got %g", f, w)
 		}
 		cp[f] = w
 		order = append(order, f)
@@ -331,42 +295,6 @@ func (g *GPS) Enqueue(f core.FlowID, slot int, bits float64) {
 	}
 	g.queues[f] = append(g.queues[f], chunk{bits: bits})
 	g.backlog += bits
-}
-
-// Serve implements Scheduler: iterative water-filling — flows that empty
-// their queue mid-slot return their unused share to the others, preserving
-// work conservation.
-func (g *GPS) Serve(budget float64, out map[core.FlowID]float64) {
-	for budget > 1e-12 {
-		totalW := 0.0
-		for _, f := range g.order {
-			if g.flowBacklog(f) > 0 {
-				totalW += g.weight[f]
-			}
-		}
-		if totalW == 0 {
-			break
-		}
-		spent := 0.0
-		for _, f := range g.order {
-			bl := g.flowBacklog(f)
-			if bl <= 0 {
-				continue
-			}
-			share := budget * g.weight[f] / totalW
-			take := math.Min(share, bl)
-			g.drain(f, take)
-			out[f] += take
-			spent += take
-		}
-		if spent <= 1e-12 {
-			break
-		}
-		budget -= spent
-	}
-	if g.backlog < 0 {
-		g.backlog = 0
-	}
 }
 
 func (g *GPS) flowBacklog(f core.FlowID) float64 {
@@ -398,8 +326,9 @@ func (g *GPS) drain(f core.FlowID, amount float64) {
 	g.queues[f] = keep
 }
 
-// ServeInto implements SliceServer: Serve's water-filling with a dense
-// output slice, bit-identical per-flow amounts.
+// ServeInto implements Scheduler: iterative water-filling — flows that
+// empty their queue mid-slot return their unused share to the others,
+// preserving work conservation.
 func (g *GPS) ServeInto(budget float64, out []float64) {
 	for budget > 1e-12 {
 		totalW := 0.0
@@ -436,7 +365,7 @@ func (g *GPS) ServeInto(budget float64, out []float64) {
 // Backlog implements Scheduler.
 func (g *GPS) Backlog() float64 { return g.backlog }
 
-// QueueLen implements QueueLener: queued chunks across all flows.
+// QueueLen implements Scheduler: queued chunks across all flows.
 func (g *GPS) QueueLen() int {
 	n := 0
 	for _, q := range g.queues {

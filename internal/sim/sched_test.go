@@ -7,9 +7,11 @@ import (
 	"deltasched/internal/core"
 )
 
+// serveAll serves one budget and returns the bits served per flow, with
+// an entry only for the flows that were served.
 func serveAll(s Scheduler, budget float64) map[core.FlowID]float64 {
 	out := make(map[core.FlowID]float64)
-	s.Serve(budget, out)
+	serveMap(s, budget, out)
 	return out
 }
 
@@ -130,6 +132,9 @@ func TestGPSValidation(t *testing.T) {
 	}
 	if _, err := NewGPS(map[core.FlowID]float64{0: -1}); err == nil {
 		t.Error("negative weight must be rejected")
+	}
+	if _, err := NewGPS(map[core.FlowID]float64{0: 1, 1: math.Inf(1)}); err == nil {
+		t.Error("infinite weight must be rejected: it turns every share into NaN")
 	}
 }
 

@@ -82,10 +82,9 @@ type Tandem struct {
 
 	// Block-engine scratch reused across Runs of the same shape, so a
 	// replicated sweep pays the buffer allocations once, not per Run.
-	blkFloat []float64     // caps + through block + cross blocks backing
-	blkBool  []bool        // hasCross
-	blkSlice []SliceServer // per-node serve-path devirtualization
-	blkFIFO  []*FIFO       // per-node ring devirtualization
+	blkFloat []float64 // caps + through block + cross blocks backing
+	blkBool  []bool    // hasCross
+	blkFIFO  []*FIFO   // per-node ring devirtualization
 }
 
 // PerNode returns the per-node through-flow delay recorders of the last
@@ -186,9 +185,6 @@ func (t *Tandem) Run(slots int) (*measure.DelayRecorder, Stats, error) {
 	if cap(t.blkBool) < h {
 		t.blkBool = make([]bool, h)
 	}
-	if cap(t.blkSlice) < h {
-		t.blkSlice = make([]SliceServer, h)
-	}
 	if cap(t.blkFIFO) < h {
 		t.blkFIFO = make([]*FIFO, h)
 	}
@@ -199,7 +195,6 @@ func (t *Tandem) Run(slots int) (*measure.DelayRecorder, Stats, error) {
 		shapers:  shapers,
 		caps:     fb[:h:h],
 		hasCross: t.blkBool[:h:h],
-		slice:    t.blkSlice[:h:h],
 		fifos:    t.blkFIFO[:h:h],
 		bs:       bs,
 		thr:      fb[h : h+bs : h+bs],
@@ -209,7 +204,7 @@ func (t *Tandem) Run(slots int) (*measure.DelayRecorder, Stats, error) {
 		nodeD:    nodeD,
 	}
 	// Hoist the per-slot branches of the old loop: capacity selection,
-	// cross-source presence, serve-path and sink devirtualization.
+	// cross-source presence, FIFO-ring and sink devirtualization.
 	allFIFO := true
 	for i, n := range t.nodes {
 		st.caps[i] = t.C
@@ -217,10 +212,8 @@ func (t *Tandem) Run(slots int) (*measure.DelayRecorder, Stats, error) {
 			st.caps[i] = t.Cs[i]
 		}
 		st.hasCross[i] = t.Cross[i] != nil
-		// Assign unconditionally: the backing arrays are reused across
-		// Runs and may hold a previous run's entries.
-		ss, _ := n.(SliceServer)
-		st.slice[i] = ss
+		// Assign unconditionally: the backing array is reused across Runs
+		// and may hold a previous run's entries.
 		f, ok := n.(*FIFO)
 		st.fifos[i] = f
 		if !ok {
@@ -238,7 +231,6 @@ func (t *Tandem) Run(slots int) (*measure.DelayRecorder, Stats, error) {
 	// (same numbers, more dispatch).
 	if !allFIFO || t.Probe != nil || t.RecordPerNode {
 		st.fifos = nil
-		st.outMap = make(map[core.FlowID]float64, 2)
 	}
 
 	done := 0
@@ -290,9 +282,8 @@ const blockSlots = 1024
 type tandemState struct {
 	t        *Tandem
 	nodes    []Scheduler
-	slice    []SliceServer // per node; nil entry → map-based Serve fallback
-	fifos    []*FIFO       // non-nil only when the all-FIFO fast pass applies
-	caps     []float64     // resolved per-node capacities
+	fifos    []*FIFO   // non-nil only when the all-FIFO fast pass applies
+	caps     []float64 // resolved per-node capacities
 	hasCross []bool
 	shapers  []*Shaper
 
@@ -300,8 +291,7 @@ type tandemState struct {
 	thr   []float64 // through arrivals for the current block
 	cross []float64 // h rows × bs: per-node cross arrivals
 
-	out    [2]float64 // dense serve scratch (tandem nodes have two flows)
-	outMap map[core.FlowID]float64
+	out [2]float64 // serve scratch (tandem nodes have two flows)
 
 	sink   measure.SlotSink
 	rec    *measure.DelayRecorder  // devirtualized sink (exact backend)
@@ -407,7 +397,7 @@ func (st *tandemState) serveFIFO(base, nb int) error {
 
 // serveGeneric is the serve pass for any scheduler mix, probes, and
 // per-node recording: the old loop body verbatim, reading arrivals from
-// the block buffers, with the slice serve path where available.
+// the block buffers.
 func (st *tandemState) serveGeneric(base, nb int) error {
 	t := st.t
 	nodes := st.nodes
@@ -433,16 +423,9 @@ func (st *tandemState) serveGeneric(base, nb int) error {
 		// the slot.
 		for i := 0; i < h; i++ {
 			capa := st.caps[i]
-			var s0, s1 float64
-			if ss := st.slice[i]; ss != nil {
-				st.out[0], st.out[1] = 0, 0
-				ss.ServeInto(capa, st.out[:])
-				s0, s1 = st.out[0], st.out[1]
-			} else {
-				clear(st.outMap)
-				nodes[i].Serve(capa, st.outMap)
-				s0, s1 = st.outMap[ThroughFlow], st.outMap[CrossFlow]
-			}
+			st.out[0], st.out[1] = 0, 0
+			nodes[i].ServeInto(capa, st.out[:])
+			s0, s1 := st.out[0], st.out[1]
 			if probing {
 				observeNode(t.Probe, nodes[i], i, slot, s0+s1, capa)
 			}
@@ -484,8 +467,11 @@ func (st *tandemState) serveGeneric(base, nb int) error {
 // flows under any Scheduler — the setting of the paper's Section III and
 // of the single-node tightness experiments.
 type SingleNode struct {
-	C       float64
-	Sched   Scheduler
+	C     float64
+	Sched Scheduler
+	// Sources maps each flow id to its arrivals. Ids must be
+	// non-negative: they index Run's dense per-flow state, which spans
+	// 0..max id.
 	Sources map[core.FlowID]traffic.Source
 }
 
@@ -498,25 +484,30 @@ func (n *SingleNode) Run(slots int) (map[core.FlowID]*measure.DelayRecorder, err
 		return nil, errors.New("sim: single node needs a scheduler and sources")
 	}
 	recs := make(map[core.FlowID]*measure.DelayRecorder, len(n.Sources))
-	cumA := make(map[core.FlowID]float64, len(n.Sources))
-	cumD := make(map[core.FlowID]float64, len(n.Sources))
 	flows := make([]core.FlowID, 0, len(n.Sources))
 	for f := range n.Sources {
+		if f < 0 {
+			return nil, fmt.Errorf("sim: flow id %d is negative", f)
+		}
 		recs[f] = measure.NewDelayRecorder(slots)
 		flows = append(flows, f)
 	}
 	// Deterministic iteration order for reproducibility.
 	slices.Sort(flows)
 
-	out := make(map[core.FlowID]float64, len(n.Sources))
+	// Dense per-flow state indexed by flow id.
+	top := int(flows[len(flows)-1]) + 1
+	cumA := make([]float64, top)
+	cumD := make([]float64, top)
+	out := make([]float64, top)
 	for slot := 0; slot < slots; slot++ {
 		for _, f := range flows {
 			a := n.Sources[f].Next()
 			cumA[f] += a
 			n.Sched.Enqueue(f, slot, a)
+			out[f] = 0
 		}
-		clear(out)
-		n.Sched.Serve(n.C, out)
+		n.Sched.ServeInto(n.C, out)
 		for _, f := range flows {
 			cumD[f] += out[f]
 			if err := recs[f].Record(cumA[f], cumD[f]); err != nil {

@@ -29,8 +29,25 @@ func refSumServed(m map[core.FlowID]float64) float64 {
 	return total
 }
 
+// serveMap is the map-output serve the schedulers had before ServeInto
+// became their only serve method: ServeInto on a dense scratch, with
+// every served flow's bits added to out. Flow ids must be below the
+// scratch length. Each flow's amount is accumulated from zero in the
+// order ServeInto serves it, exactly as the map-output serve did, so the
+// reference loop's numbers are unchanged.
+func serveMap(s Scheduler, budget float64, out map[core.FlowID]float64) {
+	var dense [16]float64
+	s.ServeInto(budget, dense[:])
+	for f, b := range dense {
+		if b != 0 {
+			out[core.FlowID(f)] += b
+		}
+	}
+}
+
 // runTandemRef is the pre-block Tandem.Run, kept verbatim (modulo the
-// receiver spelling) as the parity oracle.
+// receiver spelling and the serve call, which goes through serveMap) as
+// the parity oracle.
 func runTandemRef(t *Tandem, slots int) (*measure.DelayRecorder, Stats, error) {
 	if t.C <= 0 && len(t.Cs) == 0 {
 		return nil, Stats{}, fmt.Errorf("sim: capacity must be positive, got %g", t.C)
@@ -126,7 +143,7 @@ func runTandemRef(t *Tandem, slots int) (*measure.DelayRecorder, Stats, error) {
 			if len(t.Cs) > 0 {
 				capa = t.Cs[i]
 			}
-			t.nodes[i].Serve(capa, out)
+			serveMap(t.nodes[i], capa, out)
 			if probing {
 				observeNode(t.Probe, t.nodes[i], i, slot, refSumServed(out), capa)
 			}

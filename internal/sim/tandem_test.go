@@ -6,12 +6,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"deltasched/internal/core"
 	"deltasched/internal/envelope"
 	"deltasched/internal/measure"
 	"deltasched/internal/minplus"
+	"deltasched/internal/randx"
 	"deltasched/internal/traffic"
 )
 
@@ -120,6 +122,54 @@ func TestTandemValidation(t *testing.T) {
 	bad.MakeSched = nil
 	if _, _, err := bad.Run(10); err == nil {
 		t.Error("missing scheduler factory must be rejected")
+	}
+}
+
+// TestSingleNodeFlowIDs pins the boundaries of SingleNode's dense serve
+// output, which flow ids index: a negative id is rejected, and sparse ids
+// serve and record exactly like their dense renumbering.
+func TestSingleNodeFlowIDs(t *testing.T) {
+	neg := &SingleNode{C: 10, Sched: NewFIFO(), Sources: map[core.FlowID]traffic.Source{
+		0: traffic.CBR{Rate: 1}, -1: traffic.CBR{Rate: 1},
+	}}
+	if _, err := neg.Run(10); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("negative flow id: err = %v, want a negative-id error", err)
+	}
+
+	// Both runs draw the same traffic in the same order (flows run in id
+	// order) under static priority, whose precedence never reaches the
+	// flow-id tie-break, so the renumbering must be invisible.
+	const slots = 3000
+	run := func(lo, hi core.FlowID) (*measure.DelayRecorder, *measure.DelayRecorder) {
+		rng := randx.NewRand(4)
+		model := envelope.PaperSource()
+		src := func(n int) traffic.Source {
+			s, err := traffic.NewMMOOAggregate(model, n, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		node := &SingleNode{
+			C:       8,
+			Sched:   NewSP(map[core.FlowID]int{lo: 1, hi: 2}),
+			Sources: map[core.FlowID]traffic.Source{lo: src(30), hi: src(20)},
+		}
+		recs, err := node.Run(slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 2 {
+			t.Fatalf("ids {%d, %d}: %d recorders, want 2", lo, hi, len(recs))
+		}
+		return recs[lo], recs[hi]
+	}
+	sparseLo, sparseHi := run(0, 5)
+	denseLo, denseHi := run(0, 1)
+	requireSameRecorder(t, "low-priority flow", sparseLo, denseLo)
+	requireSameRecorder(t, "high-priority flow", sparseHi, denseHi)
+	if sparseLo.MaxBacklog() == 0 {
+		t.Fatal("the low-priority flow never queued: the load is too light to test anything")
 	}
 }
 
