@@ -13,6 +13,7 @@ import (
 	"deltasched/internal/core"
 	"deltasched/internal/envelope"
 	"deltasched/internal/experiments"
+	"deltasched/internal/measure"
 	"deltasched/internal/minplus"
 	"deltasched/internal/obs"
 	"deltasched/internal/randx"
@@ -183,7 +184,7 @@ func BenchmarkEffectiveBandwidth(b *testing.B) {
 // BenchmarkSimulatorSlots measures tandem simulation throughput in
 // slots/op for the Fig. 1 topology at moderate load.
 func BenchmarkSimulatorSlots(b *testing.B) {
-	tan := benchTandem(b, false, 3)
+	tan := benchTandem(b, false, 3, 60)
 	b.ReportAllocs()
 	b.ResetTimer()
 	const slotsPerOp = 2000
@@ -200,7 +201,7 @@ func BenchmarkSimulatorSlots(b *testing.B) {
 // and depth scaling of the slot loop are tracked, not just the 3-node
 // figure topology.
 func BenchmarkSimulatorSlotsH30(b *testing.B) {
-	tan := benchTandem(b, false, 30)
+	tan := benchTandem(b, false, 30, 60)
 	b.ReportAllocs()
 	b.ResetTimer()
 	const slotsPerOp = 2000
@@ -214,11 +215,12 @@ func BenchmarkSimulatorSlotsH30(b *testing.B) {
 
 // BenchmarkSimulatorSlotsEDF is BenchmarkSimulatorSlots with EDF nodes
 // (deadlines 5 and 50 slots, the netsim defaults): every node runs on the
-// generic precedence heap, so this times the serve pass that any non-FIFO
-// discipline, probe or per-node recording takes instead of the fused
-// all-FIFO pass.
+// Precedence executor's per-flow lanes, so this times the serve pass that
+// any non-FIFO discipline, probe or per-node recording takes instead of
+// the fused all-FIFO pass. Per-source fill dominates it at H = 3; see
+// BenchmarkSimulatorSlotsEDFH30 for a serve-dominated shape.
 func BenchmarkSimulatorSlotsEDF(b *testing.B) {
-	tan := benchTandem(b, false, 3)
+	tan := benchTandem(b, false, 3, 60)
 	tan.MakeSched = func(int) sim.Scheduler {
 		return sim.NewEDF(map[core.FlowID]float64{sim.ThroughFlow: 5, sim.CrossFlow: 50})
 	}
@@ -233,12 +235,37 @@ func BenchmarkSimulatorSlotsEDF(b *testing.B) {
 	b.ReportMetric(slotsPerOp, "slots/op")
 }
 
+// BenchmarkSimulatorSlotsEDFH30 is the shape of netsim's EDF workload at
+// H = 30: count aggregates (30 through, 80 cross flows per hop) on
+// 20 kbit/slot links, EDF deadlines 5 and 50 slots, and a streaming
+// sketch sink. The count chain makes fill cheap, so this weights the
+// generic serve pass over 30 Precedence nodes far more than
+// BenchmarkSimulatorSlotsEDF does.
+func BenchmarkSimulatorSlotsEDFH30(b *testing.B) {
+	tan := benchTandem(b, true, 30, 80)
+	tan.MakeSched = func(int) sim.Scheduler {
+		return sim.NewEDF(map[core.FlowID]float64{sim.ThroughFlow: 5, sim.CrossFlow: 50})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	const slotsPerOp = 2000
+	for i := 0; i < b.N; i++ {
+		sr := measure.NewStreamRecorder(measure.NewSketch())
+		tan.Sink = sr
+		if _, _, err := tan.Run(slotsPerOp); err != nil {
+			b.Fatal(err)
+		}
+		sr.Finish()
+	}
+	b.ReportMetric(slotsPerOp, "slots/op")
+}
+
 // BenchmarkSimulatorSlotsCountAgg is BenchmarkSimulatorSlots with the
 // O(1)-per-slot ON-count aggregates instead of per-flow draws (ISSUE 4):
 // the same topology and the same arrival law, sampled with two binomial
 // draws per aggregate per slot instead of 210 Bernoulli draws.
 func BenchmarkSimulatorSlotsCountAgg(b *testing.B) {
-	tan := benchTandem(b, true, 3)
+	tan := benchTandem(b, true, 3, 60)
 	b.ReportAllocs()
 	b.ResetTimer()
 	const slotsPerOp = 2000
@@ -288,11 +315,11 @@ func BenchmarkReplicatedTandem(b *testing.B) {
 }
 
 // benchTandem builds the Fig. 1 topology used by the simulator
-// benchmarks: H FIFO nodes, 30 through + H×60 cross MMOO flows, on the
+// benchmarks: H FIFO nodes, 30 through + H×nc cross MMOO flows, on the
 // same devirtualized RNG the scenario runner uses (stream-identical to
 // the historical rand.New(rand.NewSource(9))). countAgg selects the O(1)
 // ON-count chain over per-flow draws.
-func benchTandem(b *testing.B, countAgg bool, h int) *sim.Tandem {
+func benchTandem(b *testing.B, countAgg bool, h, nc int) *sim.Tandem {
 	b.Helper()
 	m := envelope.PaperSource()
 	rng := randx.NewRand(9)
@@ -308,7 +335,7 @@ func benchTandem(b *testing.B, countAgg bool, h int) *sim.Tandem {
 	}
 	cross := make([]traffic.Source, h)
 	for i := range cross {
-		cs, err := mkAgg(60)
+		cs, err := mkAgg(nc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -325,7 +352,7 @@ func benchTandem(b *testing.B, countAgg bool, h int) *sim.Tandem {
 // the pre-observability seed, measured at < 2% (one nil check per slot;
 // see DESIGN.md's Observability section).
 func BenchmarkNetworkRunInstrumented(b *testing.B) {
-	tan := benchTandem(b, false, 3)
+	tan := benchTandem(b, false, 3, 60)
 	probe := &obs.SimProbe{}
 	tan.Probe = probe
 	b.ReportAllocs()
@@ -345,7 +372,7 @@ func BenchmarkNetworkRunInstrumented(b *testing.B) {
 // BenchmarkNetworkRunSampledProbe is the instrumented run at a 100-slot
 // sampling stride — the recommended setting for long production runs.
 func BenchmarkNetworkRunSampledProbe(b *testing.B) {
-	tan := benchTandem(b, false, 3)
+	tan := benchTandem(b, false, 3, 60)
 	tan.Probe = &obs.SimProbe{Every: 100}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -55,37 +55,24 @@ type metricInstance struct {
 // Labels may be nil. Requesting an existing name as a different metric
 // kind panics: that is a programming error, not a runtime condition.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	inst := r.instance(name, help, "counter", nil, labels)
-	if inst.counter == nil {
-		inst.counter = &Counter{}
-	}
-	return inst.counter
+	return r.instance(name, help, "counter", nil, labels).counter
 }
 
 // Gauge returns the registered gauge, creating it on first use.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	inst := r.instance(name, help, "gauge", nil, labels)
-	if inst.gauge == nil {
-		inst.gauge = &Gauge{}
-	}
-	return inst.gauge
+	return r.instance(name, help, "gauge", nil, labels).gauge
 }
 
 // Histogram returns the registered histogram, creating it on first use
 // with the given bucket upper bounds. Re-requesting with different
 // bounds panics (bucket layouts must agree for merges and exposition).
 func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels) *Histogram {
-	inst := r.instance(name, help, "histogram", bounds, labels)
-	if inst.hist == nil {
-		h, err := NewHistogram(bounds)
-		if err != nil {
-			panic(fmt.Sprintf("obs: histogram %q: %v", name, err))
-		}
-		inst.hist = h
-	}
-	return inst.hist
+	return r.instance(name, help, "histogram", bounds, labels).hist
 }
 
+// instance returns the (name, labels) instance, creating the family, the
+// instance and its instrument on first use. The instrument is created
+// under r.mu, so concurrent first callers all receive the same one.
 func (r *Registry) instance(name, help, kind string, bounds []float64, labels Labels) *metricInstance {
 	if r == nil {
 		panic("obs: nil registry")
@@ -112,6 +99,18 @@ func (r *Registry) instance(name, help, kind string, bounds []float64, labels La
 	inst, ok := fam.insts[key]
 	if !ok {
 		inst = &metricInstance{labelStr: key}
+		switch kind {
+		case "counter":
+			inst.counter = &Counter{}
+		case "gauge":
+			inst.gauge = &Gauge{}
+		case "histogram":
+			h, err := NewHistogram(bounds)
+			if err != nil {
+				panic(fmt.Sprintf("obs: histogram %q: %v", name, err))
+			}
+			inst.hist = h
+		}
 		fam.insts[key] = inst
 	}
 	return inst

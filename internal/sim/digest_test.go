@@ -191,12 +191,21 @@ func TestSchedulerOutputDigests(t *testing.T) {
 		"gps/network":          0x9994f4cf4d43e1c0,
 		"gps/single":           0x831d32a56ee9beed,
 		"gps/tandem":           0x56d720da7fba3089,
+		"np-edf/network":       0x8f2dc66308284f88,
+		"np-edf/single":        0xe0281b1a65022545,
+		"np-edf/tandem":        0x50c338a26531b7f4,
 		"np-fifo-heap/network": 0x81ac115f89bc1eac,
 		"np-fifo-heap/single":  0xf1e6262d816f0658,
 		"np-fifo-heap/tandem":  0xe3ae7adccafb711d,
 		"np-fifo-ring/network": 0x81ac115f89bc1eac,
 		"np-fifo-ring/single":  0xf1e6262d816f0658,
 		"np-fifo-ring/tandem":  0xe3ae7adccafb711d,
+		"np-sced/network":      0x5fdf528596fb28a8,
+		"np-sced/single":       0x7514df71ea19c943,
+		"np-sced/tandem":       0x0d61ec23dd8b9f1b,
+		"np-sp/network":        0x7b8d65e3181653cf,
+		"np-sp/single":         0xe2bfd53e7b9dfa9f,
+		"np-sp/tandem":         0xa5271d11b9225586,
 		"sced/network":         0x2a1edd22230fbd8d,
 		"sced/single":          0x06aaec3dd4c4e888,
 		"sced/tandem":          0xee0ca7a969acd435,

@@ -7,8 +7,8 @@ import (
 )
 
 // FIFO serves strictly in arrival order (simultaneous arrivals ordered by
-// flow id) — the ring-buffer specialization of a heap-backed Precedence
-// keyed (slot, 0), which the tests keep as the reference.
+// flow id) — the single-ring specialization of a precedence executor
+// keyed (slot, 0), pinned against the tests' binary-heap oracle.
 //
 // Why a ring is safe: FIFO keys are (slot, 0), and every chunk a tandem
 // node admits arrives with a non-decreasing slot, so admissions are
@@ -66,8 +66,8 @@ func (p *FIFO) Enqueue(f core.FlowID, slot int, bits float64) {
 }
 
 // ServeInto implements Scheduler. The loop body performs the exact float
-// operation sequence of Precedence.ServeInto on the head chunk, so served
-// amounts and residual backlog are bit-identical to the heap FIFO.
+// operation sequence of the heap oracle's ServeInto on the head chunk, so
+// served amounts and residual backlog are bit-identical to the heap FIFO.
 func (p *FIFO) ServeInto(budget float64, out []float64) {
 	for budget > 1e-12 && p.head < len(p.q) {
 		c := &p.q[p.head]
@@ -202,12 +202,13 @@ func (p *FIFO) Backlog() float64 { return p.backlog }
 // QueueLen implements Scheduler.
 func (p *FIFO) QueueLen() int { return len(p.q) - p.head }
 
-// headChunk implements HeadQueue.
-func (p *FIFO) headChunk() *chunk {
+// headBits implements HeadQueue.
+func (p *FIFO) headBits() (core.FlowID, *float64) {
 	if p.head == len(p.q) {
-		return nil
+		return 0, nil
 	}
-	return &p.q[p.head]
+	c := &p.q[p.head]
+	return c.flow, &c.bits
 }
 
 // popHead implements HeadQueue.

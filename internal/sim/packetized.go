@@ -28,8 +28,7 @@ type NonPreemptive struct {
 var _ Scheduler = (*NonPreemptive)(nil)
 
 // NewNonPreemptive wraps the given precedence scheduler (any HeadQueue:
-// the heap-backed *Precedence disciplines, SCED included, or the *FIFO
-// ring).
+// the *Precedence disciplines, SCED included, or the *FIFO ring).
 func NewNonPreemptive(inner HeadQueue, packetSize float64) (*NonPreemptive, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("sim: NonPreemptive needs an inner scheduler")
@@ -62,17 +61,16 @@ func (n *NonPreemptive) ServeInto(budget float64, out []float64) {
 			budget -= take
 			continue
 		}
-		c := n.inner.headChunk()
-		if c == nil {
+		flow, bits := n.inner.headBits()
+		if bits == nil {
 			return
 		}
 		// Commit the head-of-line chunk's next packet, non-preemptively.
-		flow := c.flow
-		pkt := math.Min(n.packetSize, c.bits)
-		c.bits -= pkt
+		pkt := math.Min(n.packetSize, *bits)
+		*bits -= pkt
 		n.inner.addBacklog(-pkt)
-		if c.bits <= 1e-12 {
-			n.inner.addBacklog(c.bits)
+		if *bits <= 1e-12 {
+			n.inner.addBacklog(*bits)
 			n.inner.popHead()
 		}
 		n.residFlow = flow

@@ -40,13 +40,16 @@ type Scheduler interface {
 }
 
 // HeadQueue is the contract NonPreemptive needs from its inner
-// discipline: mutable access to the precedence-ordered head-of-line
-// chunk. Both precedence implementations — the generic heap (*Precedence)
-// and the FIFO ring (*FIFO) — provide it.
+// discipline: mutable access to the precedence-minimal queued chunk.
+// Both precedence executors — the per-flow lanes of *Precedence and the
+// FIFO ring (*FIFO) — provide it.
 type HeadQueue interface {
 	Scheduler
-	headChunk() *chunk // precedence-minimal queued chunk; nil when empty
-	popHead()          // drop the head chunk (after its bits reached zero)
+	// headBits returns the head chunk's flow and a pointer to its
+	// remaining bits, valid until the next Enqueue or popHead; the
+	// pointer is nil when the queue is empty.
+	headBits() (core.FlowID, *float64)
+	popHead() // drop the head chunk (after its bits reached zero)
 	addBacklog(d float64)
 }
 
@@ -58,20 +61,11 @@ type chunk struct {
 	seq    int // admission sequence, final tie-breaker (stability)
 }
 
-// chunkHeap is a binary min-heap of chunks ordered by (k1, k2, flow,
-// seq). It reimplements container/heap's sift loops on the concrete type
-// because the interface{} boxing of heap.Push/heap.Pop allocated on
-// every enqueue and dequeue — several times per simulated slot, the
-// dominant allocation in the slot loop (see DESIGN.md's Performance
-// section). The algorithms are verbatim container/heap, so the heap
-// layout, and with it the serve order, is bit-identical to the boxed
-// version.
-type chunkHeap []chunk
-
-// chunkLess is the strict total order (k1, k2, flow, seq) shared by the
-// heap and the FIFO ring: seq values are unique per scheduler, so any two
-// distinct chunks compare strictly — which is exactly why a sorted ring
-// and a binary heap dequeue in the same order.
+// chunkLess is the strict total order (k1, k2, flow, seq) every
+// precedence queue serves in: seq values are unique per scheduler, so any
+// two distinct chunks compare strictly — which is exactly why sorted
+// queues (the FIFO ring, Precedence's lanes) and a binary heap dequeue
+// in the same order.
 func chunkLess(a, b *chunk) bool {
 	if a.k1 != b.k1 {
 		return a.k1 < b.k1
@@ -85,111 +79,143 @@ func chunkLess(a, b *chunk) bool {
 	return a.seq < b.seq
 }
 
-func (h chunkHeap) Len() int { return len(h) }
-func (h chunkHeap) less(i, j int) bool {
-	return chunkLess(&h[i], &h[j])
-}
-
-// push inserts a chunk and sifts it up (container/heap.Push without the
-// boxing).
-func (h *chunkHeap) push(c chunk) {
-	*h = append(*h, c)
-	q := *h
-	j := len(q) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if !q.less(j, i) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-}
-
-// popMin removes the minimum chunk q[0] (container/heap.Pop without the
-// boxing; callers read q[0] before popping, so nothing is returned).
-func (h *chunkHeap) popMin() {
-	q := *h
-	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	i := 0
-	for {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && q.less(j2, j) {
-			j = j2
-		}
-		if !q.less(j, i) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-	*h = q[:n]
-}
-
-// Precedence is a generic executor for disciplines that fix a chunk's
+// Precedence is the executor for disciplines that fix a chunk's
 // precedence at arrival: chunks are served in increasing key order, with
 // keys assigned at arrival by a discipline-specific function of the
 // chunk's flow, slot and size. Static priority, BMUX and EDF are
 // instances (their precedence between any two arrivals is fixed at
 // arrival time — precisely the Δ-scheduler property of Definition 1), and
 // so is SCED, whose key function carries per-flow service-curve state.
+//
+// Chunks queue in one lane per flow, each lane sorted by (k1, k2) with
+// equal keys in admission order, and service always takes the smallest
+// lane head under (k1, k2, flow). Because chunkLess is a strict total
+// order and every lane is sorted under it, that head is exactly the
+// chunk a binary min-heap over all queued chunks would pop next (the
+// heap is kept as a test oracle): the chunk's flow is implicit in its
+// lane index and its admission sequence in the lane order. SP, BMUX and
+// EDF are locally FIFO, so a flow's in-order admissions arrive in key
+// order and its lane behaves as a plain ring; SCED's service-curve
+// deadlines can fall within a flow after a burst, and the lane's
+// insertion sorts them. Finding the head scans every lane, which suits
+// the few flows a node of the paper's topologies carries (two in a
+// tandem).
+//
+// Flow ids index the lanes and key tables directly, as they index
+// ServeInto's out, so they must be non-negative. Keys must not be NaN:
+// a NaN key admits no strict order, so neither the lanes nor a heap
+// would have a defined serve order. scenario.SchedulerFor already
+// rejects the NaN Δ a NaN EDF deadline would produce.
 type Precedence struct {
-	name    string
+	name string
+	// Static keys are k1 = off[f] and k2 = slot, with slot added to k1
+	// when addSlot is set; off reads 0 past its end. keyOf, when
+	// non-nil, computes both keys instead.
+	off     []float64
+	addSlot bool
 	keyOf   func(f core.FlowID, slot int, bits float64) (k1, k2 float64)
-	q       chunkHeap
+
+	lanes   []lane // indexed by flow id, up to the largest id admitted
+	n       int    // queued chunks across all lanes
 	backlog float64
-	seq     int
 }
 
 var _ HeadQueue = (*Precedence)(nil)
 
+// lane is one flow's queue: a ring of entries sorted by (k1, k2), equal
+// keys in admission order. The ring's length is zero or a power of two.
+type lane struct {
+	ring []laneEntry
+	head int // ring index of the first entry
+	n    int // queued entries
+}
+
+// laneEntry is a queued chunk without the fields its lane makes
+// implicit: the flow (the lane's index) and the admission sequence (the
+// position in the lane).
+type laneEntry struct {
+	k1, k2 float64
+	bits   float64
+}
+
+// laneMinCap is a lane's ring length on its first admission.
+const laneMinCap = 16
+
+// push inserts an entry by shifting the entries it sorts strictly before
+// one step toward the tail — the FIFO ring's tail bubble. Keys that grow
+// with the slot (SP, BMUX and EDF on in-order admissions) never shift.
+func (l *lane) push(k1, k2, bits float64) {
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	mask := len(l.ring) - 1
+	j := l.head + l.n
+	for i := l.n; i > 0; i-- {
+		prev := &l.ring[(j-1)&mask]
+		if !(k1 < prev.k1 || k1 == prev.k1 && k2 < prev.k2) {
+			break
+		}
+		l.ring[j&mask] = *prev
+		j--
+	}
+	l.ring[j&mask] = laneEntry{k1: k1, k2: k2, bits: bits}
+	l.n++
+}
+
+// pop drops the head entry.
+func (l *lane) pop() {
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+}
+
+// grow doubles the ring, unwrapping the entries to start at index 0.
+func (l *lane) grow() {
+	ring := make([]laneEntry, max(2*len(l.ring), laneMinCap))
+	n := copy(ring, l.ring[l.head:])
+	copy(ring[n:], l.ring[:l.head])
+	l.ring, l.head = ring, 0
+}
+
 // NewSP serves by static priority (higher level first), FIFO within a
 // level. Flows absent from the map default to level 0.
 func NewSP(level map[core.FlowID]int) *Precedence {
-	cp := make(map[core.FlowID]int, len(level))
-	for k, v := range level {
-		cp[k] = v
+	p := &Precedence{name: "SP"}
+	for f, v := range level {
+		p.setKey(f, -float64(v))
 	}
-	return &Precedence{
-		name: "SP",
-		keyOf: func(f core.FlowID, slot int, _ float64) (float64, float64) {
-			return -float64(cp[f]), float64(slot)
-		},
-	}
+	return p
 }
 
 // NewBMUX gives the designated flow strictly lowest priority; all other
 // flows are FIFO among themselves.
 func NewBMUX(low core.FlowID) *Precedence {
-	return &Precedence{
-		name: "BMUX",
-		keyOf: func(f core.FlowID, slot int, _ float64) (float64, float64) {
-			if f == low {
-				return 1, float64(slot)
-			}
-			return 0, float64(slot)
-		},
-	}
+	p := &Precedence{name: "BMUX"}
+	p.setKey(low, 1)
+	return p
 }
 
 // NewEDF serves by earliest deadline (arrival + per-flow constraint),
 // breaking deadline ties by arrival slot. Flows absent from the map get
 // deadline 0.
 func NewEDF(deadline map[core.FlowID]float64) *Precedence {
-	cp := make(map[core.FlowID]float64, len(deadline))
-	for k, v := range deadline {
-		cp[k] = v
+	p := &Precedence{name: "EDF", addSlot: true}
+	for f, d := range deadline {
+		p.setKey(f, d)
 	}
-	return &Precedence{
-		name: "EDF",
-		keyOf: func(f core.FlowID, slot int, _ float64) (float64, float64) {
-			return float64(slot) + cp[f], float64(slot)
-		},
+	return p
+}
+
+// setKey records flow f's static key term, zero-extending the table.
+// Negative ids are skipped: they index no lane, so they are never
+// admitted.
+func (p *Precedence) setKey(f core.FlowID, k float64) {
+	if f < 0 {
+		return
 	}
+	if int(f) >= len(p.off) {
+		p.off = append(p.off, make([]float64, int(f)+1-len(p.off))...)
+	}
+	p.off[f] = k
 }
 
 // Name implements Scheduler.
@@ -200,25 +226,65 @@ func (p *Precedence) Enqueue(f core.FlowID, slot int, bits float64) {
 	if bits <= 0 {
 		return
 	}
-	k1, k2 := p.keyOf(f, slot, bits)
-	p.seq++
-	p.q.push(chunk{k1: k1, k2: k2, flow: f, bits: bits, seq: p.seq})
+	var k1, k2 float64
+	if p.keyOf != nil {
+		k1, k2 = p.keyOf(f, slot, bits)
+	} else {
+		k2 = float64(slot)
+		if int(f) < len(p.off) {
+			k1 = p.off[f]
+		}
+		if p.addSlot {
+			k1 = k2 + k1
+		}
+	}
+	if int(f) >= len(p.lanes) {
+		p.lanes = append(p.lanes, make([]lane, int(f)+1-len(p.lanes))...)
+	}
+	p.lanes[f].push(k1, k2, bits)
+	p.n++
 	p.backlog += bits
 }
 
-// ServeInto implements Scheduler: drain the heap minimum until the budget
-// or the queue runs out.
+// minLane returns the flow whose lane head is smallest under
+// (k1, k2, flow): lanes are scanned in flow-id order and a later lane
+// wins only on strictly smaller keys. The queue must not be empty.
+func (p *Precedence) minLane() int {
+	best := -1
+	var bk1, bk2 float64
+	for f := range p.lanes {
+		l := &p.lanes[f]
+		if l.n == 0 {
+			continue
+		}
+		e := &l.ring[l.head]
+		if best < 0 || e.k1 < bk1 || e.k1 == bk1 && e.k2 < bk2 {
+			best, bk1, bk2 = f, e.k1, e.k2
+		}
+	}
+	return best
+}
+
+// ServeInto implements Scheduler: drain the minimal lane head until the
+// budget or the queue runs out. The minimum is taken by branch; on the
+// positive operands that reach it, that equals math.Min.
 func (p *Precedence) ServeInto(budget float64, out []float64) {
-	for budget > 1e-12 && p.q.Len() > 0 {
-		c := &p.q[0]
-		take := math.Min(budget, c.bits)
-		out[c.flow] += take
-		c.bits -= take
+	for budget > 1e-12 && p.n > 0 {
+		f := p.minLane()
+		l := &p.lanes[f]
+		e := &l.ring[l.head]
+		take := e.bits
+		if budget < take {
+			take = budget
+		}
+		out[f] += take
+		e.bits -= take
 		p.backlog -= take
 		budget -= take
-		if c.bits <= 1e-12 {
-			p.backlog += c.bits // absorb the fp residue
-			p.q.popMin()
+		if e.bits <= 1e-12 {
+			p.backlog += e.bits // absorb the fp residue
+			l.pop()
+			p.n--
 		}
 	}
 	if p.backlog < 0 {
@@ -230,18 +296,23 @@ func (p *Precedence) ServeInto(budget float64, out []float64) {
 func (p *Precedence) Backlog() float64 { return p.backlog }
 
 // QueueLen implements Scheduler.
-func (p *Precedence) QueueLen() int { return p.q.Len() }
+func (p *Precedence) QueueLen() int { return p.n }
 
-// headChunk implements HeadQueue.
-func (p *Precedence) headChunk() *chunk {
-	if p.q.Len() == 0 {
-		return nil
+// headBits implements HeadQueue.
+func (p *Precedence) headBits() (core.FlowID, *float64) {
+	if p.n == 0 {
+		return 0, nil
 	}
-	return &p.q[0]
+	f := p.minLane()
+	l := &p.lanes[f]
+	return core.FlowID(f), &l.ring[l.head].bits
 }
 
 // popHead implements HeadQueue.
-func (p *Precedence) popHead() { p.q.popMin() }
+func (p *Precedence) popHead() {
+	p.lanes[p.minLane()].pop()
+	p.n--
+}
 
 // addBacklog implements HeadQueue.
 func (p *Precedence) addBacklog(d float64) { p.backlog += d }

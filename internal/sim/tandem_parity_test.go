@@ -73,7 +73,7 @@ func mkTandemSources(seed int64, h, n0, nc int, countAgg bool) (traffic.Source, 
 
 // paritySchedulers is the scheduler matrix: every discipline the tandem
 // scenario can select, both FIFO implementations, and the packetized
-// wrappers around each.
+// wrappers around both FIFOs, EDF, SP and SCED.
 func paritySchedulers() map[string]func(node int) Scheduler {
 	return map[string]func(node int) Scheduler{
 		"fifo-ring": func(int) Scheduler { return NewFIFO() },
@@ -116,6 +116,34 @@ func paritySchedulers() map[string]func(node int) Scheduler {
 		},
 		"np-fifo-heap": func(int) Scheduler {
 			np, err := NewNonPreemptive(newHeapFIFO(), 2)
+			if err != nil {
+				panic(err)
+			}
+			return np
+		},
+		"np-edf": func(int) Scheduler {
+			np, err := NewNonPreemptive(NewEDF(map[core.FlowID]float64{ThroughFlow: 5, CrossFlow: 50}), 2)
+			if err != nil {
+				panic(err)
+			}
+			return np
+		},
+		"np-sp": func(int) Scheduler {
+			np, err := NewNonPreemptive(NewSP(map[core.FlowID]int{ThroughFlow: 0, CrossFlow: 1}), 2)
+			if err != nil {
+				panic(err)
+			}
+			return np
+		},
+		"np-sced": func(int) Scheduler {
+			s, err := NewSCED(map[core.FlowID]RateLatencySpec{
+				ThroughFlow: {Rate: 12, Latency: 2},
+				CrossFlow:   {Rate: 8, Latency: 10},
+			})
+			if err != nil {
+				panic(err)
+			}
+			np, err := NewNonPreemptive(s, 2)
 			if err != nil {
 				panic(err)
 			}
