@@ -16,7 +16,7 @@ test-short:
 	$(GO) test -short ./...
 
 race:
-	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/scenario/ ./internal/measure/ ./internal/obs/ ./internal/shard/ ./internal/faults/
+	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/scenario/ ./internal/measure/ ./internal/obs/ ./internal/shard/ ./internal/faults/ ./internal/runner/
 
 # Repeated race-detector runs of the concurrency-heavy tiers: flaky
 # cancellation or checkpoint races rarely show on a single pass.

@@ -1,7 +1,7 @@
-// Benchmarks regenerating every figure of the paper's evaluation section
-// (Figs. 2–4 — the paper has no tables) plus micro-benchmarks for the
-// computational kernels. `go test -bench=. -benchmem` runs them all; the
-// full-resolution figures are produced by cmd/paperfigs.
+// Micro-benchmarks for the computational kernels: the analytic bound
+// optimizers and the simulator's slot loop. `go test -bench=. -benchmem`
+// runs them all. The end-to-end figure path (cmd/paperfigs, Figs. 2–4) is
+// timed by perfbench's figs-quick workload.
 package main
 
 import (
@@ -12,7 +12,6 @@ import (
 
 	"deltasched/internal/core"
 	"deltasched/internal/envelope"
-	"deltasched/internal/experiments"
 	"deltasched/internal/measure"
 	"deltasched/internal/minplus"
 	"deltasched/internal/obs"
@@ -21,66 +20,6 @@ import (
 	"deltasched/internal/sim"
 	"deltasched/internal/traffic"
 )
-
-// BenchmarkFig2Example1 regenerates a reduced-resolution version of
-// Fig. 2: delay bound vs total utilization for BMUX/FIFO/EDF at
-// H ∈ {2, 5, 10}.
-func BenchmarkFig2Example1(b *testing.B) {
-	s := experiments.PaperSetup()
-	utils := []float64{0.2, 0.5, 0.8}
-	for i := 0; i < b.N; i++ {
-		series, err := s.Example1([]int{2, 5, 10}, utils)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(series) != 9 {
-			b.Fatalf("expected 9 series, got %d", len(series))
-		}
-		reportLastPoint(b, series[0].Y)
-	}
-}
-
-// BenchmarkFig3Example2 regenerates a reduced-resolution version of
-// Fig. 3: delay bound vs traffic mix at U=50% for the four schedulers.
-func BenchmarkFig3Example2(b *testing.B) {
-	s := experiments.PaperSetup()
-	mixes := []float64{0.25, 0.5, 0.75}
-	for i := 0; i < b.N; i++ {
-		series, err := s.Example2([]int{2, 5}, mixes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(series) != 8 {
-			b.Fatalf("expected 8 series, got %d", len(series))
-		}
-		reportLastPoint(b, series[0].Y)
-	}
-}
-
-// BenchmarkFig4Example3 regenerates a reduced-resolution version of
-// Fig. 4: delay bound vs path length, including the additive baseline.
-func BenchmarkFig4Example3(b *testing.B) {
-	s := experiments.PaperSetup()
-	hs := []int{1, 2, 4, 8}
-	for i := 0; i < b.N; i++ {
-		series, err := s.Example3(hs, []float64{0.5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(series) != 4 {
-			b.Fatalf("expected 4 series, got %d", len(series))
-		}
-		reportLastPoint(b, series[0].Y)
-	}
-}
-
-func reportLastPoint(b *testing.B, ys []float64) {
-	b.Helper()
-	last := ys[len(ys)-1]
-	if !math.IsNaN(last) {
-		b.ReportMetric(last, "ms-last-point")
-	}
-}
 
 // BenchmarkDelayBound measures one full γ-optimized end-to-end bound.
 func BenchmarkDelayBound(b *testing.B) {

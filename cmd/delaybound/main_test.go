@@ -5,6 +5,8 @@ import (
 	"flag"
 	"strings"
 	"testing"
+
+	"deltasched/internal/core"
 )
 
 func TestRunHelpIsErrHelp(t *testing.T) {
@@ -25,17 +27,37 @@ func TestCompact(t *testing.T) {
 }
 
 func TestRunFlagValidation(t *testing.T) {
-	if err := run([]string{"-sched", "edf"}); err == nil {
-		t.Fatal("edf without deadlines must error")
+	for _, tc := range []struct {
+		name string
+		args []string
+		bad  bool // want core.ErrBadConfig, not just an error
+	}{
+		{"edf without deadlines", []string{"-sched", "edf"}, true},
+		{"unknown scheduler", []string{"-sched", "unknown"}, true},
+		{"invalid source", []string{"-p11", "1.4"}, true},
+		{"missing config file", []string{"-config", "/nonexistent.json"}, false},
+		{"zero path length", []string{"-H", "0"}, true},
+		{"negative capacity", []string{"-C", "-5"}, true},
+		{"NaN capacity", []string{"-C", "NaN"}, true},
+		{"infinite capacity", []string{"-C", "Inf"}, true},
+		{"infinite through population", []string{"-n0", "Inf"}, true},
+		{"NaN cross population", []string{"-nc", "NaN"}, true},
+		{"zero violation probability", []string{"-eps", "0"}, true},
+	} {
+		err := run(tc.args)
+		if err == nil {
+			t.Errorf("%s: %v must error", tc.name, tc.args)
+			continue
+		}
+		if tc.bad && !errors.Is(err, core.ErrBadConfig) {
+			t.Errorf("%s: %v: want core.ErrBadConfig, got %v", tc.name, tc.args, err)
+		}
 	}
-	if err := run([]string{"-sched", "unknown"}); err == nil {
-		t.Fatal("unknown scheduler must error")
-	}
-	if err := run([]string{"-p11", "1.4"}); err == nil {
-		t.Fatal("invalid source must error")
-	}
-	if err := run([]string{"-config", "/nonexistent.json"}); err == nil {
-		t.Fatal("missing config file must error")
+	// An overload is a valid input without a finite bound: infeasible,
+	// not bad.
+	err := run([]string{"-n0", "3000"})
+	if !errors.Is(err, core.ErrInfeasible) || errors.Is(err, core.ErrBadConfig) {
+		t.Fatalf("overload: want core.ErrInfeasible only, got %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"deltasched/internal/core"
 	"deltasched/internal/obs"
 )
 
@@ -57,6 +58,22 @@ func TestRunBackendSelection(t *testing.T) {
 	}
 	if err := run([]string{"-backend", "quantum"}); err == nil {
 		t.Fatal("unknown backend must error")
+	}
+}
+
+func TestRunFlagValidation(t *testing.T) {
+	// Out-of-domain path inputs are bad configurations under every
+	// backend, never an infeasible bound.
+	for _, args := range [][]string{
+		{"-C", "-5"},
+		{"-C", "Inf"},
+		{"-H", "0"},
+		{"-backend", "sim", "-C", "-5"},
+	} {
+		err := run(append(args, "-slots", "1000"))
+		if !errors.Is(err, core.ErrBadConfig) || errors.Is(err, core.ErrInfeasible) {
+			t.Errorf("%v: want core.ErrBadConfig, got %v", args, err)
+		}
 	}
 }
 

@@ -104,6 +104,8 @@ func TestValidateEdgeCases(t *testing.T) {
 	good := paperPathConfig(2, 0)
 	cases := []func(*PathConfig){
 		func(c *PathConfig) { c.C = math.NaN() },
+		func(c *PathConfig) { c.C = math.Inf(1) },
+		func(c *PathConfig) { c.Through.Rho = math.Inf(1) },
 		func(c *PathConfig) { c.Through.Alpha = 0 },
 		func(c *PathConfig) { c.Cross.M = 0.2 },
 		func(c *PathConfig) { c.Delta0c = math.NaN() },

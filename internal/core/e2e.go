@@ -46,8 +46,8 @@ func (cfg PathConfig) Validate() error {
 	if cfg.H < 1 {
 		return badConfig("path length H must be >= 1, got %d", cfg.H)
 	}
-	if cfg.C <= 0 || math.IsNaN(cfg.C) {
-		return badConfig("capacity must be positive, got %g", cfg.C)
+	if !(cfg.C > 0) || math.IsInf(cfg.C, 1) {
+		return badConfig("capacity must be positive and finite, got %g", cfg.C)
 	}
 	if err := cfg.Through.Validate(); err != nil {
 		return fmt.Errorf("%w: through traffic: %w", ErrBadConfig, err)

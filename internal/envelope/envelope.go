@@ -117,9 +117,9 @@ type EBB struct {
 
 // Validate checks the EBB parameters.
 func (e EBB) Validate() error {
-	if e.M < 1 || e.Rho < 0 || e.Alpha <= 0 ||
-		math.IsNaN(e.M) || math.IsNaN(e.Rho) || math.IsNaN(e.Alpha) {
-		return fmt.Errorf("envelope: invalid EBB (M=%g, Rho=%g, Alpha=%g); need M>=1, Rho>=0, Alpha>0",
+	if !(e.M >= 1) || !(e.Rho >= 0) || !(e.Alpha > 0) ||
+		math.IsInf(e.M, 1) || math.IsInf(e.Rho, 1) || math.IsInf(e.Alpha, 1) {
+		return fmt.Errorf("envelope: invalid EBB (M=%g, Rho=%g, Alpha=%g); need finite M>=1, Rho>=0, Alpha>0",
 			e.M, e.Rho, e.Alpha)
 	}
 	return nil

@@ -172,6 +172,9 @@ func TestEBBValidate(t *testing.T) {
 		{"M below 1", EBB{M: 0.5, Rho: 5, Alpha: 0.3}, true},
 		{"negative rate", EBB{M: 1, Rho: -1, Alpha: 0.3}, true},
 		{"zero alpha", EBB{M: 1, Rho: 5, Alpha: 0}, true},
+		{"infinite M", EBB{M: math.Inf(1), Rho: 5, Alpha: 0.3}, true},
+		{"infinite rate", EBB{M: 1, Rho: math.Inf(1), Alpha: 0.3}, true},
+		{"infinite alpha", EBB{M: 1, Rho: 5, Alpha: math.Inf(1)}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -1,23 +1,21 @@
-// Package experiments parameterizes and runs the paper's numerical
-// examples (Section V): every figure of the evaluation is generated from
-// the functions here, with the exact setup of the paper — MMOO sources
-// with P = 1.5 kbit per 1 ms slot, p11 = 0.989, p22 = 0.9 (1.5 Mbps peak,
-// ≈0.15 Mbps mean per flow), links of C = 100 Mbps = 100 kbit/slot, and
-// end-to-end delay bounds at violation probability ε = 10⁻⁹.
+// Package experiments parameterizes the paper's numerical examples
+// (Section V): the figure scenarios enumerate their sweep points and
+// price them through the functions here, with the exact setup of the
+// paper — MMOO sources with P = 1.5 kbit per 1 ms slot, p11 = 0.989,
+// p22 = 0.9 (1.5 Mbps peak, ≈0.15 Mbps mean per flow), links of
+// C = 100 Mbps = 100 kbit/slot, and end-to-end delay bounds at violation
+// probability ε = 10⁻⁹.
 package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 
 	"deltasched/internal/core"
 	"deltasched/internal/envelope"
 	"deltasched/internal/obs"
-	"deltasched/internal/plot"
 )
 
 // Setup fixes the shared parameters of the paper's examples.
@@ -29,25 +27,10 @@ type Setup struct {
 	AlphaLo  float64       // α sweep range for the EBB decay parameter
 	AlphaHi  float64
 
-	// OnProgress, when non-nil, receives sweep progress from the Example
-	// functions: points completed so far of the example's total. Calls
-	// arrive from worker goroutines but are serialized and monotonic, so
-	// the callback can print directly (e.g. obs.Progress.Observe).
-	OnProgress func(done, total int)
-
-	// Ctx, when non-nil, cancels the sweeps: the Example functions stop
-	// starting points once it is done, the bound optimizers abandon their
-	// α sweeps, and the ctx error is returned. Nil means run to
-	// completion.
+	// Ctx, when non-nil, cancels the bound computations: the optimizers
+	// abandon their α sweeps and the ctx error is returned. Nil means run
+	// to completion.
 	Ctx context.Context
-
-	// Check, when non-nil, makes the sweeps resumable: each completed
-	// point is recorded under a deterministic ID, and already-recorded
-	// points are served from the checkpoint instead of being recomputed.
-	// Values pass through the checkpoint exactly (including the NaN that
-	// marks an infeasible point), so a resumed sweep emits byte-identical
-	// output. Nil disables checkpointing.
-	Check *Checkpoint
 }
 
 // ctx returns the sweep context, defaulting to Background.
@@ -163,48 +146,6 @@ func (s Scheduler) DeadlineRatio() (ratio float64, isEDF bool) {
 	}
 }
 
-// progressCounter adapts OnProgress to the per-call hooks of
-// ParMapProgress: an example runs several ParMap batches in sequence, and
-// the counter accumulates completions across them against the example's
-// grand total. Returns nil (no hook) when OnProgress is unset.
-func (s Setup) progressCounter(total int) func(done, batchTotal int) {
-	if s.OnProgress == nil {
-		return nil
-	}
-	var mu sync.Mutex
-	done := 0
-	cb := s.OnProgress
-	return func(int, int) {
-		mu.Lock()
-		done++
-		d := done
-		mu.Unlock()
-		cb(d, total)
-	}
-}
-
-// sweepPoint computes (or restores) one sweep point. The checkpoint is
-// consulted first; a freshly computed point is recorded before returning.
-// An infeasible configuration (core.ErrInfeasible) is a legitimate data
-// point — the figure shows a gap there — and becomes NaN; every other
-// error aborts the sweep so bugs and interrupts are not silently plotted
-// as gaps.
-func (s Setup) sweepPoint(id string, compute func() (float64, error)) (float64, error) {
-	if v, ok := s.Check.Lookup(id); ok {
-		return v, nil
-	}
-	d, err := compute()
-	switch {
-	case err == nil:
-	case errors.Is(err, core.ErrInfeasible):
-		d = math.NaN()
-	default:
-		return 0, err
-	}
-	s.Check.Record(id, d)
-	return d, nil
-}
-
 // TrafficModel abstracts a source whose aggregates have an EBB description
 // at every decay parameter: both the paper's two-state MMOO and the
 // general MarkovSource satisfy it, so every sweep in this package runs on
@@ -309,39 +250,4 @@ func (s Setup) BoundModel(model TrafficModel, sched Scheduler, h int, n0, nc flo
 		return 0, err
 	}
 	return res.D, nil
-}
-
-// Example1 reproduces Fig. 2: end-to-end delay bounds of the through
-// traffic versus total utilization U for BMUX, FIFO, and EDF
-// (d*_c = 10·d*_0), with U_0 = 15% fixed (N_0 = 100 flows) and H ∈ hs.
-// Infeasible points (bounds do not exist that close to saturation) are
-// reported as NaN.
-func (s Setup) Example1(hs []int, utils []float64) ([]plot.Series, error) {
-	return s.runExample(s.Example1Points(hs, utils))
-}
-
-// Example2 reproduces Fig. 3: delay bounds versus the traffic mix U_c/U at
-// fixed total utilization U = 50%, for FIFO, BMUX and the two EDF
-// variants, H ∈ hs.
-func (s Setup) Example2(hs []int, mixes []float64) ([]plot.Series, error) {
-	return s.runExample(s.Example2Points(hs, mixes))
-}
-
-// Example3 reproduces Fig. 4: delay bounds versus path length H at
-// N_0 = N_c, for U ∈ utils, comparing BMUX, FIFO, EDF (d*_c = 10·d*_0)
-// and the additive node-by-node BMUX baseline.
-func (s Setup) Example3(hs []int, utils []float64) ([]plot.Series, error) {
-	return s.runExample(s.Example3Points(hs, utils))
-}
-
-// runExample sweeps an enumerated example and assembles its figure.
-func (s Setup) runExample(pts []SweepPoint, err error) ([]plot.Series, error) {
-	if err != nil {
-		return nil, err
-	}
-	ys, err := s.RunSweep(pts)
-	if err != nil {
-		return nil, err
-	}
-	return CollectSeries(pts, ys), nil
 }

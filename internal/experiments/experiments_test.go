@@ -1,9 +1,35 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
+
+	"deltasched/internal/core"
 )
+
+// evalSeries prices enumerated sweep points the way the figure scenarios
+// do — one EvalPoint per point, an infeasible point recorded as NaN — and
+// groups the values by series label in point order.
+func evalSeries(t *testing.T, s Setup, pts []SweepPoint) map[string][]float64 {
+	t.Helper()
+	ys, _, err := ParMapCtx(context.Background(), 0, pts, func(ctx context.Context, p SweepPoint) (float64, error) {
+		d, err := s.EvalPoint(ctx, p)
+		if errors.Is(err, core.ErrInfeasible) {
+			return math.NaN(), nil
+		}
+		return d, err
+	}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byLabel := map[string][]float64{}
+	for i, p := range pts {
+		byLabel[p.Series] = append(byLabel[p.Series], ys[i])
+	}
+	return byLabel
+}
 
 func TestFlowCountMatchesPaperMapping(t *testing.T) {
 	s := PaperSetup()
@@ -68,24 +94,23 @@ func TestBoundValidation(t *testing.T) {
 
 func TestExample1ShapeAndHeadlineFinding(t *testing.T) {
 	s := PaperSetup()
-	series, err := s.Example1([]int{2, 5}, []float64{0.5, 0.8})
+	pts, err := s.Example1Points([]int{2, 5}, []float64{0.5, 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 6 { // 2 path lengths × 3 schedulers
-		t.Fatalf("got %d series, want 6", len(series))
+	byLabel := evalSeries(t, s, pts)
+	if len(byLabel) != 6 { // 2 path lengths × 3 schedulers
+		t.Fatalf("got %d series, want 6", len(byLabel))
 	}
-	byLabel := map[string][]float64{}
-	for _, ser := range series {
-		byLabel[ser.Label] = ser.Y
-		for i, y := range ser.Y {
+	for label, ys := range byLabel {
+		for i, y := range ys {
 			if !math.IsNaN(y) && y <= 0 {
-				t.Errorf("%s point %d: non-positive bound %g", ser.Label, i, y)
+				t.Errorf("%s point %d: non-positive bound %g", label, i, y)
 			}
 		}
 		// Delay bounds increase with utilization.
-		if len(ser.Y) == 2 && !math.IsNaN(ser.Y[0]) && !math.IsNaN(ser.Y[1]) && ser.Y[1] <= ser.Y[0] {
-			t.Errorf("%s: bound not increasing in U: %v", ser.Label, ser.Y)
+		if len(ys) == 2 && !math.IsNaN(ys[0]) && !math.IsNaN(ys[1]) && ys[1] <= ys[0] {
+			t.Errorf("%s: bound not increasing in U: %v", label, ys)
 		}
 	}
 	// Headline: at U=50% (substantial cross load) FIFO is clearly below
@@ -106,14 +131,11 @@ func TestExample1ShapeAndHeadlineFinding(t *testing.T) {
 
 func TestExample2MixSensitivity(t *testing.T) {
 	s := PaperSetup()
-	series, err := s.Example2([]int{2}, []float64{0.2, 0.8})
+	pts, err := s.Example2Points([]int{2}, []float64{0.2, 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byLabel := map[string][]float64{}
-	for _, ser := range series {
-		byLabel[ser.Label] = ser.Y
-	}
+	byLabel := evalSeries(t, s, pts)
 	// BMUX gets worse as the share of cross traffic grows; EDF with
 	// favourable deadlines is nearly insensitive (paper's Fig. 3 discussion).
 	bm := byLabel["BMUX H=2"]
@@ -140,14 +162,11 @@ func TestExample2MixSensitivity(t *testing.T) {
 
 func TestExample3ScalingShapes(t *testing.T) {
 	s := PaperSetup()
-	series, err := s.Example3([]int{2, 4, 8}, []float64{0.5})
+	pts, err := s.Example3Points([]int{2, 4, 8}, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byLabel := map[string][]float64{}
-	for _, ser := range series {
-		byLabel[ser.Label] = ser.Y
-	}
+	byLabel := evalSeries(t, s, pts)
 	net := byLabel["BMUX U=50%"]
 	add := byLabel["BMUX additive U=50%"]
 	if net == nil || add == nil {

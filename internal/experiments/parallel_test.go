@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,8 @@ func TestParMapPreservesOrder(t *testing.T) {
 	for i := range in {
 		in[i] = i
 	}
-	out, err := ParMap(8, in, func(x int) (int, error) { return x * x, nil })
+	out, _, err := ParMapCtx(context.Background(), 8, in,
+		func(_ context.Context, x int) (int, error) { return x * x, nil }, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,27 +27,28 @@ func TestParMapPreservesOrder(t *testing.T) {
 }
 
 func TestParMapEmptyAndSequential(t *testing.T) {
-	out, err := ParMap(4, nil, func(x int) (int, error) { return x, nil })
+	ctx := context.Background()
+	out, _, err := ParMapCtx(ctx, 4, nil, func(_ context.Context, x int) (int, error) { return x, nil }, RunOptions{})
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty input: out=%v err=%v", out, err)
 	}
-	out, err = ParMap(1, []int{1, 2, 3}, func(x int) (int, error) { return x + 1, nil })
+	out, _, err = ParMapCtx(ctx, 1, []int{1, 2, 3}, func(_ context.Context, x int) (int, error) { return x + 1, nil }, RunOptions{})
 	if err != nil || out[2] != 4 {
 		t.Fatalf("sequential path: out=%v err=%v", out, err)
 	}
-	if _, err := ParMap[int, int](2, []int{1}, nil); err == nil {
+	if _, _, err := ParMapCtx[int, int](ctx, 2, []int{1}, nil, RunOptions{}); err == nil {
 		t.Fatal("nil function must be rejected")
 	}
 }
 
 func TestParMapPropagatesError(t *testing.T) {
 	sentinel := errors.New("boom")
-	_, err := ParMap(4, []int{0, 1, 2, 3, 4, 5}, func(x int) (int, error) {
+	_, _, err := ParMapCtx(context.Background(), 4, []int{0, 1, 2, 3, 4, 5}, func(_ context.Context, x int) (int, error) {
 		if x == 3 {
 			return 0, sentinel
 		}
 		return x, nil
-	})
+	}, RunOptions{Policy: FailFast})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("expected wrapped sentinel, got %v", err)
 	}
@@ -53,7 +56,7 @@ func TestParMapPropagatesError(t *testing.T) {
 
 func TestParMapBoundsConcurrency(t *testing.T) {
 	var cur, peak int64
-	_, err := ParMap(3, make([]int, 60), func(int) (int, error) {
+	_, _, err := ParMapCtx(context.Background(), 3, make([]int, 60), func(context.Context, int) (int, error) {
 		n := atomic.AddInt64(&cur, 1)
 		for {
 			p := atomic.LoadInt64(&peak)
@@ -64,7 +67,7 @@ func TestParMapBoundsConcurrency(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		atomic.AddInt64(&cur, -1)
 		return 0, nil
-	})
+	}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +81,16 @@ func TestParMapProgressHook(t *testing.T) {
 		var mu sync.Mutex
 		var seen []int
 		in := make([]int, 20)
-		_, err := ParMapProgress(workers, in, func(x int) (int, error) { return x, nil },
-			func(done, total int) {
+		_, _, err := ParMapCtx(context.Background(), workers, in,
+			func(_ context.Context, x int) (int, error) { return x, nil },
+			RunOptions{OnDone: func(done, total int) {
 				mu.Lock()
 				defer mu.Unlock()
 				if total != 20 {
 					t.Errorf("total = %d, want 20", total)
 				}
 				seen = append(seen, done)
-			})
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,16 +109,16 @@ func TestParMapProgressSkipsFailedBatch(t *testing.T) {
 	sentinel := errors.New("boom")
 	calls := 0
 	var mu sync.Mutex
-	_, err := ParMapProgress(4, []int{0, 1, 2, 3}, func(x int) (int, error) {
+	_, _, err := ParMapCtx(context.Background(), 4, []int{0, 1, 2, 3}, func(_ context.Context, x int) (int, error) {
 		if x == 0 {
 			return 0, sentinel
 		}
 		return x, nil
-	}, func(done, total int) {
+	}, RunOptions{Policy: FailFast, OnDone: func(done, total int) {
 		mu.Lock()
 		calls++
 		mu.Unlock()
-	})
+	}})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("expected sentinel, got %v", err)
 	}
@@ -123,46 +127,18 @@ func TestParMapProgressSkipsFailedBatch(t *testing.T) {
 	}
 }
 
-func TestExampleProgressCallback(t *testing.T) {
-	s := PaperSetup()
-	var mu sync.Mutex
-	var last, total int
-	calls := 0
-	s.OnProgress = func(d, tot int) {
-		mu.Lock()
-		defer mu.Unlock()
-		calls++
-		if d <= last {
-			t.Errorf("progress not monotonic: %d after %d", d, last)
-		}
-		last, total = d, tot
-	}
-	series, err := s.Example3([]int{1, 2}, []float64{0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1 utilization × 4 schedulers × 2 path lengths = 8 points.
-	if total != 8 || last != 8 || calls != 8 {
-		t.Fatalf("progress saw last=%d total=%d calls=%d, want 8/8/8", last, total, calls)
-	}
-	if len(series) != 4 {
-		t.Fatalf("series count changed: %d", len(series))
-	}
-}
-
 func TestParMapMatchesSequentialOnBounds(t *testing.T) {
 	// Determinism: the same figure points computed in parallel and
 	// sequentially must agree bit-for-bit.
 	s := PaperSetup()
-	type pt struct{ h int }
-	pts := []pt{{1}, {2}, {3}, {4}}
+	hs := []int{1, 2, 3, 4}
 	nc := s.FlowCount(0.4) / 2
-	f := func(p pt) (float64, error) { return s.Bound(FIFO, p.h, nc, nc) }
-	seq, err := ParMap(1, pts, f)
+	f := func(_ context.Context, h int) (float64, error) { return s.Bound(FIFO, h, nc, nc) }
+	seq, _, err := ParMapCtx(context.Background(), 1, hs, f, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ParMap(4, pts, f)
+	par, _, err := ParMapCtx(context.Background(), 4, hs, f, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ type ItemError struct {
 	Stack     []byte // stack captured at the panic site, nil otherwise
 }
 
-// Error implements error with the historical ParMap message format.
+// Error implements error: "experiments: input <index>: <cause>".
 func (e *ItemError) Error() string {
 	return fmt.Sprintf("experiments: input %d: %v", e.Index, e.Err)
 }
@@ -41,8 +41,8 @@ type FailPolicy int
 const (
 	// FailFast aborts the batch on the first item error or panic:
 	// remaining inputs are skipped and the failure is returned as the
-	// batch error. This is the historical ParMap behavior (except that
-	// panics no longer kill the process).
+	// batch error. A panic fails its item like an error does; it never
+	// kills the process.
 	FailFast FailPolicy = iota
 	// KeepGoing records failing items and completes the rest of the
 	// batch; the batch error stays nil (unless the context is cancelled)
@@ -50,8 +50,8 @@ const (
 	KeepGoing
 )
 
-// RunOptions tunes a ParMapCtx batch. The zero value reproduces classic
-// ParMap: fail-fast, no per-item deadline, no progress hook.
+// RunOptions tunes a ParMapCtx batch. The zero value is fail-fast, with
+// no per-item deadline and no progress hook.
 type RunOptions struct {
 	Policy FailPolicy
 	// OnDone, when non-nil, receives the number of successfully completed
@@ -66,10 +66,10 @@ type RunOptions struct {
 	ItemTimeout time.Duration
 }
 
-// ParMapCtx is the context-aware, panic-isolating core of the experiment
-// harness: it applies fn to every input with at most `workers` concurrent
-// goroutines (GOMAXPROCS when workers <= 0), preserving input order in
-// the result.
+// ParMapCtx is the context-aware, panic-isolating worker pool behind
+// every sweep: it applies fn to every input with at most `workers`
+// concurrent goroutines (GOMAXPROCS when workers <= 0), preserving input
+// order in the result.
 //
 // Failure handling is per-item: an error or panic in fn(i) becomes an
 // *ItemError carrying the input index (and, for panics, the recovered

@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-
-	"deltasched/internal/plot"
 )
 
 // SweepPoint is one point of a figure sweep in fully resolved form: a
@@ -26,7 +24,7 @@ type SweepPoint struct {
 // utilization at fixed U0 = 15% (N0 = 100), for BMUX, FIFO and EDF
 // (d*c = 10·d*0), H ∈ hs. Utilizations below the through load are
 // infeasible by construction and excluded up front; if none remain the
-// enumeration errors like the sweep it replaces.
+// enumeration errors.
 func (s Setup) Example1Points(hs []int, utils []float64) ([]SweepPoint, error) {
 	const n0 = 100 // the paper's fixed through population (U0 = 15%)
 	scheds := []Scheduler{BMUX, FIFO, EDFRatio10}
@@ -125,37 +123,4 @@ func (s Setup) EvalPoint(ctx context.Context, p SweepPoint) (float64, error) {
 		s2.Ctx = ctx
 	}
 	return s2.Bound(p.Sched, p.H, p.N0, p.Nc)
-}
-
-// RunSweep evaluates every point concurrently (checkpoint-aware,
-// cancellable, with OnProgress accounting against the grand total) and
-// returns the values in point order. Infeasible points become NaN; any
-// other error aborts the sweep.
-func (s Setup) RunSweep(points []SweepPoint) ([]float64, error) {
-	prog := s.progressCounter(len(points))
-	ys, _, err := ParMapCtx(s.ctx(), 0, points, func(ctx context.Context, p SweepPoint) (float64, error) {
-		return s.sweepPoint(p.ID, func() (float64, error) {
-			return s.EvalPoint(ctx, p)
-		})
-	}, RunOptions{OnDone: prog})
-	return ys, err
-}
-
-// CollectSeries groups evaluated points into plot series, preserving the
-// first-appearance order of series labels and the point order within each
-// series — exactly the layout the enumeration produced.
-func CollectSeries(points []SweepPoint, ys []float64) []plot.Series {
-	var out []plot.Series
-	index := make(map[string]int)
-	for i, p := range points {
-		j, ok := index[p.Series]
-		if !ok {
-			j = len(out)
-			index[p.Series] = j
-			out = append(out, plot.Series{Label: p.Series})
-		}
-		out[j].X = append(out[j].X, p.X)
-		out[j].Y = append(out[j].Y, ys[i])
-	}
-	return out
 }

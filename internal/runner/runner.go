@@ -258,38 +258,15 @@ func (a *App) Run(sc scenario.Scenario, cfg scenario.Config, opt RunOpt) ([]scen
 		cfg = cfg.WithProgress(pr.Observe)
 	}
 
-	// Per-scenario run metrics: evaluated-point count and wall-time
-	// distribution, labeled by scenario so a multi-figure run breaks down
-	// per workload on the /metrics endpoint and in the report snapshot.
-	pointsTotal := obs.Default.Counter("runner_points_total",
-		"scenario points evaluated", obs.Labels{"scenario": info.Name})
-	pointSeconds := obs.Default.Histogram("runner_point_seconds",
-		"per-point evaluation wall time", obs.ExpBuckets(1e-4, 4, 12),
-		obs.Labels{"scenario": info.Name})
-
+	eval := a.pointEval(sc, cfg)
 	fn := func(ctx context.Context, pt scenario.Point) (scenario.Result, error) {
 		if useCheck {
 			if v, ok := a.Check.Lookup(pt.ID); ok {
 				return scenario.Result{Analytic: v}, nil
 			}
 		}
-		t0 := time.Now()
-		pctx, psp := obs.StartSpan(ctx, "point")
-		if psp != nil {
-			psp.SetAttr("id", pt.ID)
-		}
-		res, err := sc.Evaluate(pctx, cfg, pt, be)
-		psp.End()
-		pointSeconds.Observe(time.Since(t0).Seconds())
-		pointsTotal.Inc()
-		switch {
-		case err == nil:
-		case info.Sweep && errors.Is(err, core.ErrInfeasible):
-			// An infeasible sweep point is a legitimate data point — the
-			// figure shows a gap there. Everything else aborts the run so
-			// bugs and interrupts are not silently plotted as gaps.
-			res = scenario.Result{Analytic: math.NaN()}
-		default:
+		res, err := eval(ctx, pt)
+		if err != nil {
 			return scenario.Result{}, err
 		}
 		if useCheck {
@@ -328,4 +305,41 @@ func (a *App) Run(sc scenario.Scenario, cfg scenario.Config, opt RunOpt) ([]scen
 	}
 	pr.Finish()
 	return pts, rs, nil
+}
+
+// pointEval returns the one point evaluator of Run and runSharded: each
+// call opens the "point" span, evaluates the point on the App's backend,
+// and feeds the per-scenario run metrics (evaluated-point count and
+// wall-time distribution, labeled by scenario so a multi-figure run
+// breaks down per workload on the /metrics endpoint and in the report
+// snapshot). In a sweep an infeasible point is a legitimate data point —
+// the figure shows a gap there — and comes back as NaN; every other
+// error is returned, so bugs and interrupts abort the run instead of
+// being plotted as gaps.
+func (a *App) pointEval(sc scenario.Scenario, cfg scenario.Config) func(context.Context, scenario.Point) (scenario.Result, error) {
+	info := sc.Info()
+	pointsTotal := obs.Default.Counter("runner_points_total",
+		"scenario points evaluated", obs.Labels{"scenario": info.Name})
+	pointSeconds := obs.Default.Histogram("runner_point_seconds",
+		"per-point evaluation wall time", obs.ExpBuckets(1e-4, 4, 12),
+		obs.Labels{"scenario": info.Name})
+	return func(ctx context.Context, pt scenario.Point) (scenario.Result, error) {
+		t0 := time.Now()
+		pctx, psp := obs.StartSpan(ctx, "point")
+		if psp != nil {
+			psp.SetAttr("id", pt.ID)
+		}
+		res, err := sc.Evaluate(pctx, cfg, pt, a.Backend)
+		psp.End()
+		pointSeconds.Observe(time.Since(t0).Seconds())
+		pointsTotal.Inc()
+		switch {
+		case err == nil:
+			return res, nil
+		case info.Sweep && errors.Is(err, core.ErrInfeasible):
+			return scenario.Result{Analytic: math.NaN()}, nil
+		default:
+			return scenario.Result{}, err
+		}
+	}
 }

@@ -2,9 +2,7 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"time"
@@ -122,12 +120,7 @@ func (a *App) runSharded(sc scenario.Scenario, cfg scenario.Config, opt RunOpt, 
 	stop := a.Sess.Stage(opt.Stage)
 	defer stop()
 
-	pointsTotal := obs.Default.Counter("runner_points_total",
-		"scenario points evaluated", obs.Labels{"scenario": info.Name})
-	pointSeconds := obs.Default.Histogram("runner_point_seconds",
-		"per-point evaluation wall time", obs.ExpBuckets(1e-4, 4, 12),
-		obs.Labels{"scenario": info.Name})
-
+	eval := a.pointEval(sc, cfg)
 	runCtx, runSpan := obs.StartSpan(a.Ctx, info.Name)
 	defer runSpan.End()
 
@@ -138,25 +131,9 @@ func (a *App) runSharded(sc scenario.Scenario, cfg scenario.Config, opt RunOpt, 
 		Retry:    a.retryPolicy(),
 		Faults:   a.injector,
 		LeaseTTL: *a.leaseTTL,
-		Eval: func(ctx context.Context, idx int, id string) (float64, error) {
-			t0 := time.Now()
-			pctx, psp := obs.StartSpan(ctx, "point")
-			if psp != nil {
-				psp.SetAttr("id", id)
-			}
-			res, err := sc.Evaluate(pctx, cfg, pts[idx], a.Backend)
-			psp.End()
-			pointSeconds.Observe(time.Since(t0).Seconds())
-			pointsTotal.Inc()
-			if err != nil {
-				if errors.Is(err, core.ErrInfeasible) {
-					// Same convention as the plain sweep path: an infeasible
-					// point is a NaN data point, not a failure.
-					return math.NaN(), nil
-				}
-				return 0, err
-			}
-			return res.Analytic, nil
+		Eval: func(ctx context.Context, idx int, _ string) (float64, error) {
+			res, err := eval(ctx, pts[idx])
+			return res.Analytic, err
 		},
 		OnProgress: func(done, total int) {
 			a.Sess.Report.ObserveSweep(opt.Sweep, done, total)

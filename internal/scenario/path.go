@@ -41,12 +41,26 @@ func deltaFor(sched string, d0, dc float64) (float64, error) {
 		return math.Inf(-1), nil
 	case "edf":
 		if d0 <= 0 || dc <= 0 {
-			return 0, errors.New("edf requires -edf-d0 and -edf-dc > 0")
+			return 0, fmt.Errorf("%w: edf requires -edf-d0 and -edf-dc > 0", core.ErrBadConfig)
 		}
 		return d0 - dc, nil
 	default:
-		return 0, fmt.Errorf("unknown scheduler %q", sched)
+		return 0, fmt.Errorf("%w: unknown scheduler %q", core.ErrBadConfig, sched)
 	}
+}
+
+// checkPath rejects the α-independent inputs of a homogeneous path
+// before its α sweep starts. Inside the sweep an error only marks that α
+// infeasible, so a bad path length or capacity would otherwise surface
+// as "no feasible alpha" instead of as a bad configuration.
+func checkPath(h int, c float64) error {
+	if h < 1 {
+		return fmt.Errorf("%w: -H must be >= 1, got %d", core.ErrBadConfig, h)
+	}
+	if !(c > 0) || math.IsInf(c, 1) {
+		return fmt.Errorf("%w: -C must be positive and finite, got %g", core.ErrBadConfig, c)
+	}
+	return nil
 }
 
 func init() {
@@ -114,16 +128,26 @@ func evalPath(ctx context.Context, cfg Config, _ Backend) (Result, error) {
 		P22:  cfg.Float("p22", 0.9),
 	}
 	if err := src.Validate(); err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("%w: %w", core.ErrBadConfig, err)
 	}
 	delta, err := deltaFor(cfg.Str("sched", "fifo"), cfg.Float("edf-d0", 0), cfg.Float("edf-dc", 0))
 	if err != nil {
 		return Result{}, err
 	}
 	h := cfg.Int("H", 1)
+	c := cfg.Float("C", 100)
 	n0 := cfg.Float("n0", 100)
 	nc := cfg.Float("nc", 100)
 	eps := cfg.Float("eps", 1e-9)
+	if err := checkPath(h, c); err != nil {
+		return Result{}, err
+	}
+	if !(n0 >= 0) || math.IsInf(n0, 1) || !(nc >= 0) || math.IsInf(nc, 1) {
+		return Result{}, fmt.Errorf("%w: -n0 and -nc must be finite flow counts >= 0, got %g and %g", core.ErrBadConfig, n0, nc)
+	}
+	if !(eps > 0 && eps < 1) {
+		return Result{}, fmt.Errorf("%w: -eps must be in (0,1), got %g", core.ErrBadConfig, eps)
+	}
 	// One effective-bandwidth evaluation per α for both aggregates.
 	memo, err := envelope.NewEBMemo(src)
 	if err != nil {
@@ -141,7 +165,7 @@ func evalPath(ctx context.Context, cfg Config, _ Backend) (Result, error) {
 		if err != nil {
 			return core.PathConfig{}, err
 		}
-		return core.PathConfig{H: h, C: cfg.Float("C", 100), Through: through, Cross: cross, Delta0c: delta}, nil
+		return core.PathConfig{H: h, C: c, Through: through, Cross: cross, Delta0c: delta}, nil
 	}
 
 	var res core.Result

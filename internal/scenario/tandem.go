@@ -106,6 +106,9 @@ func (tandemScenario) Evaluate(ctx context.Context, cfg Config, _ Point, be Back
 		pkt   = cfg.Float("pktsize", 0)
 		agg   = cfg.Str("agg", "per-source")
 	)
+	if err := checkPath(h, c); err != nil {
+		return Result{}, err
+	}
 	if agg != "per-source" && agg != "count" {
 		return Result{}, fmt.Errorf("%w: -agg must be per-source or count, got %q", core.ErrBadConfig, agg)
 	}

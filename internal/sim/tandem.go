@@ -29,15 +29,9 @@ const (
 // capacity allows).
 type Tandem struct {
 	C         float64                  // per-node capacity (bits per slot)
-	Cs        []float64                // optional per-node capacities overriding C (len = H)
 	Through   traffic.Source           // through aggregate at the ingress
 	Cross     []traffic.Source         // per-node cross aggregates (nil = no cross traffic); len = H
 	MakeSched func(node int) Scheduler // scheduler factory, one per node
-
-	// MakeShaper optionally reshapes the through traffic between nodes:
-	// link i (0-based) sits between node i+1 and node i+2. Return nil for
-	// links that should stay unshaped. See Shaper for the design point.
-	MakeShaper func(link int) *Shaper
 
 	// RecordPerNode additionally tracks the through flow's arrival and
 	// departure curves at every node, exposing per-hop delay
@@ -82,7 +76,7 @@ type Tandem struct {
 
 	// Block-engine scratch reused across Runs of the same shape, so a
 	// replicated sweep pays the buffer allocations once, not per Run.
-	blkFloat []float64 // caps + through block + cross blocks backing
+	blkFloat []float64 // through block + cross blocks backing
 	blkBool  []bool    // hasCross
 	blkFIFO  []*FIFO   // per-node ring devirtualization
 }
@@ -102,16 +96,8 @@ type Stats struct {
 // Run advances the tandem by the given number of slots and returns the
 // through flow's end-to-end delay recorder.
 func (t *Tandem) Run(slots int) (*measure.DelayRecorder, Stats, error) {
-	if t.C <= 0 && len(t.Cs) == 0 {
+	if t.C <= 0 {
 		return nil, Stats{}, fmt.Errorf("sim: capacity must be positive, got %g", t.C)
-	}
-	if len(t.Cs) > 0 && len(t.Cs) != len(t.Cross) {
-		return nil, Stats{}, fmt.Errorf("sim: %d per-node capacities for %d nodes", len(t.Cs), len(t.Cross))
-	}
-	for i, c := range t.Cs {
-		if c <= 0 {
-			return nil, Stats{}, fmt.Errorf("sim: node %d capacity must be positive, got %g", i+1, c)
-		}
 	}
 	if t.Through == nil {
 		return nil, Stats{}, errors.New("sim: tandem needs a through source")
@@ -128,14 +114,6 @@ func (t *Tandem) Run(slots int) (*measure.DelayRecorder, Stats, error) {
 		t.nodes[i] = t.MakeSched(i)
 		if t.nodes[i] == nil {
 			return nil, Stats{}, fmt.Errorf("sim: scheduler factory returned nil for node %d", i)
-		}
-	}
-
-	var shapers []*Shaper
-	if t.MakeShaper != nil && h > 1 {
-		shapers = make([]*Shaper, h-1)
-		for i := range shapers {
-			shapers[i] = t.MakeShaper(i)
 		}
 	}
 
@@ -179,7 +157,7 @@ func (t *Tandem) Run(slots int) (*measure.DelayRecorder, Stats, error) {
 	if bs < 0 {
 		bs = 0
 	}
-	if need := h + bs + h*bs; cap(t.blkFloat) < need {
+	if need := bs + h*bs; cap(t.blkFloat) < need {
 		t.blkFloat = make([]float64, need)
 	}
 	if cap(t.blkBool) < h {
@@ -188,29 +166,23 @@ func (t *Tandem) Run(slots int) (*measure.DelayRecorder, Stats, error) {
 	if cap(t.blkFIFO) < h {
 		t.blkFIFO = make([]*FIFO, h)
 	}
-	fb := t.blkFloat[:h+bs+h*bs]
+	fb := t.blkFloat[:bs+h*bs]
 	st := &tandemState{
 		t:        t,
 		nodes:    t.nodes,
-		shapers:  shapers,
-		caps:     fb[:h:h],
 		hasCross: t.blkBool[:h:h],
 		fifos:    t.blkFIFO[:h:h],
 		bs:       bs,
-		thr:      fb[h : h+bs : h+bs],
-		cross:    fb[h+bs:],
+		thr:      fb[:bs:bs],
+		cross:    fb[bs:],
 		sink:     sink,
 		nodeA:    nodeA,
 		nodeD:    nodeD,
 	}
-	// Hoist the per-slot branches of the old loop: capacity selection,
-	// cross-source presence, FIFO-ring and sink devirtualization.
+	// Hoist the per-slot branches of the old loop: cross-source presence,
+	// FIFO-ring and sink devirtualization.
 	allFIFO := true
 	for i, n := range t.nodes {
-		st.caps[i] = t.C
-		if len(t.Cs) > 0 {
-			st.caps[i] = t.Cs[i]
-		}
 		st.hasCross[i] = t.Cross[i] != nil
 		// Assign unconditionally: the backing array is reused across Runs
 		// and may hold a previous run's entries.
@@ -282,10 +254,8 @@ const blockSlots = 1024
 type tandemState struct {
 	t        *Tandem
 	nodes    []Scheduler
-	fifos    []*FIFO   // non-nil only when the all-FIFO fast pass applies
-	caps     []float64 // resolved per-node capacities
+	fifos    []*FIFO // non-nil only when the all-FIFO fast pass applies
 	hasCross []bool
-	shapers  []*Shaper
 
 	bs    int       // row stride of cross (= max block size)
 	thr   []float64 // through arrivals for the current block
@@ -352,7 +322,7 @@ func (st *tandemState) record() error {
 func (st *tandemState) serveFIFO(base, nb int) error {
 	fifos := st.fifos
 	h := len(fifos)
-	caps, shapers, cross, bs := st.caps, st.shapers, st.cross, st.bs
+	capa, cross, bs := st.t.C, st.cross, st.bs
 	stats := &st.stats
 	out := st.out[:]
 	for j := 0; j < nb; j++ {
@@ -373,12 +343,9 @@ func (st *tandemState) serveFIFO(base, nb int) error {
 			}
 			out[0], out[1] = 0, 0
 			n := fifos[i]
-			n.serveSlot(caps[i], slot, thr, x, i == 0, out)
+			n.serveSlot(capa, slot, thr, x, i == 0, out)
 			fwd := out[0]
 			if i+1 < h {
-				if shapers != nil && shapers[i] != nil {
-					fwd = shapers[i].Step(fwd)
-				}
 				thr = fwd
 			} else {
 				st.cumD += fwd
@@ -402,6 +369,7 @@ func (st *tandemState) serveGeneric(base, nb int) error {
 	t := st.t
 	nodes := st.nodes
 	h := len(nodes)
+	capa := t.C
 	for j := 0; j < nb; j++ {
 		slot := base + j
 		probing := t.Probe != nil && t.Probe.Sample(slot)
@@ -422,7 +390,6 @@ func (st *tandemState) serveGeneric(base, nb int) error {
 		// Serve nodes in path order; through departures cascade within
 		// the slot.
 		for i := 0; i < h; i++ {
-			capa := st.caps[i]
 			st.out[0], st.out[1] = 0, 0
 			nodes[i].ServeInto(capa, st.out[:])
 			s0, s1 := st.out[0], st.out[1]
@@ -434,9 +401,6 @@ func (st *tandemState) serveGeneric(base, nb int) error {
 				st.nodeD[i] += fwd
 			}
 			if i+1 < h {
-				if st.shapers != nil && st.shapers[i] != nil {
-					fwd = st.shapers[i].Step(fwd)
-				}
 				nodes[i+1].Enqueue(ThroughFlow, slot, fwd)
 				if t.RecordPerNode {
 					st.nodeA[i+1] += fwd

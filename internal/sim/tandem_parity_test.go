@@ -223,10 +223,10 @@ func TestTandemBlockLoopParity(t *testing.T) {
 }
 
 // TestTandemBlockLoopParityShapedHeterogeneous pins the engine on the
-// configuration knobs the fast pass must not mishandle: per-node
-// capacities, inter-node shapers, a nil cross source in the middle of the
-// path, and a non-default progress stride that is coprime with the block
-// size (so block boundaries land mid-stride and must be re-aligned).
+// configuration knobs the fast pass must not mishandle: a nil cross
+// source in the middle of the path, and a non-default progress stride
+// that is coprime with the block size (so block boundaries land
+// mid-stride and must be re-aligned).
 func TestTandemBlockLoopParityShapedHeterogeneous(t *testing.T) {
 	const (
 		h     = 4
@@ -250,20 +250,10 @@ func TestTandemBlockLoopParityShapedHeterogeneous(t *testing.T) {
 			through, cross := mkTandemSources(7, h, 6, 12, false)
 			cross[2] = nil // a hop with no cross traffic
 			return &Tandem{
-				Cs:        []float64{9, 11, 8.5, 10},
-				Through:   through,
-				Cross:     cross,
-				MakeSched: mk,
-				MakeShaper: func(link int) *Shaper {
-					if link == 1 {
-						return nil // leave one link unshaped
-					}
-					sh, err := NewShaper(7.5, 12)
-					if err != nil {
-						panic(err)
-					}
-					return sh
-				},
+				C:             9,
+				Through:       through,
+				Cross:         cross,
+				MakeSched:     mk,
 				ProgressEvery: 700,
 			}
 		}

@@ -46,19 +46,12 @@ func serveMap(s Scheduler, budget float64, out map[core.FlowID]float64) {
 }
 
 // runTandemRef is the pre-block Tandem.Run, kept verbatim (modulo the
-// receiver spelling and the serve call, which goes through serveMap) as
-// the parity oracle.
+// receiver spelling, the serve call, which goes through serveMap, and the
+// per-node capacity and inter-node shaper branches, which left with those
+// Tandem knobs) as the parity oracle.
 func runTandemRef(t *Tandem, slots int) (*measure.DelayRecorder, Stats, error) {
-	if t.C <= 0 && len(t.Cs) == 0 {
+	if t.C <= 0 {
 		return nil, Stats{}, fmt.Errorf("sim: capacity must be positive, got %g", t.C)
-	}
-	if len(t.Cs) > 0 && len(t.Cs) != len(t.Cross) {
-		return nil, Stats{}, fmt.Errorf("sim: %d per-node capacities for %d nodes", len(t.Cs), len(t.Cross))
-	}
-	for i, c := range t.Cs {
-		if c <= 0 {
-			return nil, Stats{}, fmt.Errorf("sim: node %d capacity must be positive, got %g", i+1, c)
-		}
 	}
 	if t.Through == nil {
 		return nil, Stats{}, errors.New("sim: tandem needs a through source")
@@ -75,14 +68,6 @@ func runTandemRef(t *Tandem, slots int) (*measure.DelayRecorder, Stats, error) {
 		t.nodes[i] = t.MakeSched(i)
 		if t.nodes[i] == nil {
 			return nil, Stats{}, fmt.Errorf("sim: scheduler factory returned nil for node %d", i)
-		}
-	}
-
-	var shapers []*Shaper
-	if t.MakeShaper != nil && h > 1 {
-		shapers = make([]*Shaper, h-1)
-		for i := range shapers {
-			shapers[i] = t.MakeShaper(i)
 		}
 	}
 
@@ -139,22 +124,15 @@ func runTandemRef(t *Tandem, slots int) (*measure.DelayRecorder, Stats, error) {
 		// resets it without reallocating.
 		for i := 0; i < h; i++ {
 			clear(out)
-			capa := t.C
-			if len(t.Cs) > 0 {
-				capa = t.Cs[i]
-			}
-			serveMap(t.nodes[i], capa, out)
+			serveMap(t.nodes[i], t.C, out)
 			if probing {
-				observeNode(t.Probe, t.nodes[i], i, slot, refSumServed(out), capa)
+				observeNode(t.Probe, t.nodes[i], i, slot, refSumServed(out), t.C)
 			}
 			fwd := out[ThroughFlow]
 			if t.RecordPerNode {
 				nodeD[i] += fwd
 			}
 			if i+1 < h {
-				if shapers != nil && shapers[i] != nil {
-					fwd = shapers[i].Step(fwd)
-				}
 				t.nodes[i+1].Enqueue(ThroughFlow, slot, fwd)
 				if t.RecordPerNode {
 					nodeA[i+1] += fwd
