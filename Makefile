@@ -19,9 +19,11 @@ race:
 	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/scenario/ ./internal/measure/ ./internal/obs/ ./internal/shard/ ./internal/faults/ ./internal/runner/
 
 # Repeated race-detector runs of the concurrency-heavy tiers: flaky
-# cancellation or checkpoint races rarely show on a single pass.
+# cancellation or checkpoint races rarely show on a single pass. The
+# checkpoint lives in internal/shard, and internal/runner's workers
+# record into it concurrently.
 stress:
-	$(GO) test -race -count=3 ./internal/sim/ ./internal/experiments/ ./internal/core/
+	$(GO) test -race -count=3 ./internal/sim/ ./internal/experiments/ ./internal/core/ ./internal/shard/ ./internal/runner/
 
 cover:
 	$(GO) test -cover ./internal/...

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -43,6 +44,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"infinite through population", []string{"-n0", "Inf"}, true},
 		{"NaN cross population", []string{"-nc", "NaN"}, true},
 		{"zero violation probability", []string{"-eps", "0"}, true},
+		{"checkpoint outside a sweep", []string{"-checkpoint", filepath.Join(t.TempDir(), "check.frag")}, true},
 	} {
 		err := run(tc.args)
 		if err == nil {

@@ -63,12 +63,14 @@ func TestRunBackendSelection(t *testing.T) {
 
 func TestRunFlagValidation(t *testing.T) {
 	// Out-of-domain path inputs are bad configurations under every
-	// backend, never an infeasible bound.
+	// backend, never an infeasible bound. So is a checkpoint: netsim runs
+	// no analytic sweep it could record.
 	for _, args := range [][]string{
 		{"-C", "-5"},
 		{"-C", "Inf"},
 		{"-H", "0"},
 		{"-backend", "sim", "-C", "-5"},
+		{"-checkpoint", filepath.Join(t.TempDir(), "check.frag")},
 	} {
 		err := run(append(args, "-slots", "1000"))
 		if !errors.Is(err, core.ErrBadConfig) || errors.Is(err, core.ErrInfeasible) {

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"deltasched/internal/shard"
 )
 
 // TestInterruptAndResume drives the real binary through the full
@@ -122,17 +124,11 @@ func TestInterruptAndResume(t *testing.T) {
 // checkpointPoints reads the number of recorded points in a checkpoint
 // file, tolerating a not-yet-created file.
 func checkpointPoints(path string) (int, error) {
-	raw, err := os.ReadFile(path)
+	f, err := shard.ReadFragment(path)
 	if err != nil {
 		return 0, err
 	}
-	var f struct {
-		Points map[string]string `json:"points"`
-	}
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return 0, err
-	}
-	return len(f.Points), nil
+	return len(f.Records), nil
 }
 
 func TestResumeRequiresCheckpointFlag(t *testing.T) {

@@ -14,13 +14,13 @@ import (
 // groups the values by series label in point order.
 func evalSeries(t *testing.T, s Setup, pts []SweepPoint) map[string][]float64 {
 	t.Helper()
-	ys, _, err := ParMapCtx(context.Background(), 0, pts, func(ctx context.Context, p SweepPoint) (float64, error) {
+	ys, err := ParMapCtx(context.Background(), 0, pts, func(ctx context.Context, p SweepPoint) (float64, error) {
 		d, err := s.EvalPoint(ctx, p)
 		if errors.Is(err, core.ErrInfeasible) {
 			return math.NaN(), nil
 		}
 		return d, err
-	}, RunOptions{})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

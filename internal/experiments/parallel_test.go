@@ -14,8 +14,8 @@ func TestParMapPreservesOrder(t *testing.T) {
 	for i := range in {
 		in[i] = i
 	}
-	out, _, err := ParMapCtx(context.Background(), 8, in,
-		func(_ context.Context, x int) (int, error) { return x * x, nil }, RunOptions{})
+	out, err := ParMapCtx(context.Background(), 8, in,
+		func(_ context.Context, x int) (int, error) { return x * x, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,27 +28,27 @@ func TestParMapPreservesOrder(t *testing.T) {
 
 func TestParMapEmptyAndSequential(t *testing.T) {
 	ctx := context.Background()
-	out, _, err := ParMapCtx(ctx, 4, nil, func(_ context.Context, x int) (int, error) { return x, nil }, RunOptions{})
+	out, err := ParMapCtx(ctx, 4, nil, func(_ context.Context, x int) (int, error) { return x, nil }, nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty input: out=%v err=%v", out, err)
 	}
-	out, _, err = ParMapCtx(ctx, 1, []int{1, 2, 3}, func(_ context.Context, x int) (int, error) { return x + 1, nil }, RunOptions{})
+	out, err = ParMapCtx(ctx, 1, []int{1, 2, 3}, func(_ context.Context, x int) (int, error) { return x + 1, nil }, nil)
 	if err != nil || out[2] != 4 {
 		t.Fatalf("sequential path: out=%v err=%v", out, err)
 	}
-	if _, _, err := ParMapCtx[int, int](ctx, 2, []int{1}, nil, RunOptions{}); err == nil {
+	if _, err := ParMapCtx[int, int](ctx, 2, []int{1}, nil, nil); err == nil {
 		t.Fatal("nil function must be rejected")
 	}
 }
 
 func TestParMapPropagatesError(t *testing.T) {
 	sentinel := errors.New("boom")
-	_, _, err := ParMapCtx(context.Background(), 4, []int{0, 1, 2, 3, 4, 5}, func(_ context.Context, x int) (int, error) {
+	_, err := ParMapCtx(context.Background(), 4, []int{0, 1, 2, 3, 4, 5}, func(_ context.Context, x int) (int, error) {
 		if x == 3 {
 			return 0, sentinel
 		}
 		return x, nil
-	}, RunOptions{Policy: FailFast})
+	}, nil)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("expected wrapped sentinel, got %v", err)
 	}
@@ -56,7 +56,7 @@ func TestParMapPropagatesError(t *testing.T) {
 
 func TestParMapBoundsConcurrency(t *testing.T) {
 	var cur, peak int64
-	_, _, err := ParMapCtx(context.Background(), 3, make([]int, 60), func(context.Context, int) (int, error) {
+	_, err := ParMapCtx(context.Background(), 3, make([]int, 60), func(context.Context, int) (int, error) {
 		n := atomic.AddInt64(&cur, 1)
 		for {
 			p := atomic.LoadInt64(&peak)
@@ -67,7 +67,7 @@ func TestParMapBoundsConcurrency(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		atomic.AddInt64(&cur, -1)
 		return 0, nil
-	}, RunOptions{})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,16 +81,16 @@ func TestParMapProgressHook(t *testing.T) {
 		var mu sync.Mutex
 		var seen []int
 		in := make([]int, 20)
-		_, _, err := ParMapCtx(context.Background(), workers, in,
+		_, err := ParMapCtx(context.Background(), workers, in,
 			func(_ context.Context, x int) (int, error) { return x, nil },
-			RunOptions{OnDone: func(done, total int) {
+			func(done, total int) {
 				mu.Lock()
 				defer mu.Unlock()
 				if total != 20 {
 					t.Errorf("total = %d, want 20", total)
 				}
 				seen = append(seen, done)
-			}})
+			})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,16 +109,16 @@ func TestParMapProgressSkipsFailedBatch(t *testing.T) {
 	sentinel := errors.New("boom")
 	calls := 0
 	var mu sync.Mutex
-	_, _, err := ParMapCtx(context.Background(), 4, []int{0, 1, 2, 3}, func(_ context.Context, x int) (int, error) {
+	_, err := ParMapCtx(context.Background(), 4, []int{0, 1, 2, 3}, func(_ context.Context, x int) (int, error) {
 		if x == 0 {
 			return 0, sentinel
 		}
 		return x, nil
-	}, RunOptions{Policy: FailFast, OnDone: func(done, total int) {
+	}, func(done, total int) {
 		mu.Lock()
 		calls++
 		mu.Unlock()
-	}})
+	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("expected sentinel, got %v", err)
 	}
@@ -134,11 +134,11 @@ func TestParMapMatchesSequentialOnBounds(t *testing.T) {
 	hs := []int{1, 2, 3, 4}
 	nc := s.FlowCount(0.4) / 2
 	f := func(_ context.Context, h int) (float64, error) { return s.Bound(FIFO, h, nc, nc) }
-	seq, _, err := ParMapCtx(context.Background(), 1, hs, f, RunOptions{})
+	seq, err := ParMapCtx(context.Background(), 1, hs, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := ParMapCtx(context.Background(), 4, hs, f, RunOptions{})
+	par, err := ParMapCtx(context.Background(), 4, hs, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
-	"time"
 )
 
 // ErrPanic tags ItemErrors produced by a panicking item function, so
@@ -35,56 +33,28 @@ func (e *ItemError) Error() string {
 // Unwrap exposes the underlying error to errors.Is / errors.As.
 func (e *ItemError) Unwrap() error { return e.Err }
 
-// FailPolicy selects how a batch reacts to a failing item.
-type FailPolicy int
-
-const (
-	// FailFast aborts the batch on the first item error or panic:
-	// remaining inputs are skipped and the failure is returned as the
-	// batch error. A panic fails its item like an error does; it never
-	// kills the process.
-	FailFast FailPolicy = iota
-	// KeepGoing records failing items and completes the rest of the
-	// batch; the batch error stays nil (unless the context is cancelled)
-	// and the failures are returned as the ItemError slice.
-	KeepGoing
-)
-
-// RunOptions tunes a ParMapCtx batch. The zero value is fail-fast, with
-// no per-item deadline and no progress hook.
-type RunOptions struct {
-	Policy FailPolicy
-	// OnDone, when non-nil, receives the number of successfully completed
-	// inputs and the batch size after each success. Calls are serialized
-	// and monotonic in the completion count.
-	OnDone func(done, total int)
-	// ItemTimeout, when positive, bounds each item: fn runs under a
-	// context that expires after ItemTimeout, and an item still running at
-	// the deadline fails with an *ItemError wrapping
-	// context.DeadlineExceeded. The item's goroutine is abandoned (fn is
-	// expected to notice its context and return); the batch moves on.
-	ItemTimeout time.Duration
-}
-
 // ParMapCtx is the context-aware, panic-isolating worker pool behind
 // every sweep: it applies fn to every input with at most `workers`
 // concurrent goroutines (GOMAXPROCS when workers <= 0), preserving input
 // order in the result.
 //
-// Failure handling is per-item: an error or panic in fn(i) becomes an
+// The batch fails fast: the first error or panic in fn(i) becomes an
 // *ItemError carrying the input index (and, for panics, the recovered
-// value and stack). Under FailFast the first failure aborts the batch and
-// is returned as the batch error; under KeepGoing the batch runs to
-// completion, failed slots keep the zero value, and the failures come
-// back in the (index-sorted) ItemError slice with a nil batch error.
+// value and stack), no further inputs start, and the ItemError is the
+// batch error. A point deadline is the caller's: shard.Retry runs a
+// deadlined attempt on its own goroutine.
 //
 // Cancelling ctx stops the batch promptly: no new items start, and the
 // batch error is ctx.Err(). Items already inside fn finish (or notice the
 // ctx themselves); their results are kept. fn receives the batch context
 // and should consult it in long-running computations.
-func ParMapCtx[T, R any](ctx context.Context, workers int, in []T, fn func(context.Context, T) (R, error), opt RunOptions) ([]R, []*ItemError, error) {
+//
+// onDone, when non-nil, receives the number of successfully completed
+// inputs and the batch size after each success. Calls are serialized and
+// monotonic in the completion count.
+func ParMapCtx[T, R any](ctx context.Context, workers int, in []T, fn func(context.Context, T) (R, error), onDone func(done, total int)) ([]R, error) {
 	if fn == nil {
-		return nil, nil, badBatch("ParMapCtx needs a function")
+		return nil, errors.New("experiments: ParMapCtx needs a function")
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -97,12 +67,12 @@ func ParMapCtx[T, R any](ctx context.Context, workers int, in []T, fn func(conte
 	}
 	out := make([]R, len(in))
 	if len(in) == 0 {
-		return out, nil, ctx.Err()
+		return out, ctx.Err()
 	}
 
-	// run executes fn(ictx, in[idx]) on the caller's goroutine, converting
-	// a panic into an *ItemError with the recovered value and stack.
-	run := func(ictx context.Context, idx int) (r R, ie *ItemError) {
+	// run stores fn(ctx, in[idx]) in out[idx], converting an error or a
+	// panic into an *ItemError (with the recovered value and stack).
+	run := func(idx int) (ie *ItemError) {
 		defer func() {
 			if rec := recover(); rec != nil {
 				ie = &ItemError{
@@ -113,108 +83,58 @@ func ParMapCtx[T, R any](ctx context.Context, workers int, in []T, fn func(conte
 				}
 			}
 		}()
-		v, err := fn(ictx, in[idx])
+		v, err := fn(ctx, in[idx])
 		if err != nil {
-			return r, &ItemError{Index: idx, Err: err}
+			return &ItemError{Index: idx, Err: err}
 		}
-		return v, nil
-	}
-
-	call := func(idx int) (R, *ItemError) {
-		if opt.ItemTimeout <= 0 {
-			return run(ctx, idx)
-		}
-		ictx, cancel := context.WithTimeout(ctx, opt.ItemTimeout)
-		defer cancel()
-		type itemResult struct {
-			r  R
-			ie *ItemError
-		}
-		ch := make(chan itemResult, 1) // buffered: an abandoned item must not leak its goroutine
-		go func() {
-			r, ie := run(ictx, idx)
-			ch <- itemResult{r, ie}
-		}()
-		select {
-		case res := <-ch:
-			return res.r, res.ie
-		case <-ictx.Done():
-			var zero R
-			err := ictx.Err()
-			if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-				err = fmt.Errorf("item exceeded %v: %w", opt.ItemTimeout, err)
-			}
-			return zero, &ItemError{Index: idx, Err: err}
-		}
+		out[idx] = v
+		return nil
 	}
 
 	if workers <= 1 {
-		var fails []*ItemError
-		done := 0
 		for i := range in {
 			if err := ctx.Err(); err != nil {
-				return out, fails, err
+				return out, err
 			}
-			r, ie := call(i)
-			if ie != nil {
-				fails = append(fails, ie)
-				if opt.Policy == FailFast {
-					return out, fails, ie
-				}
-				continue
+			if ie := run(i); ie != nil {
+				return out, ie
 			}
-			out[i] = r
-			done++
-			if opt.OnDone != nil {
-				opt.OnDone(done, len(in))
+			if onDone != nil {
+				onDone(i+1, len(in))
 			}
 		}
-		return out, fails, ctx.Err()
+		return out, ctx.Err()
 	}
 
+	// The first failure stops the batch through stopCtx: the feeder and
+	// idle workers watch it, while items already inside fn keep ctx.
+	stopCtx, stop := context.WithCancel(ctx)
+	defer stop()
 	var (
-		jobs    = make(chan int)
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		fails   []*ItemError
-		first   *ItemError
-		aborted bool
-		done    int
+		jobs  = make(chan int)
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first *ItemError
+		done  int
 	)
-	record := func(ie *ItemError) {
-		mu.Lock()
-		defer mu.Unlock()
-		fails = append(fails, ie)
-		if first == nil {
-			first = ie
-		}
-		if opt.Policy == FailFast {
-			aborted = true
-		}
-	}
-	stopped := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return aborted
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				if ctx.Err() != nil || stopped() {
+				if stopCtx.Err() != nil {
 					continue // drain without working
 				}
-				r, ie := call(idx)
-				if ie != nil {
-					record(ie)
-					continue
-				}
-				out[idx] = r
+				ie := run(idx)
 				mu.Lock()
-				done++
-				if opt.OnDone != nil {
-					opt.OnDone(done, len(in))
+				if ie == nil {
+					done++
+					if onDone != nil {
+						onDone(done, len(in))
+					}
+				} else if first == nil {
+					first = ie
+					stop()
 				}
 				mu.Unlock()
 			}
@@ -224,23 +144,18 @@ feed:
 	for i := range in {
 		select {
 		case jobs <- i:
-		case <-ctx.Done():
+		case <-stopCtx.Done():
 			break feed
 		}
 	}
 	close(jobs)
 	wg.Wait()
 
-	sort.Slice(fails, func(i, j int) bool { return fails[i].Index < fails[j].Index })
 	if err := ctx.Err(); err != nil {
-		return out, fails, err
+		return out, err
 	}
-	if opt.Policy == FailFast && first != nil {
-		return out, fails, first
+	if first != nil {
+		return out, first
 	}
-	return out, fails, nil
-}
-
-func badBatch(msg string) error {
-	return fmt.Errorf("experiments: %s", msg)
+	return out, nil
 }

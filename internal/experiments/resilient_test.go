@@ -21,7 +21,7 @@ func TestParMapCtxCancelMidBatch(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := ParMapCtx(ctx, 4, in, func(ctx context.Context, x int) (int, error) {
+		_, err := ParMapCtx(ctx, 4, in, func(ctx context.Context, x int) (int, error) {
 			if started.Add(1) == 4 {
 				close(release) // all workers busy: now cancel
 			}
@@ -31,7 +31,7 @@ func TestParMapCtxCancelMidBatch(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				return x, nil
 			}
-		}, RunOptions{})
+		}, nil)
 		done <- err
 	}()
 
@@ -52,12 +52,12 @@ func TestParMapCtxCancelMidBatch(t *testing.T) {
 
 func TestParMapCtxPanicBecomesItemError(t *testing.T) {
 	in := []int{0, 1, 2, 3}
-	_, _, err := ParMapCtx(context.Background(), 2, in, func(_ context.Context, x int) (int, error) {
+	_, err := ParMapCtx(context.Background(), 2, in, func(_ context.Context, x int) (int, error) {
 		if x == 2 {
 			panic(fmt.Sprintf("boom at %d", x))
 		}
 		return x, nil
-	}, RunOptions{Policy: FailFast})
+	}, nil)
 	if err == nil {
 		t.Fatal("panicking item did not fail the batch")
 	}
@@ -79,82 +79,30 @@ func TestParMapCtxPanicBecomesItemError(t *testing.T) {
 	}
 }
 
-func TestParMapCtxKeepGoing(t *testing.T) {
-	in := []int{0, 1, 2, 3, 4, 5}
-	out, fails, err := ParMapCtx(context.Background(), 3, in, func(_ context.Context, x int) (int, error) {
-		switch x {
-		case 1:
-			return 0, fmt.Errorf("bad point")
-		case 4:
-			panic("worse point")
-		}
-		return 10 * x, nil
-	}, RunOptions{Policy: KeepGoing})
-	if err != nil {
-		t.Fatalf("KeepGoing batch error = %v, want nil", err)
-	}
-	if len(fails) != 2 || fails[0].Index != 1 || fails[1].Index != 4 {
-		t.Fatalf("fails = %v, want indices [1 4] in order", fails)
-	}
-	for _, i := range []int{0, 2, 3, 5} {
-		if out[i] != 10*i {
-			t.Fatalf("out[%d] = %d, want %d", i, out[i], 10*i)
-		}
-	}
-	for _, i := range []int{1, 4} {
-		if out[i] != 0 {
-			t.Fatalf("failed slot out[%d] = %d, want zero value", i, out[i])
-		}
-	}
-}
-
 func TestParMapCtxSequentialPanicRecovery(t *testing.T) {
-	_, fails, err := ParMapCtx(context.Background(), 1, []int{0, 1, 2}, func(_ context.Context, x int) (int, error) {
+	var ran []int
+	_, err := ParMapCtx(context.Background(), 1, []int{0, 1, 2}, func(_ context.Context, x int) (int, error) {
+		ran = append(ran, x)
 		if x == 1 {
 			panic("sequential boom")
 		}
 		return x, nil
-	}, RunOptions{Policy: KeepGoing})
-	if err != nil {
-		t.Fatalf("unexpected batch error: %v", err)
+	}, nil)
+	var ie *ItemError
+	if !errors.As(err, &ie) || ie.Index != 1 || !errors.Is(err, ErrPanic) {
+		t.Fatalf("batch error = %v, want an ErrPanic ItemError at index 1", err)
 	}
-	if len(fails) != 1 || !errors.Is(fails[0], ErrPanic) {
-		t.Fatalf("fails = %v, want one ErrPanic at index 1", fails)
-	}
-}
-
-func TestParMapCtxItemTimeout(t *testing.T) {
-	start := time.Now()
-	out, fails, err := ParMapCtx(context.Background(), 2, []int{0, 1, 2}, func(ctx context.Context, x int) (int, error) {
-		if x == 1 { // ignores its context: must be cut off by the deadline
-			select {
-			case <-time.After(5 * time.Second):
-			case <-ctx.Done():
-				<-time.After(5 * time.Second)
-			}
-		}
-		return x, nil
-	}, RunOptions{Policy: KeepGoing, ItemTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("batch error = %v, want nil under KeepGoing", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("stuck item held the batch for %v", elapsed)
-	}
-	if len(fails) != 1 || fails[0].Index != 1 || !errors.Is(fails[0], context.DeadlineExceeded) {
-		t.Fatalf("fails = %v, want index 1 wrapping DeadlineExceeded", fails)
-	}
-	if out[0] != 0 || out[2] != 2 {
-		t.Fatalf("healthy items lost: out = %v", out)
+	if len(ran) != 2 {
+		t.Fatalf("ran inputs %v; the batch must stop at the panic", ran)
 	}
 }
 
 func TestParMapCtxNilContextAndEmptyInput(t *testing.T) {
-	out, fails, err := ParMapCtx[int, int](nil, 4, nil, func(_ context.Context, x int) (int, error) {
+	out, err := ParMapCtx[int, int](nil, 4, nil, func(_ context.Context, x int) (int, error) {
 		return x, nil
-	}, RunOptions{})
-	if err != nil || len(out) != 0 || len(fails) != 0 {
-		t.Fatalf("empty batch: out=%v fails=%v err=%v", out, fails, err)
+	}, nil)
+	if err != nil || len(out) != 0 {
+		t.Fatalf("empty batch: out=%v err=%v", out, err)
 	}
 }
 

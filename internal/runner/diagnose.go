@@ -1,9 +1,10 @@
 // Package runner owns the shared process lifecycle of every CLI in this
 // repository: flag registration, SIGINT/SIGTERM handling, checkpoint
-// load/flush, observability session setup, scenario execution with
-// parallel fan-out and progress, and the exit protocol. A command is a
-// thin shell — scenario selection plus output formatting — around an
-// App.
+// load/flush (a shard.Checkpoint), observability session setup,
+// scenario execution with parallel fan-out, per-point deadlines and
+// retries (shard.Retry) and progress, and the exit protocol. A command
+// is a thin shell — scenario selection plus output formatting — around
+// an App.
 package runner
 
 import (

@@ -49,7 +49,7 @@ type App struct {
 	FS      *flag.FlagSet
 	Ctx     context.Context
 	Sess    *obs.Session
-	Check   *experiments.Checkpoint
+	Check   *shard.Checkpoint
 	Backend scenario.Backend
 
 	obsFlags   obs.Flags
@@ -83,7 +83,7 @@ type App struct {
 // flags are added to app.FS before Main.
 func New(name string, def scenario.Backend) *App {
 	a := &App{Name: name, FS: flag.NewFlagSet(name, flag.ContinueOnError)}
-	a.checkpoint = a.FS.String("checkpoint", "", "record completed sweep points in this JSON file")
+	a.checkpoint = a.FS.String("checkpoint", "", "record completed analytic sweep points in this file (a shard fragment of shard 0/1)")
 	a.resume = a.FS.Bool("resume", false, "skip points already recorded in the -checkpoint file")
 	a.catalog = a.FS.Bool("scenarios", false, "print the scenario catalog and exit")
 	a.backendStr = a.FS.String("backend", def.String(), "evaluation backend: analytic, sim or both")
@@ -138,7 +138,7 @@ func (a *App) Main(args []string, body func(a *App) error) (retErr error) {
 	var salvagedPoints int
 	if *a.checkpoint != "" {
 		if *a.resume {
-			if a.Check, err = experiments.LoadCheckpoint(*a.checkpoint); err != nil {
+			if a.Check, err = shard.LoadCheckpoint(*a.checkpoint); err != nil {
 				return err
 			}
 			if n, salvaged := a.Check.Salvage(); salvaged {
@@ -148,7 +148,7 @@ func (a *App) Main(args []string, body func(a *App) error) (retErr error) {
 			}
 			fmt.Fprintf(os.Stderr, "%s: resuming with %d checkpointed points\n", a.Name, a.Check.Len())
 		} else {
-			a.Check = experiments.NewCheckpoint(*a.checkpoint)
+			a.Check = shard.NewCheckpoint(*a.checkpoint)
 		}
 	}
 
@@ -195,10 +195,14 @@ type RunOpt struct {
 }
 
 // Run executes a scenario against the App's backend: enumerate points,
-// fan out over ParMapCtx (cancellable, panic-isolating), drive progress
-// and the report sweep, and — for resumable sweeps under the analytic
-// backend — serve and record points through the checkpoint. Results come
-// back in point order.
+// fan out over ParMapCtx (cancellable, panic-isolating), run each point
+// under the -point-timeout/-point-retries policy (shard.Retry), drive
+// progress and the report sweep, and serve and record points through
+// the checkpoint. Results come back in point order.
+//
+// The checkpoint and the shard flags apply to analytic scalar sweeps
+// only: only there is a point a single resumable float. On any other
+// run they fail as core.ErrBadConfig instead of doing nothing.
 func (a *App) Run(sc scenario.Scenario, cfg scenario.Config, opt RunOpt) ([]scenario.Point, []scenario.Result, error) {
 	info := sc.Info()
 	if opt.Label == "" {
@@ -215,6 +219,10 @@ func (a *App) Run(sc scenario.Scenario, cfg scenario.Config, opt RunOpt) ([]scen
 		return nil, nil, fmt.Errorf("%w: scenario %q runs on backend %s, not %s",
 			core.ErrBadConfig, info.Name, info.Backends, be)
 	}
+	if (a.Check != nil || a.shardMode != shardOff) && !(info.Sweep && be == scenario.Analytic) {
+		return nil, nil, fmt.Errorf("%w: -checkpoint and sharded runs apply to analytic scalar sweeps; scenario %q under backend %s is not one",
+			core.ErrBadConfig, info.Name, be)
+	}
 
 	// The replication and measurement flags are run-engine knobs, not
 	// scenario parameters: inject them for every sim-capable run (before
@@ -230,25 +238,15 @@ func (a *App) Run(sc scenario.Scenario, cfg scenario.Config, opt RunOpt) ([]scen
 	}
 
 	// Sharded runs take their own path: partition the ID universe, write
-	// or merge fragments. They share the checkpoint gate below — only an
-	// analytic scalar sweep has per-point values a fragment can carry.
+	// or merge fragments.
 	if a.shardMode != shardOff {
-		if !info.Sweep || be != scenario.Analytic {
-			return nil, nil, fmt.Errorf("%w: sharded runs apply to analytic scalar sweeps; scenario %q under backend %s is not one",
-				core.ErrBadConfig, info.Name, be)
-		}
 		return a.runSharded(sc, cfg, opt, pts)
 	}
 
-	// Checkpointing applies to scalar sweeps under the pure analytic
-	// backend: only there is a point a single resumable float. Lookup and
-	// Record are nil-safe, so an unset -checkpoint needs no guard.
-	useCheck := info.Sweep && be == scenario.Analytic
-
 	pr := a.Sess.NewProgress(opt.Label)
-	var opts experiments.RunOptions
+	var onDone func(done, total int)
 	if info.Sweep {
-		opts.OnDone = func(done, total int) {
+		onDone = func(done, total int) {
 			a.Sess.Report.ObserveSweep(opt.Sweep, done, total)
 			pr.Observe(done, total)
 		}
@@ -259,40 +257,24 @@ func (a *App) Run(sc scenario.Scenario, cfg scenario.Config, opt RunOpt) ([]scen
 	}
 
 	eval := a.pointEval(sc, cfg)
+	pol := a.retryPolicy()
 	fn := func(ctx context.Context, pt scenario.Point) (scenario.Result, error) {
-		if useCheck {
-			if v, ok := a.Check.Lookup(pt.ID); ok {
-				return scenario.Result{Analytic: v}, nil
-			}
+		if v, ok := a.Check.Lookup(pt.ID); ok {
+			return scenario.Result{Analytic: v}, nil
 		}
-		res, err := eval(ctx, pt)
+		res, err := shard.Retry(ctx, pol, pt.ID, func(actx context.Context) (scenario.Result, error) {
+			return eval(actx, pt)
+		})
 		if err != nil {
 			return scenario.Result{}, err
 		}
-		if useCheck {
-			a.Check.Record(pt.ID, res.Analytic)
-		}
+		a.Check.Record(pt.ID, res.Analytic)
 		return res, nil
-	}
-	// Point resilience on the plain path: with no retry budget the
-	// -point-timeout deadline rides ParMapCtx's per-item timeout; with
-	// retries each attempt is deadlined inside shard.Retry instead, so a
-	// timed-out attempt can be retried rather than failing the item.
-	if *a.pointRetries > 0 {
-		inner := fn
-		pol := a.retryPolicy()
-		fn = func(ctx context.Context, pt scenario.Point) (scenario.Result, error) {
-			return shard.Retry(ctx, pol, pt.ID, func(actx context.Context) (scenario.Result, error) {
-				return inner(actx, pt)
-			})
-		}
-	} else {
-		opts.ItemTimeout = *a.pointTimeout
 	}
 
 	stop := a.Sess.Stage(opt.Stage)
 	runCtx, runSpan := obs.StartSpan(a.Ctx, info.Name)
-	rs, _, err := experiments.ParMapCtx(runCtx, 0, pts, fn, opts)
+	rs, err := experiments.ParMapCtx(runCtx, 0, pts, fn, onDone)
 	runSpan.End()
 	stop()
 	if err != nil {

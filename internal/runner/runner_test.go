@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"deltasched/internal/core"
 	"deltasched/internal/scenario"
@@ -41,10 +43,31 @@ func (testSweep) Evaluate(_ context.Context, _ scenario.Config, pt scenario.Poin
 	return scenario.Result{Analytic: pt.X * 2}, nil
 }
 
-func init() { scenario.Register(testSweep{}) }
+// stuckSweep is a one-point sweep whose evaluation ignores its context
+// and outlives any point deadline.
+type stuckSweep struct{}
+
+func (stuckSweep) Info() scenario.Info {
+	return scenario.Info{Name: "test-stuck", Desc: "runner test fixture", Backends: scenario.Analytic, Sweep: true}
+}
+
+func (stuckSweep) Points(scenario.Config) ([]scenario.Point, error) {
+	return []scenario.Point{{ID: "stuck/1", X: 1, Series: "s"}}, nil
+}
+
+func (stuckSweep) Evaluate(context.Context, scenario.Config, scenario.Point, scenario.Backend) (scenario.Result, error) {
+	time.Sleep(3 * time.Second)
+	return scenario.Result{Analytic: 1}, nil
+}
+
+func init() {
+	scenario.Register(testSweep{})
+	scenario.Register(stuckSweep{})
+}
 
 func TestAppRunSweepCheckpointResume(t *testing.T) {
-	cp := filepath.Join(t.TempDir(), "check.json")
+	testEvals.Store(0) // repeatable under -count
+	cp := filepath.Join(t.TempDir(), "check.frag")
 	sc, err := scenario.Get("test-sweep")
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +107,30 @@ func TestAppRunSweepCheckpointResume(t *testing.T) {
 	}
 	if rs2[0].Analytic != 2 || rs2[2].Analytic != 6 || !math.IsNaN(rs2[1].Analytic) {
 		t.Fatalf("resumed values differ: %+v", rs2)
+	}
+}
+
+// TestAppPointTimeoutBoundsStuckPoint: -point-timeout fails a point
+// that ignores its context at the deadline, whether or not
+// -point-retries gives it further attempts.
+func TestAppPointTimeoutBoundsStuckPoint(t *testing.T) {
+	sc, err := scenario.Get("test-stuck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, retries := range []string{"0", "1"} {
+		start := time.Now()
+		app := New("ttool", scenario.Analytic)
+		err := app.Main([]string{"-point-timeout", "50ms", "-point-retries", retries, "-retry-base", "0"}, func(a *App) error {
+			_, _, err := a.Run(sc, nil, RunOpt{})
+			return err
+		})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("-point-retries %s: got %v, want DeadlineExceeded", retries, err)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("-point-retries %s: stuck point held the run for %v", retries, elapsed)
+		}
 	}
 }
 

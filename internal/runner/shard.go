@@ -32,7 +32,7 @@ func (a *App) registerShardFlags() {
 	a.mergeFlag = a.FS.Bool("merge", false, "merge the fragments in -shard-dir into full results (no evaluation); fails on gaps, overlaps or damaged fragments")
 	a.shardDir = a.FS.String("shard-dir", "", "directory for shard fragments and leases (required by -shard/-claim/-merge)")
 	a.leaseTTL = a.FS.Duration("lease-ttl", 5*time.Minute, "claim mode: lease expiry; a shard whose lease is this stale is reclaimed")
-	a.pointTimeout = a.FS.Duration("point-timeout", 0, "per-point evaluation deadline (0 = none); with -point-retries > 0 this deadlines each attempt")
+	a.pointTimeout = a.FS.Duration("point-timeout", 0, "deadline of each attempt at a point (0 = none); an attempt still running at the deadline is abandoned and fails as a timeout")
 	a.pointRetries = a.FS.Int("point-retries", 0, "retries per point after a transient failure (panic or point timeout); deterministic verdicts are never retried")
 	a.retryBase = a.FS.Duration("retry-base", 250*time.Millisecond, "backoff before the first point retry (doubles per retry, deterministically jittered)")
 	a.faultsStr = a.FS.String("faults", "", "fault injection schedule for chaos testing, e.g. panic@3,partial@0 (default: $"+faults.EnvVar+")")

@@ -264,7 +264,7 @@ func runReplicated(ctx context.Context, spec simSpec) (repOutcome, error) {
 		stats sim.Stats
 		probe *obs.SimProbe
 	}
-	results, _, err := experiments.ParMapCtx(ctx, spec.SimWorkers, idx,
+	results, err := experiments.ParMapCtx(ctx, spec.SimWorkers, idx,
 		func(rctx context.Context, rep int) (repResult, error) {
 			rspec := spec
 			rspec.Slots = perRepSlots
@@ -282,7 +282,7 @@ func runReplicated(ctx context.Context, spec simSpec) (repOutcome, error) {
 				return repResult{}, fmt.Errorf("replication %d: %w", rep, err)
 			}
 			return repResult{sum: sum, stats: stats, probe: probe}, nil
-		}, experiments.RunOptions{Policy: experiments.FailFast})
+		}, nil)
 	if err != nil {
 		return repOutcome{}, err
 	}

@@ -21,12 +21,14 @@ import (
 // "this shard never ran". Use errors.Is.
 var ErrFragmentIntegrity = errors.New("shard: fragment integrity")
 
-// Fragment is one shard's checkpoint fragment: the sweep it belongs to,
-// the shard assignment, a hash of the full point-ID universe it was
+// Fragment is one shard's checkpoint fragment, and as shard 0 of 1 the
+// resume checkpoint (see Checkpoint): the sweep it belongs to, the
+// shard assignment, a hash of the full point-ID universe it was
 // partitioned from, and the completed records. A record value is either
-// an exact decimal float string (the encoding the resume checkpoint
-// uses) or an `m1:`-prefixed measure.EncodeSummary string, so sketch
-// sweeps can checkpoint whole mergeable delay summaries per point.
+// an exact decimal float string or an `m1:`-prefixed
+// measure.EncodeSummary string; the reader accepts summaries so sketch
+// sweeps can one day checkpoint whole mergeable delay summaries per
+// point, but no shipped path writes one yet.
 type Fragment struct {
 	Sweep        string
 	Shard        Spec
@@ -54,30 +56,36 @@ func UniverseHash(ids []string) uint64 {
 	return h.Sum64()
 }
 
-// canonicalRecords renders the record block in canonical form: sorted
-// by point ID, one `"id" value` line each. Both the file body and the
-// footer checksum use this form, so the checksum is independent of
-// completion order.
-func canonicalRecords(records map[string]string) string {
-	ids := make([]string, 0, len(records))
-	for id := range records {
+// encode renders f as the text of its file, into one buffer sized from
+// the record lengths: the header, one `"id" value` line per record
+// sorted by point ID, and a footer with the record count, the record
+// block's byte length and its FNV-64a checksum. Sorting makes the bytes,
+// and so the checksum, independent of completion order.
+func (f *Fragment) encode() []byte {
+	ids := make([]string, 0, len(f.Records))
+	size := 160 + len(f.Sweep) // header and footer
+	for id, v := range f.Records {
 		ids = append(ids, id)
+		size += len(id) + len(v) + 4 // two quotes, a space, a newline
 	}
 	sort.Strings(ids)
-	var b strings.Builder
+	buf := make([]byte, 0, size)
+	buf = fmt.Appendf(buf, "%s sweep=%s shard=%s universe=%016x\n",
+		fragmentMagic, sanitize(f.Sweep), f.Shard, f.UniverseHash)
+	start := len(buf)
 	for _, id := range ids {
-		b.WriteString(strconv.Quote(id))
-		b.WriteByte(' ')
-		b.WriteString(records[id])
-		b.WriteByte('\n')
+		buf = strconv.AppendQuote(buf, id)
+		buf = append(buf, ' ')
+		buf = append(buf, f.Records[id]...)
+		buf = append(buf, '\n')
 	}
-	return b.String()
+	h := fnv.New64a()
+	h.Write(buf[start:])
+	return fmt.Appendf(buf, "footer records=%d bytes=%d fnv64a=%016x\n", len(ids), len(buf)-start, h.Sum64())
 }
 
-// WriteFragment persists f into dir atomically: unique temp file in the
-// same directory, fsync, rename. The file carries a footer with the
-// record count, canonical byte length and FNV-64a checksum, so readers
-// detect truncation and corruption. The returned path is FragmentPath.
+// WriteFragment persists f into dir atomically (see writeFragment) and
+// returns its path, FragmentPath.
 //
 // The injector hooks simulate write failures deterministically:
 // PartialWrite@shardIndex truncates the content before the rename (a
@@ -87,28 +95,32 @@ func WriteFragment(dir string, f *Fragment, inj *faults.Injector) (string, error
 	if err := f.Shard.Validate(); err != nil {
 		return "", err
 	}
-	body := canonicalRecords(f.Records)
-	h := fnv.New64a()
-	h.Write([]byte(body))
-	content := fmt.Sprintf("%s sweep=%s shard=%s universe=%016x\n%sfooter records=%d bytes=%d fnv64a=%016x\n",
-		fragmentMagic, sanitize(f.Sweep), f.Shard, f.UniverseHash,
-		body, len(f.Records), len(body), h.Sum64())
+	path := FragmentPath(dir, f.Sweep, f.Shard)
+	if err := writeFragment(path, f, inj); err != nil {
+		return "", err
+	}
+	return path, nil
+}
 
-	data := []byte(content)
+// writeFragment writes f to path: unique temp file in the same
+// directory, fsync, rename. A crash at any instant leaves either the
+// old complete file or the new complete one, and concurrent writers to
+// one path cannot clobber each other's temp file. The footer lets
+// readers detect truncation and corruption all the same.
+func writeFragment(path string, f *Fragment, inj *faults.Injector) error {
+	data := f.encode()
 	if inj.Fire(faults.PartialWrite, f.Shard.Index) {
 		data = data[:len(data)*2/3]
 	}
-
-	path := FragmentPath(dir, f.Sweep, f.Shard)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return "", fmt.Errorf("shard: creating fragment temp: %w", err)
+		return fmt.Errorf("shard: creating fragment temp: %w", err)
 	}
 	tmpName := tmp.Name()
-	cleanup := func(err error) (string, error) {
+	cleanup := func(err error) error {
 		tmp.Close()
 		os.Remove(tmpName)
-		return "", err
+		return err
 	}
 	if _, err := tmp.Write(data); err != nil {
 		return cleanup(fmt.Errorf("shard: writing fragment: %w", err))
@@ -117,21 +129,22 @@ func WriteFragment(dir string, f *Fragment, inj *faults.Injector) (string, error
 		return cleanup(fmt.Errorf("shard: syncing fragment: %w", err))
 	}
 	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("shard: closing fragment temp: %w", err)
+		os.Remove(tmpName)
+		return fmt.Errorf("shard: closing fragment temp: %w", err)
 	}
 	if err := os.Chmod(tmpName, 0o644); err != nil {
 		os.Remove(tmpName)
-		return "", fmt.Errorf("shard: fragment permissions: %w", err)
+		return fmt.Errorf("shard: fragment permissions: %w", err)
 	}
 	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
-		return "", fmt.Errorf("shard: publishing fragment: %w", err)
+		return fmt.Errorf("shard: publishing fragment: %w", err)
 	}
 
 	if inj.Fire(faults.CorruptFragment, f.Shard.Index) {
 		corruptFile(path)
 	}
-	return path, nil
+	return nil
 }
 
 // corruptFile flips one byte in the middle of a file (the deterministic
@@ -148,7 +161,7 @@ func corruptFile(path string) {
 
 // ReadFragment loads and fully validates a fragment: magic header,
 // well-formed records, and a footer whose record count, byte length and
-// checksum match the canonical record block. Damage of any kind returns
+// checksum match the record block as read. Damage of any kind returns
 // an error wrapping ErrFragmentIntegrity; a missing file returns the
 // underlying not-exist error unwrapped, so os.IsNotExist still works.
 func ReadFragment(path string) (*Fragment, error) {
@@ -156,76 +169,106 @@ func ReadFragment(path string) (*Fragment, error) {
 	if err != nil {
 		return nil, err
 	}
-	bad := func(format string, args ...any) (*Fragment, error) {
-		return nil, fmt.Errorf("%w: %s: %s", ErrFragmentIntegrity, path, fmt.Sprintf(format, args...))
+	f, err := decodeFragment(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrFragmentIntegrity, path, err)
 	}
+	return f, nil
+}
+
+// decodeFragment parses and validates the bytes of a fragment file.
+func decodeFragment(raw []byte) (*Fragment, error) {
 	text := string(raw)
 	if !strings.HasSuffix(text, "\n") {
-		return bad("no trailing newline (truncated)")
+		return nil, errors.New("no trailing newline (truncated)")
 	}
 	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
 	if len(lines) < 2 {
-		return bad("missing header or footer")
+		return nil, errors.New("missing header or footer")
 	}
-
 	header, footer, recs := lines[0], lines[len(lines)-1], lines[1:len(lines)-1]
-	if !strings.HasPrefix(header, fragmentMagic+" ") {
-		return bad("bad magic %q", firstN(header, 40))
+	f, err := parseHeader(header)
+	if err != nil {
+		return nil, err
 	}
-	f := &Fragment{Records: make(map[string]string, len(recs))}
-	var shardStr string
-	if _, err := fmt.Sscanf(header[len(fragmentMagic)+1:], "sweep=%s shard=%s universe=%x",
-		&f.Sweep, &shardStr, &f.UniverseHash); err != nil {
-		return bad("bad header: %v", err)
+	wantRecords, wantBytes, wantSum, err := parseFooter(footer)
+	if err != nil {
+		return nil, err
 	}
-	if f.Shard, err = ParseSpec(shardStr); err != nil {
-		return bad("bad shard field: %v", err)
-	}
-
-	var wantRecords, wantBytes int
-	var wantSum uint64
-	if _, err := fmt.Sscanf(footer, "footer records=%d bytes=%d fnv64a=%x", &wantRecords, &wantBytes, &wantSum); err != nil {
-		return bad("bad footer %q (truncated?)", firstN(footer, 40))
-	}
-
+	f.Records = make(map[string]string, len(recs))
 	for _, line := range recs {
-		sep := strings.LastIndexByte(line, ' ')
-		if sep < 0 {
-			return bad("bad record line %q", firstN(line, 40))
-		}
-		id, err := strconv.Unquote(line[:sep])
+		id, val, err := parseRecord(line)
 		if err != nil {
-			return bad("bad record id in %q", firstN(line, 40))
-		}
-		val := line[sep+1:]
-		if measure.IsEncodedSummary(val) {
-			// Sketch-backend sweeps checkpoint whole delay summaries, not
-			// scalar bounds; the encoding is space-free so the last-space
-			// record split above still isolates it.
-			if _, err := measure.DecodeSummary(val); err != nil {
-				return bad("record %q has bad summary: %v", id, err)
-			}
-		} else if _, err := strconv.ParseFloat(val, 64); err != nil {
-			return bad("record %q has bad value %q", id, val)
+			return nil, err
 		}
 		if _, dup := f.Records[id]; dup {
-			return bad("record %q appears twice", id)
+			return nil, fmt.Errorf("record %q appears twice", id)
 		}
 		f.Records[id] = val
 	}
 
-	body := canonicalRecords(f.Records)
+	body := text[len(header)+1 : len(text)-len(footer)-1]
 	h := fnv.New64a()
 	h.Write([]byte(body))
 	switch {
 	case len(f.Records) != wantRecords:
-		return bad("footer says %d records, file has %d", wantRecords, len(f.Records))
+		return nil, fmt.Errorf("footer says %d records, file has %d", wantRecords, len(f.Records))
 	case len(body) != wantBytes:
-		return bad("footer says %d canonical bytes, file has %d", wantBytes, len(body))
+		return nil, fmt.Errorf("footer says %d record bytes, file has %d", wantBytes, len(body))
 	case h.Sum64() != wantSum:
-		return bad("checksum mismatch: footer %016x, computed %016x", wantSum, h.Sum64())
+		return nil, fmt.Errorf("checksum mismatch: footer %016x, computed %016x", wantSum, h.Sum64())
 	}
 	return f, nil
+}
+
+// parseHeader reads the header line into a Fragment without records.
+func parseHeader(line string) (*Fragment, error) {
+	if !strings.HasPrefix(line, fragmentMagic+" ") {
+		return nil, fmt.Errorf("bad magic %q", firstN(line, 40))
+	}
+	f := &Fragment{}
+	var shardStr string
+	_, err := fmt.Sscanf(line[len(fragmentMagic)+1:], "sweep=%s shard=%s universe=%x", &f.Sweep, &shardStr, &f.UniverseHash)
+	if err != nil {
+		return nil, fmt.Errorf("bad header: %v", err)
+	}
+	if f.Shard, err = ParseSpec(shardStr); err != nil {
+		return nil, fmt.Errorf("bad shard field: %v", err)
+	}
+	return f, nil
+}
+
+// parseFooter reads the footer line: record count, record block byte
+// length, checksum.
+func parseFooter(line string) (records, bytes int, sum uint64, err error) {
+	if _, err := fmt.Sscanf(line, "footer records=%d bytes=%d fnv64a=%x", &records, &bytes, &sum); err != nil {
+		return 0, 0, 0, fmt.Errorf("bad footer %q (truncated?)", firstN(line, 40))
+	}
+	return records, bytes, sum, nil
+}
+
+// parseRecord reads one `"id" value` line. The value must be an exact
+// decimal float or a well-formed `m1:` summary encoding.
+func parseRecord(line string) (id, val string, err error) {
+	sep := strings.LastIndexByte(line, ' ')
+	if sep < 0 {
+		return "", "", fmt.Errorf("bad record line %q", firstN(line, 40))
+	}
+	if id, err = strconv.Unquote(line[:sep]); err != nil {
+		return "", "", fmt.Errorf("bad record id in %q", firstN(line, 40))
+	}
+	val = line[sep+1:]
+	if measure.IsEncodedSummary(val) {
+		// Sketch-backend sweeps checkpoint whole delay summaries, not
+		// scalar bounds; the encoding is space-free so the last-space
+		// record split above still isolates it.
+		if _, err := measure.DecodeSummary(val); err != nil {
+			return "", "", fmt.Errorf("record %q has bad summary: %v", id, err)
+		}
+	} else if _, err := strconv.ParseFloat(val, 64); err != nil {
+		return "", "", fmt.Errorf("record %q has bad value %q", id, val)
+	}
+	return id, val, nil
 }
 
 // ValidFragment reports whether a complete, integrity-checked fragment

@@ -61,6 +61,45 @@ func TestFragmentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFragmentBytesPinned pins the file format byte for byte: a writer
+// change that moves a byte breaks every fragment and checkpoint already
+// on disk. The literal was written by the format's first writer, with
+// NaN, +Inf and an ID that needs escaping.
+func TestFragmentBytesPinned(t *testing.T) {
+	f := &Fragment{Sweep: "fig1", Shard: Spec{1, 3}, UniverseHash: 0xc0ffee, Records: map[string]string{
+		"ex1/fifo/h=2/x=0.2":     strconv.FormatFloat(123.456789012345, 'g', -1, 64),
+		"ex1/bmux/h=5/x=0.35":    strconv.FormatFloat(math.NaN(), 'g', -1, 64),
+		"ex3/edf/h=30/x=0.9":     strconv.FormatFloat(math.Inf(1), 'g', -1, 64),
+		"ex2/\"quoted\" id\n\tä": strconv.FormatFloat(-1e-300, 'g', -1, 64),
+	}}
+	const want = "deltasched-fragment v1 sweep=fig1 shard=1/3 universe=0000000000c0ffee\n" +
+		"\"ex1/bmux/h=5/x=0.35\" NaN\n" +
+		"\"ex1/fifo/h=2/x=0.2\" 123.456789012345\n" +
+		"\"ex2/\\\"quoted\\\" id\\n\\tä\" -1e-300\n" +
+		"\"ex3/edf/h=30/x=0.9\" +Inf\n" +
+		"footer records=4 bytes=124 fnv64a=6ebb15ba066bf774\n"
+	path, err := WriteFragment(t.TempDir(), f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != want {
+		t.Fatalf("fragment bytes changed:\n got %q\nwant %q", raw, want)
+	}
+	got, err := ReadFragment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, v := range f.Records {
+		if got.Records[id] != v {
+			t.Fatalf("record %q = %q, want %q", id, got.Records[id], v)
+		}
+	}
+}
+
 // Fragment records may carry encoded delay summaries instead of scalar
 // bounds: both backends must round-trip byte-identically, and a damaged
 // summary must fail integrity like any other bad value.

@@ -66,9 +66,12 @@ func Retryable(err error) bool {
 // experiments.ErrPanic, carrying the stack in its message); transient
 // failures back off exponentially with deterministic jitter derived
 // from key and retry, so a replayed run sleeps the same schedule.
-// Unlike ParMapCtx's item deadline, the attempt runs on the calling
-// goroutine: a hung fn must honour its context for the deadline to
-// bite.
+//
+// A deadlined attempt runs on its own goroutine and is abandoned at the
+// deadline, so an fn that ignores its context cannot hold the caller
+// past it; the abandoned goroutine runs on until fn returns, and its
+// result is dropped. An attempt without a deadline runs on the calling
+// goroutine.
 func Retry[T any](ctx context.Context, pol RetryPolicy, key string, fn func(ctx context.Context) (T, error)) (T, error) {
 	var zero T
 	attempts := pol.MaxAttempts
@@ -100,23 +103,42 @@ func Retry[T any](ctx context.Context, pol RetryPolicy, key string, fn func(ctx 
 }
 
 // runAttempt executes one deadlined, panic-isolated attempt.
-func runAttempt[T any](ctx context.Context, timeout time.Duration, fn func(ctx context.Context) (T, error)) (v T, err error) {
-	actx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+func runAttempt[T any](ctx context.Context, timeout time.Duration, fn func(ctx context.Context) (T, error)) (T, error) {
+	if timeout <= 0 {
+		return isolate(ctx, fn)
 	}
+	actx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	type result struct {
+		v   T
+		err error
+	}
+	ch := make(chan result, 1) // buffered: an abandoned attempt must not leak its goroutine
+	go func() {
+		v, err := isolate(actx, fn)
+		ch <- result{v, err}
+	}()
+	var r result
+	select {
+	case r = <-ch:
+	case <-actx.Done():
+		r.err = actx.Err()
+	}
+	if r.err != nil && errors.Is(r.err, context.DeadlineExceeded) && ctx.Err() == nil {
+		r.err = fmt.Errorf("attempt exceeded %v: %w", timeout, r.err)
+	}
+	return r.v, r.err
+}
+
+// isolate calls fn, turning a panic into an error wrapping
+// experiments.ErrPanic.
+func isolate[T any](ctx context.Context, fn func(ctx context.Context) (T, error)) (v T, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("%w: %v\n%s", experiments.ErrPanic, rec, debug.Stack())
 		}
 	}()
-	v, err = fn(actx)
-	if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil && timeout > 0 {
-		err = fmt.Errorf("attempt exceeded %v: %w", timeout, err)
-	}
-	return v, err
+	return fn(ctx)
 }
 
 // backoff is BaseDelay doubled per retry, capped at MaxDelay, with

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,7 +81,7 @@ func TestRetryDoesNotRetryPermanentErrors(t *testing.T) {
 }
 
 func TestRetryAttemptTimeoutRescuesHungPoint(t *testing.T) {
-	calls := 0
+	var calls atomic.Int32 // deadlined attempts run on their own goroutines
 	onRetryKeys := 0
 	pol := RetryPolicy{
 		MaxAttempts:    2,
@@ -88,8 +89,7 @@ func TestRetryAttemptTimeoutRescuesHungPoint(t *testing.T) {
 		OnRetry:        func(key string, attempt int, err error) { onRetryKeys++ },
 	}
 	v, err := Retry(context.Background(), pol, "hung", func(ctx context.Context) (int, error) {
-		calls++
-		if calls == 1 {
+		if calls.Add(1) == 1 {
 			<-ctx.Done() // hung point honours its context
 			return 0, ctx.Err()
 		}
@@ -100,6 +100,35 @@ func TestRetryAttemptTimeoutRescuesHungPoint(t *testing.T) {
 	}
 	if onRetryKeys != 1 {
 		t.Fatalf("OnRetry fired %d times, want 1", onRetryKeys)
+	}
+}
+
+// TestRetryAttemptTimeoutAbandonsStuckPoint: a point that ignores its
+// context is abandoned at the attempt deadline, with or without a retry
+// budget, instead of holding the caller until it returns.
+func TestRetryAttemptTimeoutAbandonsStuckPoint(t *testing.T) {
+	for _, attempts := range []int{1, 2} {
+		var calls atomic.Int32
+		start := time.Now()
+		pol := RetryPolicy{MaxAttempts: attempts, AttemptTimeout: 50 * time.Millisecond}
+		_, err := Retry(context.Background(), pol, "stuck", func(ctx context.Context) (int, error) {
+			calls.Add(1)
+			select {
+			case <-time.After(5 * time.Second):
+			case <-ctx.Done():
+				<-time.After(5 * time.Second)
+			}
+			return 1, nil
+		})
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("attempts=%d: stuck point held the caller for %v", attempts, elapsed)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("attempts=%d: got %v, want DeadlineExceeded", attempts, err)
+		}
+		if n := calls.Load(); n != int32(attempts) {
+			t.Fatalf("attempts=%d: fn called %d times", attempts, n)
+		}
 	}
 }
 

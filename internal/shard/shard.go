@@ -6,23 +6,28 @@
 // integrity-checked checkpoint fragment. A merge validates every
 // fragment (footer checksum, universe hash, partition membership),
 // detects overlap and gaps against the expected point-ID universe, and
-// reassembles a result set byte-identical to a single-process run.
+// reassembles a result set byte-identical to a single-process run. The
+// fragment is the repository's one persistence format: an unsharded
+// run's -checkpoint file is a Checkpoint, a fragment of shard 0 of 1
+// that one process rewrites as its points complete.
 //
 // The exactness story leans on invariants older PRs established: point
-// IDs are deterministic (PR 2), values are exact decimal float strings
-// (the checkpoint contract), and the partition is a pure function of
-// (universe length, shard spec) — so any interleaving of workers,
-// crashes, retries and reclaims converges to the same merged bytes.
+// IDs are deterministic (PR 2), values are exact decimal float strings,
+// and the partition is a pure function of (universe length, shard spec)
+// — so any interleaving of workers, crashes, retries and reclaims
+// converges to the same merged bytes.
 //
 // Failure handling is layered:
 //
 //   - Retry wraps one point evaluation with per-attempt deadlines and
 //     exponential backoff, retrying transient failures (panics, deadline
 //     expiries) and refusing permanent ones (ErrBadConfig,
-//     ErrInfeasible) per the internal/core error taxonomy.
+//     ErrInfeasible) per the internal/core error taxonomy. It backs the
+//     unsharded runner too.
 //   - Fragments are written atomically (unique temp + fsync + rename)
 //     and carry a footer checksum, so a torn or corrupted file is
-//     detected, never merged.
+//     detected, never merged. A damaged checkpoint is salvaged instead:
+//     a torn one keeps its intact records, an altered one none.
 //   - Leases expire: a crashed worker's shard becomes reclaimable after
 //     the TTL, with at-least-once semantics — two workers racing the
 //     same shard both write the same bytes.

@@ -58,7 +58,7 @@ func (w *Worker) RunShard(ctx context.Context, sp Spec) (map[string]string, erro
 	}
 	idxs := PartitionIndices(len(w.Universe), sp)
 	vals := make([]string, len(idxs))
-	_, _, err := experiments.ParMapCtx(ctx, w.Workers, seq(len(idxs)), func(ctx context.Context, j int) (struct{}, error) {
+	_, err := experiments.ParMapCtx(ctx, w.Workers, seq(len(idxs)), func(ctx context.Context, j int) (struct{}, error) {
 		idx := idxs[j]
 		id := w.Universe[idx]
 		v, err := Retry(ctx, w.Retry, id, func(actx context.Context) (float64, error) {
@@ -79,7 +79,7 @@ func (w *Worker) RunShard(ctx context.Context, sp Spec) (map[string]string, erro
 		}
 		vals[j] = strconv.FormatFloat(v, 'g', -1, 64)
 		return struct{}{}, nil
-	}, experiments.RunOptions{OnDone: w.OnProgress})
+	}, w.OnProgress)
 	if err != nil {
 		return nil, err
 	}
