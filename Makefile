@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race stress cover bench bench-json bench-diff bench-smoke metrics-smoke chaos figs figs-quick ablate scenarios fmt vet check fuzz-smoke profile clean
+.PHONY: all build test test-short race stress cover bench bench-json bench-diff bench-smoke metrics-smoke chaos figs figs-quick ablate scenarios fmt vet perfbench-build check fuzz-smoke profile clean
 
 all: build test
 
@@ -109,6 +109,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# perfbench is its own module (replace deltasched => ../) that imports
+# internal APIs, so the root `go build ./...` never compiles it. Vet and
+# build it against this tree, so a change that breaks the benchmark
+# fails here.
+perfbench-build:
+	cd perfbench && $(GO) vet . && $(GO) build -o /dev/null .
+
 # Short fuzzing passes over the numeric kernels (one -fuzz target per
 # invocation is a Go toolchain restriction).
 fuzz-smoke:
@@ -116,13 +123,14 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCurveOps -fuzztime=10s ./internal/minplus/
 	$(GO) test -run='^$$' -fuzz=FuzzPseudoInverse -fuzztime=10s ./internal/minplus/
 
-# CI gate: formatting, static analysis, the full test suite, race-
-# sensitive packages (the scenario tier carries the replication
-# worker-count parity tests, the obs tier the tracer/registry concurrency
-# tests, the shard tier the lease/claim races), the chaos suite
-# (fault-injected sharded sweeps must merge byte-identical), the bench
-# regression gate over the committed trajectory, a live probe of the
-# /metrics endpoint, and a fuzz smoke test of the numeric kernels.
+# CI gate: formatting, static analysis, a vet and build of the perfbench
+# module, the full test suite, race-sensitive packages (the scenario tier
+# carries the replication worker-count parity tests, the obs tier the
+# tracer/registry concurrency tests, the shard tier the lease/claim
+# races), the chaos suite (fault-injected sharded sweeps must merge
+# byte-identical), the bench regression gate over the committed
+# trajectory, a live probe of the /metrics endpoint, and a fuzz smoke
+# test of the numeric kernels.
 check:
 	@unformatted=$$(gofmt -l cmd internal examples bench_test.go); \
 	if [ -n "$$unformatted" ]; then \
@@ -130,6 +138,7 @@ check:
 	fi
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) perfbench-build
 	$(GO) test ./...
 	$(MAKE) race
 	$(MAKE) chaos

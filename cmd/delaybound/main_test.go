@@ -34,6 +34,11 @@ func TestRunFlagValidation(t *testing.T) {
 		bad  bool // want core.ErrBadConfig, not just an error
 	}{
 		{"edf without deadlines", []string{"-sched", "edf"}, true},
+		// A non-finite deadline would price another scheduler's bound
+		// (d0 = Inf is BMUX's, dc = Inf SP's) or fail as infeasible.
+		{"infinite edf through deadline", []string{"-sched", "edf", "-edf-d0", "Inf", "-edf-dc", "5"}, true},
+		{"infinite edf cross deadline", []string{"-sched", "edf", "-edf-d0", "5", "-edf-dc", "Inf"}, true},
+		{"NaN edf through deadline", []string{"-sched", "edf", "-edf-d0", "NaN", "-edf-dc", "5"}, true},
 		{"unknown scheduler", []string{"-sched", "unknown"}, true},
 		{"invalid source", []string{"-p11", "1.4"}, true},
 		{"missing config file", []string{"-config", "/nonexistent.json"}, false},

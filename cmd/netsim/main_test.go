@@ -70,6 +70,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-C", "Inf"},
 		{"-H", "0"},
 		{"-backend", "sim", "-C", "-5"},
+		{"-sched", "edf", "-edf-d0", "Inf"},
+		{"-backend", "analytic", "-sched", "edf", "-edf-d0", "Inf"},
 		{"-checkpoint", filepath.Join(t.TempDir(), "check.frag")},
 	} {
 		err := run(append(args, "-slots", "1000"))

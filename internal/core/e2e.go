@@ -179,7 +179,7 @@ func (s *Scratch) DelayBound(cfg PathConfig, eps float64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if res.D > bestD { // golden refinement should never lose to the grid
+	if !(res.D <= bestD) { // golden refinement should never lose to the grid (nor be NaN)
 		return s.delayBoundAtGamma(cfg, eps, bestG)
 	}
 	return res, nil
@@ -345,8 +345,10 @@ func growTo(buf []float64, n int) []float64 {
 // summation sequence, so d and xOpt are bit-identical to calling thetaAt
 // per hop (pinned by batch_test.go against a verbatim copy of the old
 // loop). Inputs the closed forms are not safe for — NaN parameters,
-// non-positive service rates, infinite σ — fall back to the thetaAt
-// loop itself, preserving its NaN propagation exactly.
+// non-positive service rates, infinite σ — return NaN: no validated
+// configuration reaches them (PathConfig.Validate with γ in (0, γmax)
+// keeps every leftover rate positive), and PaperRecipe rejects them at
+// its entry.
 func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xOpt float64) {
 	s.stats.innerCalls++
 	beta := rhoc + gamma // rate of the cross sample-path envelope
@@ -361,9 +363,8 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 
 	// The specialized sweeps assume every θ term evaluates finite and
 	// non-negative: positive service rates (net of β where the regime
-	// divides by ch−β), finite non-negative σ and β. Anything else —
-	// unreachable through validated configurations, but reachable through
-	// the exported innerMinimize — takes the verbatim thetaAt loop.
+	// divides by ch−β), finite non-negative σ and β. Anything else is
+	// outside the solver's domain.
 	spCase := math.IsInf(delta, -1)
 	fast := !math.IsNaN(delta) &&
 		sigma >= 0 && !math.IsInf(sigma, 1) &&
@@ -374,7 +375,7 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 		fast = chs[h-1]-beta > 0
 	}
 	if !fast {
-		return s.innerSolveSlow(h, c, gamma, rhoc, delta, sigma)
+		return math.NaN(), math.NaN()
 	}
 
 	// SoA ratio tables per Δ regime. soch[i] = σ/ch_i is the β-free
@@ -573,61 +574,6 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 	return best, xOpt
 }
 
-// innerSolveSlow is the original formula-per-hop breakpoint sweep,
-// kept verbatim as the fallback for inputs outside the specialized
-// sweep's domain (and as the reference the fast path is tested
-// against).
-func (s *Scratch) innerSolveSlow(h int, c, gamma, rhoc, delta, sigma float64) (d, xOpt float64) {
-	beta := rhoc + gamma
-
-	// Candidate breakpoints of d(X).
-	cands := append(s.cands[:0], 0)
-	for i := 1; i <= h; i++ {
-		ch := c - float64(i-1)*gamma
-		switch {
-		case math.IsInf(delta, -1):
-			cands = append(cands, sigma/ch)
-		case delta <= 0:
-			if x := sigma / ch; x <= -delta {
-				cands = append(cands, x)
-			}
-			if x := (sigma + beta*delta) / (ch - beta); x >= -delta {
-				cands = append(cands, x)
-			}
-			cands = append(cands, -delta)
-		default: // delta >= 0, possibly +Inf
-			cands = append(cands, sigma/(ch-beta))
-			if !math.IsInf(delta, 1) {
-				if x := sigma/(ch-beta) - delta; x > 0 {
-					cands = append(cands, x)
-				}
-			}
-		}
-	}
-	s.cands = cands
-	s.stats.innerCands += int64(len(cands))
-
-	best := math.Inf(1)
-	for _, x := range cands {
-		if x < 0 || math.IsNaN(x) {
-			continue
-		}
-		total := x
-		for i := 1; i <= h; i++ {
-			total += thetaAt(c-float64(i-1)*gamma, beta, delta, sigma, x)
-		}
-		switch tol := 1e-12 * (1 + math.Abs(total)); {
-		case math.IsInf(best, 1):
-			best, xOpt = total, x
-		case total < best-tol:
-			best, xOpt = total, x
-		case total <= best+tol && x > xOpt:
-			xOpt = x
-		}
-	}
-	return best, xOpt
-}
-
 // thetaAt returns θ^h(X): the smallest θ >= 0 with
 // ch·(X+θ) − β·[X + min(Δ,θ)]_+ >= σ.
 func thetaAt(ch, beta, delta, sigma, x float64) float64 {
@@ -692,9 +638,19 @@ func FIFOClosedForm(h int, c, gamma, rhoc, sigma float64) float64 {
 
 // PaperRecipe implements the paper's explicit K-selection procedure
 // (Eqs. 40–42) for general Δ. The paper notes the choice is near-optimal
-// rather than optimal; tests compare it against the exact solver.
+// rather than optimal; tests compare it against the exact solver. Inputs
+// outside the analysis' domain — h < 1, a non-positive or infinite C,
+// γ <= 0, ρ_c < 0, a NaN Δ, a negative or non-finite σ, or an unstable
+// point C − ρ_c − Hγ <= 0 — return NaN.
 func PaperRecipe(h int, c, gamma, rhoc, delta, sigma float64) float64 {
 	beta := rhoc + gamma
+	// The last hop's leftover rate is formed as innerSolve forms it, so
+	// every input that passes here is inside the exact solver's domain.
+	if h < 1 || !(c > 0) || math.IsInf(c, 1) || !(gamma > 0) || !(rhoc >= 0) ||
+		math.IsNaN(delta) || !(sigma >= 0) || math.IsInf(sigma, 1) ||
+		!(c-float64(h-1)*gamma-beta > 0) {
+		return math.NaN()
+	}
 	condition := func(k int) bool { // Eq. (40)
 		sum := 0.0
 		for i := k + 1; i <= h; i++ {

@@ -122,6 +122,47 @@ func TestInnerMinimizeMatchesFIFOClosedForm(t *testing.T) {
 	}
 }
 
+// TestPaperRecipeDomain pins PaperRecipe's entry check: every raw input
+// outside the analysis' domain returns NaN instead of a finite number
+// priced from an unstable or degenerate point.
+func TestPaperRecipeDomain(t *testing.T) {
+	// A stable point: C − ρ_c − Hγ = 100 − 40 − 3 > 0.
+	const h, c, gamma, rhoc, delta, sigma = 3, 100.0, 1.0, 40.0, 0.0, 250.0
+	if d := PaperRecipe(h, c, gamma, rhoc, delta, sigma); math.IsNaN(d) || d <= 0 {
+		t.Fatalf("stable point: got %g, want a positive bound", d)
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name                         string
+		h                            int
+		c, gamma, rhoc, delta, sigma float64
+	}{
+		{"h = 0", 0, c, gamma, rhoc, delta, sigma},
+		{"h < 0", -2, c, gamma, rhoc, delta, sigma},
+		{"c = 0", h, 0, gamma, rhoc, delta, sigma},
+		{"c < 0", h, -100, gamma, rhoc, delta, sigma},
+		{"c = +Inf", h, inf, gamma, rhoc, delta, sigma},
+		{"c NaN", h, nan, gamma, rhoc, delta, sigma},
+		{"gamma = 0", h, c, 0, rhoc, delta, sigma},
+		{"gamma < 0", h, c, -1, rhoc, delta, sigma},
+		{"gamma NaN", h, c, nan, rhoc, delta, sigma},
+		{"rhoc < 0", h, c, gamma, -1, delta, sigma},
+		{"rhoc NaN", h, c, gamma, nan, delta, sigma},
+		{"delta NaN", h, c, gamma, rhoc, nan, sigma},
+		{"sigma < 0", h, c, gamma, rhoc, delta, -1},
+		{"sigma = +Inf", h, c, gamma, rhoc, delta, inf},
+		{"sigma NaN", h, c, gamma, rhoc, delta, nan},
+		{"unstable", 3, 100, 1, 200, delta, sigma},
+		{"unstable, BMUX", 3, 100, 1, 200, inf, sigma},
+		{"unstable, SP", 3, 100, 1, 200, -inf, sigma},
+		{"exactly critical", 4, 100, 10, 60, delta, sigma},
+	} {
+		if d := PaperRecipe(tc.h, tc.c, tc.gamma, tc.rhoc, tc.delta, tc.sigma); !math.IsNaN(d) {
+			t.Errorf("%s: got %g, want NaN", tc.name, d)
+		}
+	}
+}
+
 func TestPaperRecipeNearOptimal(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {

@@ -81,35 +81,6 @@ func (d Distribution) Merge(o Distribution) Distribution {
 	return out
 }
 
-// MergedDistribution pools the distributions of R replication recorders
-// by folding Merge in index order — the fold order is fixed, so for a
-// fixed set of inputs the result is bit-identical regardless of how the
-// replications were scheduled across workers.
-func MergedDistribution(recs []*DelayRecorder) Distribution {
-	var out Distribution
-	for i, r := range recs {
-		if i == 0 {
-			out = r.Distribution().canonical()
-			continue
-		}
-		out = out.Merge(r.Distribution())
-	}
-	return out
-}
-
-// MergeAll folds already-computed distributions in index order.
-func MergeAll(ds []Distribution) Distribution {
-	var out Distribution
-	for i, d := range ds {
-		if i == 0 {
-			out = d.canonical()
-			continue
-		}
-		out = out.Merge(d)
-	}
-	return out
-}
-
 // CensoredFraction returns the share of observed volume whose delay was
 // right-censored by the simulation horizon: censored / (measured +
 // censored). Zero when nothing was observed.

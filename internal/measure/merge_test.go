@@ -131,7 +131,7 @@ func TestMergeCommutativeBitIdentical(t *testing.T) {
 // of one distribution holding the concatenated sample set.
 func TestMergedQuantilesMatchConcatenatedRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	var parts []Distribution
+	var parts []Summary
 	var concat Distribution
 	for rep := 0; rep < 4; rep++ {
 		var d Distribution
@@ -145,9 +145,13 @@ func TestMergedQuantilesMatchConcatenatedRun(t *testing.T) {
 			concat.weights = append(concat.weights, w)
 			concat.totalBits += w
 		}
-		parts = append(parts, d)
+		parts = append(parts, &d)
 	}
-	merged := MergeAll(parts)
+	pooled, err := MergeSummaries(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := pooled.(*Distribution)
 	for _, p := range []float64{0.1, 0.5, 0.9, 0.99, 1} {
 		qm, err1 := merged.Quantile(p)
 		qc, err2 := concat.Quantile(p)
@@ -168,7 +172,12 @@ func TestMergedQuantilesMatchConcatenatedRun(t *testing.T) {
 func TestMergedDistributionFromRecorders(t *testing.T) {
 	r1 := recordRun(t, []float64{2, 0}, []float64{0, 2})
 	r2 := recordRun(t, []float64{3, 0, 0}, []float64{0, 0, 3})
-	m := MergedDistribution([]*DelayRecorder{r1, r2})
+	d1, d2 := r1.Distribution(), r2.Distribution()
+	pooled, err := MergeSummaries([]Summary{&d1, &d2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := pooled.(*Distribution)
 	if got := m.delays; !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("merged support %v, want [1 2]", got)
 	}

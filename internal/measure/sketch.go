@@ -32,7 +32,7 @@ package measure
 // Merge(a,b) is bit-identical to Merge(b,a)), and compaction is a pure
 // function of the tuple list. Under the index-order fold of
 // MergeSummaries the pooled sketch is therefore invariant to worker
-// count, exactly like MergedDistribution. Merging inflates d by the
+// count, exactly like a pooled Distribution. Merging inflates d by the
 // straddling tuples' g — bounded by the compaction target 2W/SketchK
 // per merge — so the reported rank error stays O(1/SketchK) no matter
 // how many replications fold in.

@@ -127,10 +127,9 @@ func (b Backend) New() Summary {
 }
 
 // MergeSummaries pools summaries by folding MergeFrom in index order
-// over a clone of the first entry — the same fixed fold order as
-// MergedDistribution, so for a fixed input slice the result is
-// bit-identical regardless of how the inputs were produced across
-// workers. The inputs are not modified.
+// over a clone of the first entry. The fold order is fixed, so for a
+// fixed input slice the result is bit-identical regardless of how the
+// inputs were produced across workers. The inputs are not modified.
 func MergeSummaries(ss []Summary) (Summary, error) {
 	if len(ss) == 0 {
 		return nil, ErrNoSamples

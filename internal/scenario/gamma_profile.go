@@ -60,7 +60,7 @@ func init() {
 }
 
 func evalGammaProfile(ctx context.Context, cfg Config, _ Backend) (Result, error) {
-	delta, err := deltaFor(cfg.Str("sched", "fifo"), cfg.Float("edf-d0", 0), cfg.Float("edf-dc", 0))
+	delta, err := flagDelta(cfg)
 	if err != nil {
 		return Result{}, err
 	}

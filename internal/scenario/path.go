@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -26,27 +25,6 @@ type PathDetail struct {
 	// failure (an infeasible additive bound is reported, not fatal).
 	Additive *core.AdditiveResult
 	AddErr   error
-}
-
-// deltaFor maps the delaybound scheduler names to the Δ_{0,c} constant.
-// Unlike SchedulerFor it has no simulator factory and rejects gps/drr —
-// the analytic path tool only handles Δ-schedulers.
-func deltaFor(sched string, d0, dc float64) (float64, error) {
-	switch sched {
-	case "fifo":
-		return 0, nil
-	case "bmux":
-		return math.Inf(1), nil
-	case "sp":
-		return math.Inf(-1), nil
-	case "edf":
-		if d0 <= 0 || dc <= 0 {
-			return 0, fmt.Errorf("%w: edf requires -edf-d0 and -edf-dc > 0", core.ErrBadConfig)
-		}
-		return d0 - dc, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown scheduler %q", core.ErrBadConfig, sched)
-	}
 }
 
 // checkPath rejects the α-independent inputs of a homogeneous path
@@ -130,7 +108,7 @@ func evalPath(ctx context.Context, cfg Config, _ Backend) (Result, error) {
 	if err := src.Validate(); err != nil {
 		return Result{}, fmt.Errorf("%w: %w", core.ErrBadConfig, err)
 	}
-	delta, err := deltaFor(cfg.Str("sched", "fifo"), cfg.Float("edf-d0", 0), cfg.Float("edf-dc", 0))
+	delta, err := flagDelta(cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -303,16 +281,8 @@ func ParsePathFile(raw []byte) (PathFile, error) {
 		if n.CrossFlows < 0 {
 			return PathFile{}, badField(path+".crossFlows", "must be >= 0, got %g", n.CrossFlows)
 		}
-		if n.Sched == "edf" {
-			if err := checkPositive(path+".edfD0", n.EDFD0); err != nil {
-				return PathFile{}, err
-			}
-			if err := checkPositive(path+".edfDc", n.EDFDc); err != nil {
-				return PathFile{}, err
-			}
-		}
 		if _, err := n.Delta(); err != nil {
-			return PathFile{}, fmt.Errorf("%w: config: %s.sched: %w", core.ErrBadConfig, path, err)
+			return PathFile{}, fmt.Errorf("%w: config: %s.%w", core.ErrBadConfig, path, err)
 		}
 	}
 	return pf, nil
@@ -323,9 +293,30 @@ func (pf PathFile) MMOO() envelope.MMOO {
 	return envelope.MMOO{Peak: pf.Source.Peak, P11: pf.Source.P11, P22: pf.Source.P22}
 }
 
-// Delta returns the node's Δ_{0,c} scheduling constant.
+// Delta returns the node's Δ_{0,c} scheduling constant. Its errors
+// start with the JSON name of the offending field (sched, edfD0, edfDc).
 func (n PathNode) Delta() (float64, error) {
-	switch n.Sched {
+	return schedDelta(n.Sched, n.EDFD0, n.EDFDc, "sched", "edfD0", "edfDc")
+}
+
+// flagDelta is PathNode.Delta for the -sched, -edf-d0 and -edf-dc
+// parameters of the analytic path scenarios; its errors name the flag.
+func flagDelta(cfg Config) (float64, error) {
+	delta, err := schedDelta(cfg.Str("sched", "fifo"), cfg.Float("edf-d0", 0), cfg.Float("edf-dc", 0),
+		"-sched", "-edf-d0", "-edf-dc")
+	if err != nil {
+		return 0, fmt.Errorf("%w: %w", core.ErrBadConfig, err)
+	}
+	return delta, nil
+}
+
+// schedDelta is the one table from scheduler name to Δ_{0,c} behind both
+// the config file and the path flags; schedName, d0Name and dcName label
+// the inputs in its errors. EDF deadlines must be positive and finite: an
+// infinite one would price another scheduler's bound (d0 = +Inf is BMUX's
+// Δ = +Inf, dc = +Inf SP's).
+func schedDelta(sched string, d0, dc float64, schedName, d0Name, dcName string) (float64, error) {
+	switch sched {
 	case "fifo":
 		return 0, nil
 	case "bmux":
@@ -333,12 +324,15 @@ func (n PathNode) Delta() (float64, error) {
 	case "sp":
 		return math.Inf(-1), nil
 	case "edf":
-		if n.EDFD0 <= 0 || n.EDFDc <= 0 {
-			return 0, errors.New("edf nodes need edfD0 and edfDc > 0")
+		if !(d0 > 0) || math.IsInf(d0, 1) {
+			return 0, fmt.Errorf("%s: must be positive and finite, got %g", d0Name, d0)
 		}
-		return n.EDFD0 - n.EDFDc, nil
+		if !(dc > 0) || math.IsInf(dc, 1) {
+			return 0, fmt.Errorf("%s: must be positive and finite, got %g", dcName, dc)
+		}
+		return d0 - dc, nil
 	default:
-		return 0, fmt.Errorf("unknown scheduler %q", n.Sched)
+		return 0, fmt.Errorf("%s: unknown scheduler %q", schedName, sched)
 	}
 }
 

@@ -192,6 +192,11 @@ func TestSchedulerForRejectsBadParams(t *testing.T) {
 		{"gps negative weight", "gps", 5, 50, 1, -2},
 		{"edf NaN deadline", "edf", nan, 50, 1, 1},
 		{"edf infinite deadlines", "edf", inf, inf, 1, 1},
+		// One infinite deadline would price another scheduler's bound:
+		// Δ = +∞ is BMUX's, Δ = −∞ SP's.
+		{"edf infinite through deadline", "edf", inf, 50, 1, 1},
+		{"edf infinite cross deadline", "edf", 5, inf, 1, 1},
+		{"edf -Inf through deadline", "edf", -inf, 50, 1, 1},
 	} {
 		mk, _, err := SchedulerFor(tc.name, tc.d0, tc.dc, tc.w0, tc.wc)
 		if !errors.Is(err, core.ErrBadConfig) {
@@ -201,9 +206,9 @@ func TestSchedulerForRejectsBadParams(t *testing.T) {
 			t.Errorf("%s: rejected parameters still produced a factory", tc.label)
 		}
 	}
-	// One infinite deadline leaves Δ = ±∞, the BMUX/SP limits of EDF.
-	if _, delta, err := SchedulerFor("edf", inf, 50, 1, 1); err != nil || !math.IsInf(delta, 1) {
-		t.Fatalf("edf d0=+Inf: delta %g, err %v; want +Inf, nil", delta, err)
+	// Any finite deadline sign still runs: Δ = d0 − dc.
+	if _, delta, err := SchedulerFor("edf", -3, 5, 1, 1); err != nil || delta != -8 {
+		t.Fatalf("edf d0=-3, dc=5: delta %g, err %v; want -8, nil", delta, err)
 	}
 }
 

@@ -131,8 +131,9 @@ func runTandem(ctx context.Context, spec simSpec) (measure.Summary, sim.Stats, *
 // are not Δ-schedulers; they report delta = NaN and the analytic backend
 // falls back to the BMUX bound (valid for any work-conserving
 // locally-FIFO discipline). Parameters the named discipline cannot run
-// on — an undefined EDF Δ, non-positive or infinite weights — fail with
-// core.ErrBadConfig, so the factory never sees them.
+// on — a NaN or infinite EDF deadline, non-positive or infinite weights —
+// fail with core.ErrBadConfig, so the factory never sees them. EDF
+// deadlines may have either sign.
 func SchedulerFor(name string, d0, dc, w0, wc float64) (func(int) sim.Scheduler, float64, error) {
 	switch name {
 	case "fifo":
@@ -145,8 +146,8 @@ func SchedulerFor(name string, d0, dc, w0, wc float64) (func(int) sim.Scheduler,
 		}, math.Inf(-1), nil
 	case "edf":
 		delta := d0 - dc
-		if math.IsNaN(delta) {
-			return nil, 0, fmt.Errorf("%w: edf deadlines d0=%g, dc=%g leave Δ = d0 − dc undefined",
+		if math.IsNaN(delta) || math.IsInf(delta, 0) {
+			return nil, 0, fmt.Errorf("%w: edf deadlines d0=%g, dc=%g leave Δ = d0 − dc non-finite",
 				core.ErrBadConfig, d0, dc)
 		}
 		return func(int) sim.Scheduler {
@@ -302,10 +303,8 @@ func runReplicated(ctx context.Context, spec simSpec) (repOutcome, error) {
 			out.Stats.MaxBacklog = r.stats.MaxBacklog
 		}
 	}
-	// MergeSummaries folds in replication index order over a clone —
-	// on the exact backend this is bit-identical to the former
-	// MergedDistribution fold, so pooled results stay worker-count
-	// invariant and byte-identical to the pre-seam pipeline.
+	// MergeSummaries folds in replication index order over a clone, so
+	// pooled results stay worker-count invariant.
 	_, msp := obs.StartSpan(ctx, "merge")
 	pooled, err := measure.MergeSummaries(out.PerRep)
 	msp.End()

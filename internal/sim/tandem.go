@@ -65,10 +65,9 @@ type Tandem struct {
 
 	// IndependentSources declares that Through and every Cross source
 	// draw from disjoint RNG streams (or are deterministic). The block
-	// loop may then drain each source a whole block at a time via
-	// traffic.BlockSource, instead of the default slot-major interleave
-	// that preserves the draw order of sources sharing one RNG. Setting
-	// this on sources that do share an RNG changes the sample path.
+	// loop does not need the declaration: it always fills slot-major,
+	// which keeps the draw order of sources sharing one RNG and, for
+	// disjoint streams, gives the same sample path as any other order.
 	IndependentSources bool
 
 	nodes   []Scheduler
@@ -276,16 +275,6 @@ type tandemState struct {
 // fill drains the sources for the next nb slots into the block buffers.
 func (st *tandemState) fill(nb int) {
 	t := st.t
-	if t.IndependentSources {
-		traffic.FillBlock(t.Through, st.thr[:nb])
-		for i, cs := range t.Cross {
-			if cs != nil {
-				row := st.cross[i*st.bs:]
-				traffic.FillBlock(cs, row[:nb])
-			}
-		}
-		return
-	}
 	// Slot-major: the through and cross aggregates share one RNG in the
 	// default wiring, so their draws must interleave per slot in exactly
 	// the order of the old loop (through first, then cross in node order).

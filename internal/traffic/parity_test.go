@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"deltasched/internal/envelope"
-	"deltasched/internal/minplus"
 	"deltasched/internal/randx"
 )
 
@@ -101,86 +100,6 @@ func tandemBanks(t *testing.T, m envelope.MMOO, rng randx.Uniform) []*Aggregate 
 	}
 	return banks
 }
-
-// TestNextBlockMatchesNext pins the BlockSource contract on every
-// implementation: NextBlock over ragged block sizes must reproduce the
-// exact per-slot Next sequence, including RNG consumption order.
-func TestNextBlockMatchesNext(t *testing.T) {
-	m := envelope.PaperSource()
-	env := minplus.Affine(0.7, 3)
-	build := func(seed int64) map[string]Source {
-		rng := randx.NewRand(seed)
-		mmoo, err := NewMMOO(m, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slowMMOO, err := NewMMOO(m, rand.New(rand.NewSource(seed+100)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		agg, err := NewMMOOAggregate(m, 7, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		count, err := NewMMOOCountAggregate(m, 12, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		greedy, err := NewGreedy(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace := &Trace{Data: []float64{1, 2, -3, 0, 4, 5, -1, 7}}
-		return map[string]Source{
-			"mmoo-fast":  mmoo,
-			"mmoo-slow":  slowMMOO,
-			"aggregate":  agg,
-			"countagg":   count,
-			"cbr":        CBR{Rate: 1.5},
-			"greedy":     greedy,
-			"trace":      trace,
-			"pulse":      &Pulse{Start: 5, Size: 9},
-			"delayed":    &Delayed{Start: 6, Src: &Trace{Data: []float64{2, 2, 2}}},
-			"periodic":   &PeriodicOnOff{Rate: 2, On: 3, Off: 2, Phase: 1},
-			"plain-next": nextOnly{CBR{Rate: 0.25}},
-		}
-	}
-	// Two identically-seeded universes: one drained per slot, one in
-	// ragged blocks (including zero-length fills).
-	perSlot := build(77)
-	blocked := build(77)
-	sizes := []int{1, 3, 0, 16, 5, 2, 31, 8, 64, 11}
-	names := make([]string, 0, len(perSlot))
-	for name := range perSlot {
-		names = append(names, name)
-	}
-	buf := make([]float64, 64)
-	slot := 0
-	for round := 0; round < 40; round++ {
-		n := sizes[round%len(sizes)]
-		for _, name := range names {
-			want := make([]float64, n)
-			for i := range want {
-				want[i] = perSlot[name].Next()
-			}
-			got := buf[:n]
-			FillBlock(blocked[name], got)
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("%s: slot %d (round %d): block %x != per-slot %x",
-						name, slot+i, round, got[i], want[i])
-				}
-			}
-		}
-		slot += n
-	}
-}
-
-// nextOnly hides a source's NextBlock so FillBlock's per-slot fallback is
-// exercised.
-type nextOnly struct{ s Source }
-
-func (n nextOnly) Next() float64 { return n.s.Next() }
 
 // BenchmarkMMOOAggregate times the per-source bank's slot step on the
 // paper's 80-flow cross aggregate and reports ns per flow-slot, the unit

@@ -27,35 +27,6 @@ type Source interface {
 	Next() float64
 }
 
-// BlockSource is the batch seam of the simulator's slot loop: NextBlock
-// fills dst with the next len(dst) slots' arrivals, producing exactly the
-// values — and consuming any underlying randomness in exactly the order —
-// that len(dst) successive Next calls would. The contract is bit-identity,
-// not merely equality in distribution, because seeded sample paths are
-// pinned by golden fixtures.
-//
-// Callers must not assume more than that: when several sources share one
-// RNG (the simulator's default wiring), draining a whole block from one
-// source before the next reorders the shared stream, so such callers must
-// interleave per-slot (see sim.Tandem's IndependentSources flag).
-type BlockSource interface {
-	Source
-	// NextBlock is equivalent to: for i := range dst { dst[i] = s.Next() }.
-	NextBlock(dst []float64)
-}
-
-// FillBlock drains len(dst) slots from src, using NextBlock when
-// implemented and falling back to per-slot Next calls otherwise.
-func FillBlock(src Source, dst []float64) {
-	if bs, ok := src.(BlockSource); ok {
-		bs.NextBlock(dst)
-		return
-	}
-	for i := range dst {
-		dst[i] = src.Next()
-	}
-}
-
 // MMOO is a two-state Markov-modulated on-off source (paper Section V).
 // The initial state is drawn from the stationary distribution so that
 // finite simulations match the analysis without a warm-up phase.
@@ -116,38 +87,6 @@ func (s *MMOO) nextFast(r *randx.Rand) float64 {
 	return 0
 }
 
-// NextBlock implements BlockSource. On the concrete RNG the fill walks
-// geometric state-runs — emitting Peak (or 0) while drawing the one
-// transition uniform per slot — which keeps the stream identical while
-// letting the branch predictor see the run structure.
-func (s *MMOO) NextBlock(dst []float64) {
-	r := s.fast
-	if r == nil {
-		for i := range dst {
-			dst[i] = s.Next()
-		}
-		return
-	}
-	m := &s.model
-	on := s.on
-	for i := 0; i < len(dst); {
-		if on {
-			for i < len(dst) && on {
-				dst[i] = m.Peak
-				on = r.Float64() < m.P22
-				i++
-			}
-		} else {
-			for i < len(dst) && !on {
-				dst[i] = 0
-				on = r.Float64() >= m.P11
-				i++
-			}
-		}
-	}
-	s.on = on
-}
-
 // CBR is a constant bit rate source.
 type CBR struct {
 	Rate float64
@@ -155,13 +94,6 @@ type CBR struct {
 
 // Next implements Source.
 func (s CBR) Next() float64 { return s.Rate }
-
-// NextBlock implements BlockSource.
-func (s CBR) NextBlock(dst []float64) {
-	for i := range dst {
-		dst[i] = s.Rate
-	}
-}
 
 // Aggregate sums a set of sources (statistical multiplexing of flows into
 // the through- or cross-traffic aggregates of the paper's Fig. 1).
@@ -350,21 +282,6 @@ func mmooStep(o uint8, x uint64, thr *[2]uint64) uint8 {
 	return lt ^ o ^ 1
 }
 
-// NextBlock implements BlockSource. The fill stays slot-major across
-// members: the members share one RNG in the usual wiring, so a
-// member-major fill would reorder the shared stream.
-func (a *Aggregate) NextBlock(dst []float64) {
-	if a.mm != nil {
-		for i := range dst {
-			dst[i] = a.nextBank()
-		}
-		return
-	}
-	for i := range dst {
-		dst[i] = a.Next()
-	}
-}
-
 // Size returns the number of bundled flows.
 func (a *Aggregate) Size() int { return len(a.sources) }
 
@@ -442,23 +359,6 @@ func (a *CountAggregate) Next() float64 {
 	return out
 }
 
-// NextBlock implements BlockSource.
-func (a *CountAggregate) NextBlock(dst []float64) {
-	if a.fast != nil {
-		r := a.fast
-		for i := range dst {
-			dst[i] = float64(a.k) * a.model.Peak
-			stay := a.stay.SampleFast(r, a.k)
-			join := a.join.SampleFast(r, a.n-a.k)
-			a.k = stay + join
-		}
-		return
-	}
-	for i := range dst {
-		dst[i] = a.Next()
-	}
-}
-
 // Size returns the number of modeled flows.
 func (a *CountAggregate) Size() int { return a.n }
 
@@ -501,14 +401,6 @@ func (g *Greedy) Next() float64 {
 	return out
 }
 
-// NextBlock implements BlockSource (the envelope walk is deterministic, so
-// the per-slot loop is already exact).
-func (g *Greedy) NextBlock(dst []float64) {
-	for i := range dst {
-		dst[i] = g.Next()
-	}
-}
-
 // Delayed wraps a source, holding it silent for the first `start` slots —
 // used to inject a tagged arrival at a chosen time t*.
 type Delayed struct {
@@ -528,21 +420,6 @@ func (d *Delayed) Next() float64 {
 	return d.Src.Next()
 }
 
-// NextBlock implements BlockSource: the silent prefix is bulk-zeroed and
-// the remainder delegated to the wrapped source's block path.
-func (d *Delayed) NextBlock(dst []float64) {
-	i := 0
-	for i < len(dst) && d.slot < d.Start {
-		dst[i] = 0
-		d.slot++
-		i++
-	}
-	if i < len(dst) {
-		d.slot += len(dst) - i
-		FillBlock(d.Src, dst[i:])
-	}
-}
-
 // Pulse emits a single burst of the given size at slot Start and nothing
 // otherwise.
 type Pulse struct {
@@ -560,13 +437,6 @@ func (p *Pulse) Next() float64 {
 		return p.Size
 	}
 	return 0
-}
-
-// NextBlock implements BlockSource.
-func (p *Pulse) NextBlock(dst []float64) {
-	for i := range dst {
-		dst[i] = p.Next()
-	}
 }
 
 // Trace replays a recorded per-slot arrival sequence; past the end it
@@ -589,21 +459,6 @@ func (t *Trace) Next() float64 {
 		return 0
 	}
 	return v
-}
-
-// NextBlock implements BlockSource: a clamped copy of the recorded window
-// plus a zero tail past the end of the trace.
-func (t *Trace) NextBlock(dst []float64) {
-	n := copy(dst, t.Data[min(t.pos, len(t.Data)):])
-	t.pos += n
-	for i := 0; i < n; i++ {
-		if dst[i] < 0 {
-			dst[i] = 0
-		}
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] = 0
-	}
 }
 
 // PeriodicOnOff is a deterministic on-off source: Rate per slot for On
@@ -631,11 +486,4 @@ func (p *PeriodicOnOff) Next() float64 {
 		return p.Rate
 	}
 	return 0
-}
-
-// NextBlock implements BlockSource.
-func (p *PeriodicOnOff) NextBlock(dst []float64) {
-	for i := range dst {
-		dst[i] = p.Next()
-	}
 }
