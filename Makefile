@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race stress cover bench bench-json bench-diff bench-smoke metrics-smoke chaos figs figs-quick ablate scenarios fmt vet perfbench-build check fuzz-smoke profile clean
+.PHONY: all build test test-short race stress cover bench bench-json bench-diff bench-smoke metrics-smoke examples-smoke chaos figs figs-quick ablate scenarios fmt vet perfbench-build check fuzz-smoke profile clean
 
 all: build test
 
@@ -80,6 +80,15 @@ metrics-smoke:
 	if [ $$ok -ne 1 ]; then echo "metrics-smoke: /metrics never served the optimizer counters"; exit 1; fi; \
 	echo "metrics-smoke: /metrics served the optimizer counters"
 
+# Build and run every program under examples/, failing on a non-zero
+# exit: `go build ./...` only compiles them, so one that breaks at run
+# time would pass unnoticed.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "examples-smoke: $$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
+
 # Chaos suite under the race detector: every deterministic fault
 # injector (panic, hang, partial fragment write, fragment corruption)
 # plus the real SIGKILL-a-child e2e test, asserting that sharded sweeps
@@ -129,8 +138,8 @@ fuzz-smoke:
 # tracer/registry concurrency tests, the shard tier the lease/claim
 # races), the chaos suite (fault-injected sharded sweeps must merge
 # byte-identical), the bench regression gate over the committed
-# trajectory, a live probe of the /metrics endpoint, and a fuzz smoke
-# test of the numeric kernels.
+# trajectory, a live probe of the /metrics endpoint, a run of every
+# example program, and a fuzz smoke test of the numeric kernels.
 check:
 	@unformatted=$$(gofmt -l cmd internal examples bench_test.go); \
 	if [ -n "$$unformatted" ]; then \
@@ -145,6 +154,7 @@ check:
 	$(MAKE) bench-smoke
 	$(MAKE) bench-diff
 	$(MAKE) metrics-smoke
+	$(MAKE) examples-smoke
 	$(MAKE) fuzz-smoke
 
 # Profile a representative netsim run and show the hot functions.

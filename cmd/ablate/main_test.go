@@ -8,12 +8,35 @@ import (
 	"strings"
 	"testing"
 
+	"deltasched/internal/core"
 	"deltasched/internal/plot"
 )
 
 func TestRunHelpIsErrHelp(t *testing.T) {
 	if err := run([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h must surface flag.ErrHelp, got %v", err)
+	}
+}
+
+func TestRunFlagValidation(t *testing.T) {
+	for _, args := range [][]string{
+		{"-util", "-0.5"},
+		{"-util", "0"},
+		{"-util", "NaN"},
+		{"-util", "Inf"},
+		{"-reps", "0"},
+		{"-simworkers", "-1"},
+	} {
+		err := run(append([]string{"-quick"}, args...))
+		if !errors.Is(err, core.ErrBadConfig) || errors.Is(err, core.ErrInfeasible) {
+			t.Errorf("%v: want core.ErrBadConfig, got %v", args, err)
+		}
+	}
+	// Overload is a valid input without a finite bound: infeasible, not
+	// bad.
+	err := run([]string{"-quick", "-util", "1.5"})
+	if !errors.Is(err, core.ErrInfeasible) || errors.Is(err, core.ErrBadConfig) {
+		t.Fatalf("-util 1.5: want core.ErrInfeasible only, got %v", err)
 	}
 }
 

@@ -50,6 +50,11 @@ func TestRunFlagValidation(t *testing.T) {
 		{"NaN cross population", []string{"-nc", "NaN"}, true},
 		{"zero violation probability", []string{"-eps", "0"}, true},
 		{"checkpoint outside a sweep", []string{"-checkpoint", filepath.Join(t.TempDir(), "check.frag")}, true},
+		{"negative alpha", []string{"-alpha", "-1"}, true},
+		{"NaN alpha", []string{"-alpha", "NaN"}, true},
+		{"infinite alpha", []string{"-alpha", "Inf"}, true},
+		{"zero replications", []string{"-reps", "0"}, true},
+		{"negative replication workers", []string{"-simworkers", "-1"}, true},
 	} {
 		err := run(tc.args)
 		if err == nil {

@@ -27,8 +27,10 @@ import (
 	"fmt"
 	"os"
 
+	"deltasched/internal/core"
 	"deltasched/internal/envelope"
 	"deltasched/internal/measure"
+	"deltasched/internal/obs"
 	"deltasched/internal/runner"
 	"deltasched/internal/scenario"
 )
@@ -59,6 +61,9 @@ func run(args []string) error {
 	)
 	return app.Main(args, func(a *runner.App) error {
 		a.Sess.Report.Seed = *seed
+		if *every < 0 {
+			return fmt.Errorf("%w: -probe-every wants a stride >= 0, got %d", core.ErrBadConfig, *every)
+		}
 
 		sc, err := scenario.Get("tandem")
 		if err != nil {
@@ -114,7 +119,7 @@ func run(args []string) error {
 			if re := dist.RankError(); re > 0 {
 				fmt.Printf("quantile error   : rank within +%.3g of requested (%s backend, %d B resident)\n",
 					re, dist.BackendName(), dist.MemoryBytes())
-				a.Sess.Report.SetMetric("quantile_rank_error", re)
+				obs.Default.Gauge("quantile_rank_error", "rank-error bound of the reported delay quantiles", nil).Set(re)
 			}
 			if det.Reps > 1 {
 				if mean, half, err := measure.QuantileCI(det.PerRep, 1-*eps); err == nil {
@@ -142,9 +147,9 @@ func run(args []string) error {
 
 		if a.Backend.Has(scenario.Sim) {
 			a.Sess.Report.Nodes = det.Probe.Summaries()
-			a.Sess.Report.SetMetric("through_arrived_kbit", det.Stats.ThroughArrived)
-			a.Sess.Report.SetMetric("cross_arrived_kbit", det.Stats.CrossArrived)
-			a.Sess.Report.SetMetric("max_node_backlog_kbit", det.Stats.MaxBacklog)
+			obs.Default.Gauge("through_arrived_kbit", "through traffic that entered the path [kbit]", nil).Set(det.Stats.ThroughArrived)
+			obs.Default.Gauge("cross_arrived_kbit", "cross traffic that entered the path [kbit]", nil).Set(det.Stats.CrossArrived)
+			obs.Default.Gauge("max_node_backlog_kbit", "largest backlog of any node [kbit]", nil).Set(det.Stats.MaxBacklog)
 			for _, p := range []float64{0.5, 0.99, 0.999, 0.9999} {
 				if q, err := det.Dist.Quantile(p); err == nil {
 					a.Sess.Report.SetBound(fmt.Sprintf("delay_p%g_slots", 100*p), float64(q))

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"deltasched/internal/core"
@@ -73,6 +75,9 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-sched", "edf", "-edf-d0", "Inf"},
 		{"-backend", "analytic", "-sched", "edf", "-edf-d0", "Inf"},
 		{"-checkpoint", filepath.Join(t.TempDir(), "check.frag")},
+		{"-probe-every", "-1"},
+		{"-reps", "0"},
+		{"-simworkers", "-1"},
 	} {
 		err := run(append(args, "-slots", "1000"))
 		if !errors.Is(err, core.ErrBadConfig) || errors.Is(err, core.ErrInfeasible) {
@@ -91,12 +96,14 @@ func TestRunWritesReport(t *testing.T) {
 	dir := t.TempDir()
 	report := filepath.Join(dir, "r.json")
 	cpu := filepath.Join(dir, "cpu.prof")
-	err := run([]string{"-H", "2", "-C", "20", "-n0", "5", "-nc", "10",
-		"-slots", "3000", "-eps", "1e-2", "-seed", "3",
-		"-report", report, "-cpuprofile", cpu})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stderr := captureStderr(t, func() {
+		err := run([]string{"-H", "2", "-C", "20", "-n0", "5", "-nc", "10",
+			"-slots", "3000", "-eps", "1e-2", "-seed", "3",
+			"-report", report, "-cpuprofile", cpu, "-progress"})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 	data, err := os.ReadFile(report)
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +118,32 @@ func TestRunWritesReport(t *testing.T) {
 	if r.Config["slots"] != float64(3000) {
 		t.Fatalf("config not captured: slots=%v", r.Config["slots"])
 	}
-	if len(r.Stages) < 2 {
-		t.Fatalf("expected >= 2 stages (simulate, analyze), got %v", r.Stages)
+	// The stages are exactly the root span's children: simulate (the
+	// run) and analyze (the command's stage). Under -progress the run's
+	// time is on its progress line; only analyze prints a stage line.
+	names := map[string]bool{}
+	for _, st := range r.Stages {
+		names[st.Name] = true
+	}
+	if len(r.Stages) != 2 || !names["simulate"] || !names["analyze"] {
+		t.Fatalf("stages = %+v, want exactly simulate and analyze", r.Stages)
+	}
+	if r.Spans == nil {
+		t.Fatal("report has no span tree")
+	}
+	for _, st := range r.Stages {
+		var child *obs.SpanNode
+		for _, c := range r.Spans.Children {
+			if c.Name == st.Name {
+				child = c
+			}
+		}
+		if child == nil || st != (obs.StageTiming{Name: child.Name, WallSeconds: child.WallSeconds, CPUSeconds: child.CPUSeconds}) {
+			t.Errorf("stage %+v is not the root span child %+v", st, child)
+		}
+	}
+	if strings.Contains(stderr, "stage simulate") || !strings.Contains(stderr, "netsim: stage analyze") {
+		t.Errorf("want one stage line, for analyze only; stderr:\n%s", stderr)
 	}
 	if len(r.Nodes) != 2 {
 		t.Fatalf("expected 2 node summaries, got %d", len(r.Nodes))
@@ -131,4 +162,30 @@ func TestRunWritesReport(t *testing.T) {
 	if st, err := os.Stat(cpu); err != nil || st.Size() == 0 {
 		t.Fatalf("cpu profile not written: %v", err)
 	}
+}
+
+// captureStderr runs fn with os.Stderr redirected and returns what it
+// wrote.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	old := os.Stderr
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string, 1)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	func() {
+		// Restore and close even when fn fails the test.
+		defer func() {
+			os.Stderr = old
+			w.Close()
+		}()
+		os.Stderr = w
+		fn()
+	}()
+	return <-out
 }

@@ -2,9 +2,10 @@
 // (Figs. 2–4 of "Does Link Scheduling Matter on Long Paths?", ICDCS 2010)
 // from the analytical delay bounds implemented in this repository. Each
 // figure is printed as an aligned table and an ASCII chart, and optionally
-// written as CSV for external plotting. With -backend=sim or both, every
-// point is additionally replayed in the discrete-time simulator and the
-// empirical delay quantile is reported next to the bound.
+// written as CSV for external plotting. With -backend=both, every point
+// is additionally replayed in the discrete-time simulator and the
+// empirical delay quantile is reported next to the bound; with
+// -backend=sim, the figures show that quantile in place of the bound.
 //
 // A run is interruptible: SIGINT/SIGTERM cancels the sweeps, flushes the
 // checkpoint (when -checkpoint is set) and a partial run report, and
@@ -41,6 +42,8 @@ import (
 	"path/filepath"
 	"time"
 
+	"deltasched/internal/core"
+	"deltasched/internal/obs"
 	"deltasched/internal/plot"
 	"deltasched/internal/runner"
 	"deltasched/internal/scenario"
@@ -86,8 +89,23 @@ func run(args []string) error {
 				logY:   true,
 			},
 		}
+		known := *fig == "all"
+		for _, f := range figures {
+			known = known || *fig == f.id
+		}
+		if !known {
+			return fmt.Errorf("%w: -fig wants 1, 2, 3 or all, got %q", core.ErrBadConfig, *fig)
+		}
 		if a.Backend.Has(scenario.Sim) {
 			a.Sess.Report.Seed = *seed
+		}
+		// Without the analytic backend there is no bound to draw: the
+		// figure shows each point's simulated delay quantile instead, on
+		// a linear axis, since that quantile can be 0.
+		simOnly := a.Backend == scenario.Sim
+		ylabel := "delay bound [ms]"
+		if simOnly {
+			ylabel = fmt.Sprintf("simulated delay %g-quantile [ms]", 1-*simeps)
 		}
 
 		for _, f := range figures {
@@ -115,9 +133,13 @@ func run(args []string) error {
 				fmt.Printf("fig %s: shard fragment written in %v (run -merge to render)\n", f.id, time.Since(start).Round(time.Millisecond))
 				continue
 			}
-			series := scenario.Collect(pts, rs)
+			shown := rs
+			if simOnly {
+				shown = simQuantiles(rs)
+			}
+			series := scenario.Collect(pts, shown)
 			a.Sess.Report.SetExtra("fig"+f.id, series)
-			a.Sess.Report.SetMetric("fig"+f.id+"_series", float64(len(series)))
+			obs.Default.Gauge("fig"+f.id+"_series", "curves drawn in fig"+f.id, nil).Set(float64(len(series)))
 			fmt.Printf("\n%s   (computed in %v)\n\n", f.title, time.Since(start).Round(time.Millisecond))
 			if err := plot.Table(os.Stdout, f.xlabel, series...); err != nil {
 				return err
@@ -125,8 +147,8 @@ func run(args []string) error {
 			fmt.Println()
 			if err := plot.ASCII(os.Stdout, plot.Options{
 				XLabel: f.xlabel,
-				YLabel: "delay bound [ms]",
-				LogY:   f.logY,
+				YLabel: ylabel,
+				LogY:   f.logY && !simOnly,
 				Width:  84,
 				Height: 24,
 			}, series...); err != nil {
@@ -165,11 +187,7 @@ func printSimCheck(pts []scenario.Point, rs []scenario.Result, simeps float64) {
 	fmt.Printf("\nsimulator cross-check (delay quantile at 1-%g vs analytic bound):\n", simeps)
 	fmt.Printf("%-28s %10s %14s %16s\n", "series", "x", "bound [ms]", "sim quantile [ms]")
 	for i, pt := range pts {
-		q := math.NaN()
-		if v, ok := rs[i].Sim["sim_delay_quantile_slots"]; ok {
-			q = v
-		}
-		fmt.Printf("%-28s %10.4g %14.4g %16.4g", pt.Series, pt.X, rs[i].Analytic, q)
+		fmt.Printf("%-28s %10.4g %14.4g %16.4g", pt.Series, pt.X, rs[i].Analytic, simQuantile(rs[i]))
 		// Replicated runs carry a Student-t 95% half-width next to the
 		// pooled quantile.
 		if half, ok := rs[i].Sim["sim_delay_quantile_ci_slots"]; ok {
@@ -177,4 +195,22 @@ func printSimCheck(pts []scenario.Point, rs []scenario.Result, simeps float64) {
 		}
 		fmt.Println()
 	}
+}
+
+// simQuantiles replaces each point's value by its simulated quantile.
+func simQuantiles(rs []scenario.Result) []scenario.Result {
+	out := make([]scenario.Result, len(rs))
+	for i, r := range rs {
+		out[i].Analytic = simQuantile(r)
+	}
+	return out
+}
+
+// simQuantile is a point's simulated delay quantile at 1−simeps, NaN
+// when the simulator did not report one.
+func simQuantile(r scenario.Result) float64 {
+	if v, ok := r.Sim["sim_delay_quantile_slots"]; ok {
+		return v
+	}
+	return math.NaN()
 }

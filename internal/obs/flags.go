@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -123,21 +122,21 @@ func (s *Session) Instrumented() bool {
 	return s.Tracer != nil || s.flags.MetricsAddr != ""
 }
 
-// Stage times a named stage of the run, recording it in the report and —
-// when -progress is set — printing the timing on stderr. It returns the
-// function that ends the stage.
+// Stage times a named stage of the run as a child span of the session
+// root, so the report lists it among its stages, and — when -progress
+// is set — prints the timing on stderr. It returns the function that
+// ends the stage.
 func (s *Session) Stage(name string) func() {
 	if s == nil {
 		return func() {}
 	}
-	stop := s.Report.Stage(name)
-	if !s.Progress {
-		return stop
-	}
+	sp := s.root.Child(name)
 	start := time.Now()
 	return func() {
-		stop()
-		fmt.Fprintf(os.Stderr, "%s: stage %-16s %s\n", s.Report.Tool, name, fmtDur(time.Since(start)))
+		sp.End()
+		if s.Progress {
+			fmt.Fprintf(os.Stderr, "%s: stage %-16s %s\n", s.Report.Tool, name, fmtDur(time.Since(start)))
+		}
 	}
 }
 
@@ -164,9 +163,10 @@ func (s *Session) stopProfiles() {
 }
 
 // Close stops the CPU profile and trace, ends the root span, writes the
-// heap profile, the Chrome span trace and the JSON report (span tree
-// included), and shuts down the metrics endpoint, returning the first
-// error. Nil-safe and idempotent for the profile side.
+// heap profile, the Chrome span trace and the JSON report (span tree,
+// and the stages and totals taken from it), and shuts down the metrics
+// endpoint, returning the first error. Nil-safe and idempotent for the
+// profile side.
 func (s *Session) Close() error {
 	if s == nil {
 		return nil
@@ -182,7 +182,7 @@ func (s *Session) Close() error {
 		s.root.End()
 		s.Report.SetSpans(s.Tracer.Tree())
 		if n := s.Tracer.Dropped(); n > 0 {
-			s.Report.SetMetric("obs_spans_dropped", float64(n))
+			Default.Gauge("obs_spans_dropped", "spans discarded at the tracer's buffer cap", nil).Set(float64(n))
 		}
 		if s.flags.TraceFile != "" {
 			keep(s.Tracer.WriteChromeTraceFile(s.flags.TraceFile))
@@ -206,23 +206,4 @@ func (s *Session) Close() error {
 		s.metricsStop = nil
 	}
 	return first
-}
-
-// Exit implements the uniform CLI exit protocol for a command's run
-// function: nil returns normally; flag.ErrHelp exits 2 (the flag package
-// has already printed usage); an interrupted run (see Interrupted) prints
-// the error and exits 130, the shell convention for death by SIGINT;
-// anything else prints "tool: err" on stderr and exits 1.
-func Exit(tool string, err error) {
-	if err == nil {
-		return
-	}
-	if errors.Is(err, flag.ErrHelp) {
-		os.Exit(2)
-	}
-	fmt.Fprintln(os.Stderr, tool+":", err)
-	if Interrupted(err) {
-		os.Exit(130)
-	}
-	os.Exit(1)
 }

@@ -77,29 +77,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// Merge folds another histogram's observations into h. The two must
-// share identical bucket bounds — the invariant the replication
-// machinery relies on for mergeable summaries.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == nil || o == nil {
-		return fmt.Errorf("obs: merging nil histogram")
-	}
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("obs: histogram bucket mismatch: %d vs %d bounds", len(h.bounds), len(o.bounds))
-	}
-	for i, b := range h.bounds {
-		if b != o.bounds[i] {
-			return fmt.Errorf("obs: histogram bucket mismatch at %d: %g vs %g", i, b, o.bounds[i])
-		}
-	}
-	for i := range o.counts {
-		h.counts[i].Add(o.counts[i].Load())
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	return nil
-}
-
 // HistogramSnapshot is the JSON form of a histogram: per-bucket
 // (non-cumulative) counts aligned with the upper bounds, the +Inf bucket
 // last.

@@ -62,19 +62,3 @@ func (g *Gauge) Load() float64 {
 	}
 	return math.Float64frombits(g.bits.Load())
 }
-
-// Max raises the gauge to v if v is larger than the stored value.
-func (g *Gauge) Max(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}

@@ -32,13 +32,8 @@ func TestCounterAndGauge(t *testing.T) {
 
 	var g Gauge
 	g.Set(2.5)
-	g.Max(1.0)
 	if got := g.Load(); got != 2.5 {
-		t.Fatalf("gauge after lower Max = %g, want 2.5", got)
-	}
-	g.Max(7.25)
-	if got := g.Load(); got != 7.25 {
-		t.Fatalf("gauge after higher Max = %g, want 7.25", got)
+		t.Fatalf("gauge = %g, want 2.5", got)
 	}
 
 	// Nil receivers must be inert, not crash.
@@ -50,18 +45,22 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 	var ng *Gauge
 	ng.Set(1)
-	ng.Max(1)
 	if ng.Load() != 0 {
 		t.Fatal("nil gauge must read 0")
 	}
 }
 
 func TestReportStagesAndWrite(t *testing.T) {
-	r := NewReport("testtool")
+	path := filepath.Join(t.TempDir(), "report.json")
+	s, err := Flags{Report: path}.Start("testtool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := s.Report
 	if r.Version == "" {
 		t.Fatal("report must carry a version string")
 	}
-	stop := r.Stage("compute")
+	stop := s.Stage("compute")
 	busyLoop(5 * time.Millisecond)
 	stop()
 	r.SetBound("delay_bound", 42.5)
@@ -69,8 +68,7 @@ func TestReportStagesAndWrite(t *testing.T) {
 	r.SetExtra("note", "hello")
 	r.Seed = 7
 
-	path := filepath.Join(t.TempDir(), "report.json")
-	if err := r.WriteFile(path); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -96,16 +94,54 @@ func TestReportStagesAndWrite(t *testing.T) {
 	if back.Bounds["delay_bound"] != 42.5 || back.Metrics["points"] != 9 {
 		t.Fatalf("bounds/metrics lost: bounds=%v metrics=%v", back.Bounds, back.Metrics)
 	}
+	// The stages and the totals are the span tree's: each stage is the
+	// root span's child of the same name.
+	if back.Spans == nil || back.WallSeconds != back.Spans.WallSeconds || back.CPUSeconds != back.Spans.CPUSeconds {
+		t.Fatalf("totals (%g s wall, %g s CPU) are not the root span's: %+v", back.WallSeconds, back.CPUSeconds, back.Spans)
+	}
+	assertStagesAreRootChildren(t, &back)
 
 	// Nil-safe surface.
 	var nr *RunReport
-	nr.Stage("x")()
 	nr.SetBound("x", 1)
 	nr.SetMetric("x", 1)
 	nr.SetExtra("x", 1)
 	nr.Finalize()
 	if err := nr.WriteFile(path); err == nil {
 		t.Fatal("nil report WriteFile must error")
+	}
+}
+
+// assertStagesAreRootChildren checks that a report's stages are exactly
+// the children of its root span, timing included.
+func assertStagesAreRootChildren(t *testing.T, r *RunReport) {
+	t.Helper()
+	if r.Spans == nil || len(r.Stages) != len(r.Spans.Children) {
+		t.Fatalf("stages %+v do not match the root span's children %+v", r.Stages, r.Spans)
+	}
+	for i, st := range r.Stages {
+		c := r.Spans.Children[i]
+		if st != (StageTiming{Name: c.Name, WallSeconds: c.WallSeconds, CPUSeconds: c.CPUSeconds}) {
+			t.Errorf("stage %+v differs from root span child %+v", st, *c)
+		}
+	}
+}
+
+// TestSetMetricReachesRegistry: a one-off value is a registry gauge, so
+// it shows in the report and on /metrics alike.
+func TestSetMetricReachesRegistry(t *testing.T) {
+	r := NewReport("t")
+	r.SetMetric("obs_test_one_off", 4.5)
+	r.Finalize()
+	if got := r.Metrics["obs_test_one_off"]; got != 4.5 {
+		t.Fatalf("report metric = %g, want 4.5", got)
+	}
+	var b bytes.Buffer
+	if err := WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\nobs_test_one_off 4.5\n") {
+		t.Fatalf("one-off value missing from the exposition:\n%s", b.String())
 	}
 }
 

@@ -96,16 +96,6 @@ func (p *Progress) Abort(reason string) {
 		p.label, reason, p.lastDone, p.lastTotal, fmtDur(time.Since(p.start)))
 }
 
-// Counts returns the most recently observed (done, total). Nil-safe.
-func (p *Progress) Counts() (done, total int) {
-	if p == nil {
-		return 0, 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastDone, p.lastTotal
-}
-
 // fmtDur trims durations to a readable precision across the µs–minutes
 // range the tools produce.
 func fmtDur(d time.Duration) string {

@@ -65,7 +65,7 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 
 // Histogram returns the registered histogram, creating it on first use
 // with the given bucket upper bounds. Re-requesting with different
-// bounds panics (bucket layouts must agree for merges and exposition).
+// bounds panics (bucket layouts must agree for exposition).
 func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels) *Histogram {
 	return r.instance(name, help, "histogram", bounds, labels).hist
 }

@@ -67,10 +67,11 @@ func TestExpBuckets(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeParity checks the replication invariant: observing a
-// stream into one histogram equals splitting it across two and merging.
-// Run with -race: the observes race against each other by design.
-func TestHistogramMergeParity(t *testing.T) {
+// TestHistogramConcurrentObserve checks the lock-free hot path:
+// observing a stream from many goroutines at once gives the same bucket
+// counts, count and sum as observing it in sequence. Run with -race: the
+// observes race against each other by design.
+func TestHistogramConcurrentObserve(t *testing.T) {
 	bounds := []float64{1, 4, 16, 64}
 	mk := func() *Histogram {
 		h, err := NewHistogram(bounds)
@@ -79,45 +80,26 @@ func TestHistogramMergeParity(t *testing.T) {
 		}
 		return h
 	}
-	whole, partA, partB := mk(), mk(), mk()
+	whole, shared := mk(), mk()
 	var wg sync.WaitGroup
 	for i := 0; i < 200; i++ {
 		v := float64(i % 97)
 		whole.Observe(v)
 		wg.Add(1)
-		go func(v float64, toA bool) {
+		go func(v float64) {
 			defer wg.Done()
-			if toA {
-				partA.Observe(v)
-			} else {
-				partB.Observe(v)
-			}
-		}(v, i%2 == 0)
+			shared.Observe(v)
+		}(v)
 	}
 	wg.Wait()
-	if err := partA.Merge(partB); err != nil {
-		t.Fatal(err)
-	}
-	ws, as := whole.Snapshot(), partA.Snapshot()
-	if ws.Count != as.Count || ws.Sum != as.Sum {
-		t.Errorf("merge parity: whole (%d, %g) vs merged (%d, %g)", ws.Count, ws.Sum, as.Count, as.Sum)
+	ws, ss := whole.Snapshot(), shared.Snapshot()
+	if ws.Count != ss.Count || ws.Sum != ss.Sum {
+		t.Errorf("concurrent parity: sequential (%d, %g) vs concurrent (%d, %g)", ws.Count, ws.Sum, ss.Count, ss.Sum)
 	}
 	for i := range ws.Counts {
-		if ws.Counts[i] != as.Counts[i] {
-			t.Errorf("bucket %d: whole %d vs merged %d", i, ws.Counts[i], as.Counts[i])
+		if ws.Counts[i] != ss.Counts[i] {
+			t.Errorf("bucket %d: sequential %d vs concurrent %d", i, ws.Counts[i], ss.Counts[i])
 		}
-	}
-
-	other, err := NewHistogram([]float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := partA.Merge(other); err == nil {
-		t.Error("merging different bucket layouts must error")
-	}
-	var nilH *Histogram
-	if err := nilH.Merge(other); err == nil {
-		t.Error("merging into nil must error")
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 	"time"
 )
 
-// StageTiming is the cost of one named stage of a run.
+// StageTiming is the cost of one named stage of a run: one child of the
+// session's root span, summed over its occurrences.
 type StageTiming struct {
 	Name        string  `json:"name"`
 	WallSeconds float64 `json:"wall_seconds"`
@@ -43,7 +44,9 @@ type SweepCount struct {
 // RunReport is the JSON artifact of one tool invocation: enough context
 // (config, seed, code version) to reproduce the run, and enough
 // measurement (stage timings, probe summaries, computed bounds) to diff
-// two runs meaningfully.
+// two runs meaningfully. Its clock is the span tree (SetSpans fills the
+// totals and the stages from it) and its metrics are the Default
+// registry's snapshot (Finalize).
 type RunReport struct {
 	Tool        string    `json:"tool"`
 	Version     string    `json:"version"`
@@ -66,9 +69,7 @@ type RunReport struct {
 	Spans            *SpanNode                    `json:"spans,omitempty"`
 	Extra            map[string]any               `json:"extra,omitempty"`
 
-	mu       sync.Mutex
-	wallFrom time.Time
-	cpuFrom  float64
+	mu sync.Mutex
 }
 
 // NewReport starts a report for the named tool, stamping the code version
@@ -79,28 +80,6 @@ func NewReport(tool string) *RunReport {
 		Version:          buildVersion(),
 		StartedAt:        time.Now(),
 		CPUTimeSupported: cpuTimeSupported,
-		wallFrom:         time.Now(),
-		cpuFrom:          processCPUSeconds(),
-	}
-}
-
-// Stage starts timing a named stage and returns the function that ends
-// it, appending wall and CPU seconds to the report. Nil-safe.
-func (r *RunReport) Stage(name string) func() {
-	if r == nil {
-		return func() {}
-	}
-	wall0 := time.Now()
-	cpu0 := processCPUSeconds()
-	return func() {
-		st := StageTiming{
-			Name:        name,
-			WallSeconds: time.Since(wall0).Seconds(),
-			CPUSeconds:  processCPUSeconds() - cpu0,
-		}
-		r.mu.Lock()
-		r.Stages = append(r.Stages, st)
-		r.mu.Unlock()
 	}
 }
 
@@ -118,18 +97,11 @@ func (r *RunReport) SetBound(name string, v float64) {
 	r.mu.Unlock()
 }
 
-// SetMetric records a named counter or gauge value. Nil-safe.
-func (r *RunReport) SetMetric(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if r.Metrics == nil {
-		r.Metrics = make(map[string]float64)
-	}
-	r.Metrics[name] = v
-	r.mu.Unlock()
-}
+// SetMetric sets a one-off value as an unlabeled gauge of the Default
+// registry, so it reaches both the report and /metrics. Commands
+// register their gauges with help text instead; this remains for
+// perfbench's mirrored command bodies. Nil-safe.
+func (r *RunReport) SetMetric(name string, v float64) { Default.Gauge(name, "", nil).Set(v) }
 
 // SetExtra attaches an arbitrary JSON-marshalable payload (figure series,
 // ablation tables). Nil-safe.
@@ -145,15 +117,24 @@ func (r *RunReport) SetExtra(name string, v any) {
 	r.mu.Unlock()
 }
 
-// SetSpans attaches the aggregated span tree. Nil-safe; a nil tree
-// clears the field.
+// SetSpans attaches the aggregated span tree and takes the report's
+// clock from it: the totals are the root span's, and the stages are the
+// root's children, heaviest first. Nil-safe; a nil tree clears the
+// tree, the stages and the totals.
 func (r *RunReport) SetSpans(n *SpanNode) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.Spans = n
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	r.Spans, r.Stages, r.WallSeconds, r.CPUSeconds = n, nil, 0, 0
+	if n == nil {
+		return
+	}
+	r.WallSeconds, r.CPUSeconds = n.WallSeconds, n.CPUSeconds
+	for _, c := range n.Children {
+		r.Stages = append(r.Stages, StageTiming{Name: c.Name, WallSeconds: c.WallSeconds, CPUSeconds: c.CPUSeconds})
+	}
 }
 
 // SetInterrupted marks the run as cut short by a signal, so a partial
@@ -183,35 +164,17 @@ func (r *RunReport) ObserveSweep(name string, done, total int) {
 	r.mu.Unlock()
 }
 
-// Finalize stamps the total wall and CPU time and snapshots the Default
-// metrics registry into Metrics/Histograms, so every registered
-// counter, gauge and histogram lands in the report without per-call
-// SetMetric plumbing. One-off SetMetric values set earlier win over a
-// registry entry of the same name. It is called by WriteFile, and is
-// idempotent enough to call again after further updates.
+// Finalize snapshots the Default metrics registry into Metrics and
+// Histograms: every registered counter, gauge and histogram lands in
+// the report. It is called by WriteFile, and a later call takes a fresh
+// snapshot.
 func (r *RunReport) Finalize() {
 	if r == nil {
 		return
 	}
 	scalars, hists := Default.Snapshot()
 	r.mu.Lock()
-	r.WallSeconds = time.Since(r.wallFrom).Seconds()
-	r.CPUSeconds = processCPUSeconds() - r.cpuFrom
-	for name, v := range scalars {
-		if _, taken := r.Metrics[name]; taken {
-			continue
-		}
-		if r.Metrics == nil {
-			r.Metrics = make(map[string]float64)
-		}
-		r.Metrics[name] = v
-	}
-	for name, h := range hists {
-		if r.Histograms == nil {
-			r.Histograms = make(map[string]HistogramSnapshot)
-		}
-		r.Histograms[name] = h
-	}
+	r.Metrics, r.Histograms = scalars, hists
 	r.mu.Unlock()
 }
 

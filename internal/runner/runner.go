@@ -129,6 +129,10 @@ func (a *App) Main(args []string, body func(a *App) error) (retErr error) {
 		return fmt.Errorf("%w: %v", core.ErrBadConfig, err)
 	}
 	a.Backend = be
+	if *a.reps < 1 || *a.simWorkers < 0 {
+		return fmt.Errorf("%w: -reps wants at least 1 and -simworkers at least 0, got %d and %d",
+			core.ErrBadConfig, *a.reps, *a.simWorkers)
+	}
 	if err := a.initShard(); err != nil {
 		return err
 	}
@@ -180,7 +184,8 @@ func (a *App) Main(args []string, body func(a *App) error) (retErr error) {
 	}()
 	sess.Report.Config = obs.ConfigFromFlags(a.FS)
 	if salvagedPoints > 0 {
-		sess.Report.SetMetric("checkpoint_salvaged_points", float64(salvagedPoints))
+		obs.Default.Gauge("checkpoint_salvaged_points",
+			"intact points salvaged from a damaged -checkpoint file", nil).Set(float64(salvagedPoints))
 	}
 
 	return body(a)
@@ -190,7 +195,7 @@ func (a *App) Main(args []string, body func(a *App) error) (retErr error) {
 // default to the scenario name.
 type RunOpt struct {
 	Label string // progress display label
-	Stage string // report stage name
+	Stage string // name of the run's span, one of the report's stages
 	Sweep string // report sweep key (multi-point scenarios)
 }
 
@@ -272,11 +277,9 @@ func (a *App) Run(sc scenario.Scenario, cfg scenario.Config, opt RunOpt) ([]scen
 		return res, nil
 	}
 
-	stop := a.Sess.Stage(opt.Stage)
-	runCtx, runSpan := obs.StartSpan(a.Ctx, info.Name)
+	runCtx, runSpan := obs.StartSpan(a.Ctx, opt.Stage)
 	rs, err := experiments.ParMapCtx(runCtx, 0, pts, fn, onDone)
 	runSpan.End()
-	stop()
 	if err != nil {
 		reason := "failed"
 		if obs.Interrupted(err) {

@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"deltasched/internal/core"
+	"deltasched/internal/obs"
 	"deltasched/internal/scenario"
 )
 
@@ -131,6 +133,52 @@ func TestAppPointTimeoutBoundsStuckPoint(t *testing.T) {
 		if elapsed := time.Since(start); elapsed > 2*time.Second {
 			t.Fatalf("-point-retries %s: stuck point held the run for %v", retries, elapsed)
 		}
+	}
+}
+
+// readReport loads a JSON run report.
+func readReport(t *testing.T, path string) *obs.RunReport {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := new(obs.RunReport)
+	if err := json.Unmarshal(data, r); err != nil {
+		t.Fatalf("report is not valid JSON: %v", err)
+	}
+	return r
+}
+
+// TestAppRunIsOneSpan: a run is timed once, by one span named after its
+// stage, and that span is the report's stage.
+func TestAppRunIsOneSpan(t *testing.T) {
+	sc, err := scenario.Get("test-sweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "r.json")
+	app := New("ttool", scenario.Analytic)
+	if err := app.Main([]string{"-report", path}, func(a *App) error {
+		_, _, err := a.Run(sc, nil, RunOpt{Stage: "sweep-stage"})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r := readReport(t, path)
+	if r.Spans == nil || len(r.Spans.Children) != 1 {
+		t.Fatalf("want one run span under the root, got %+v", r.Spans)
+	}
+	run := r.Spans.Children[0]
+	if run.Name != "sweep-stage" || run.Count != 1 {
+		t.Fatalf("run span = %+v, want one span named sweep-stage", run)
+	}
+	want := obs.StageTiming{Name: run.Name, WallSeconds: run.WallSeconds, CPUSeconds: run.CPUSeconds}
+	if len(r.Stages) != 1 || r.Stages[0] != want {
+		t.Fatalf("stages = %+v, want exactly the run span %+v", r.Stages, want)
+	}
+	if r.WallSeconds != r.Spans.WallSeconds {
+		t.Fatalf("wall_seconds %g is not the root span's %g", r.WallSeconds, r.Spans.WallSeconds)
 	}
 }
 

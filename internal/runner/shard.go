@@ -114,14 +114,10 @@ func (a *App) retryPolicy() shard.RetryPolicy {
 // checkpointable-sweep gate, so every process derives the same ID
 // universe — the property the fragment universe hash pins.
 func (a *App) runSharded(sc scenario.Scenario, cfg scenario.Config, opt RunOpt, pts []scenario.Point) ([]scenario.Point, []scenario.Result, error) {
-	info := sc.Info()
 	universe := scenario.IDs(pts)
 	pr := a.Sess.NewProgress(opt.Label)
-	stop := a.Sess.Stage(opt.Stage)
-	defer stop()
-
 	eval := a.pointEval(sc, cfg)
-	runCtx, runSpan := obs.StartSpan(a.Ctx, info.Name)
+	runCtx, runSpan := obs.StartSpan(a.Ctx, opt.Stage)
 	defer runSpan.End()
 
 	w := &shard.Worker{
@@ -174,7 +170,7 @@ func (a *App) runSharded(sc scenario.Scenario, cfg scenario.Config, opt RunOpt, 
 	// Claim mode reaches here only once the whole sweep is complete, and
 	// merge mode requires it: reassemble the fragments into results
 	// byte-identical to an unsharded run.
-	merged, stats, err := shard.MergeDir(*a.shardDir, opt.Sweep, universe)
+	merged, _, err := shard.MergeDir(*a.shardDir, opt.Sweep, universe)
 	if err != nil {
 		pr.Abort("failed")
 		return nil, nil, err
@@ -189,7 +185,6 @@ func (a *App) runSharded(sc scenario.Scenario, cfg scenario.Config, opt RunOpt, 
 		rs[i] = scenario.Result{Analytic: v}
 	}
 	a.Sess.Report.ObserveSweep(opt.Sweep, len(pts), len(pts))
-	a.Sess.Report.SetMetric(opt.Sweep+"_fragments_merged", float64(stats.Fragments))
 	pr.Finish()
 	return pts, rs, nil
 }

@@ -2,9 +2,11 @@ package runner
 
 import (
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"deltasched/internal/obs"
 	"deltasched/internal/scenario"
 )
 
@@ -83,6 +85,32 @@ func TestAppMergeDetectsIncompleteSweep(t *testing.T) {
 	_, err := runApp(t, []string{"-merge", "-shard-dir", dir})
 	if err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("incomplete merge must name missing shards, got %v", err)
+	}
+}
+
+// TestAppMergeCountsFragmentsPerSweep: a merge records its fragment
+// count once, in the registry counter labeled by sweep.
+func TestAppMergeCountsFragmentsPerSweep(t *testing.T) {
+	dir := t.TempDir()
+	for _, spec := range []string{"0/2", "1/2"} {
+		if _, err := runApp(t, []string{"-shard", spec, "-shard-dir", dir}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const key = `shard_fragments_merged_total{sweep="test-sweep"}`
+	before := obs.Default.Counter("shard_fragments_merged_total", "", obs.Labels{"sweep": "test-sweep"}).Load()
+	report := filepath.Join(t.TempDir(), "r.json")
+	if _, err := runApp(t, []string{"-merge", "-shard-dir", dir, "-report", report}); err != nil {
+		t.Fatal(err)
+	}
+	r := readReport(t, report)
+	if got := r.Metrics[key] - float64(before); got != 2 {
+		t.Fatalf("%s grew by %g in the merge, want 2", key, got)
+	}
+	for name := range r.Metrics {
+		if strings.HasSuffix(name, "_fragments_merged") {
+			t.Errorf("report carries the second fragment count %q", name)
+		}
 	}
 }
 

@@ -2,8 +2,11 @@ package scenario
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strconv"
 
+	"deltasched/internal/core"
 	"deltasched/internal/experiments"
 )
 
@@ -44,43 +47,48 @@ var ablationParams = []Param{
 	{Name: "quick", Kind: "bool", Default: "false", Help: "smaller grids"},
 }
 
+// ablation builds an analytic scenario that runs one grid of the shared
+// PaperSetup at the sweeps' total utilization. The utilization must be
+// positive and finite; one >= 1 is a valid input with no finite bound
+// (infeasible), not a bad one.
+func ablation(name, desc string, params []Param, run func(s experiments.Setup, util float64, quick bool) (Result, error)) singleScenario {
+	return singleScenario{
+		info: Info{Name: name, Desc: desc, Backends: Analytic, Params: params},
+		id:   func(cfg Config) string { return ablationID(name, cfg) },
+		eval: func(ctx context.Context, cfg Config, _ Backend) (Result, error) {
+			util := cfg.Float("util", 0.5)
+			if !(util > 0) || math.IsInf(util, 1) {
+				return Result{}, fmt.Errorf("%w: -util must be positive and finite, got %g", core.ErrBadConfig, util)
+			}
+			return run(ablationSetup(ctx), util, cfg.Bool("quick", false))
+		},
+	}
+}
+
 // The design-choice ablations and scaling analyses of DESIGN.md
 // (command ablate), each as a registered analytic scenario.
 func init() {
-	Register(singleScenario{
-		info: Info{
-			Name:     "scaling",
-			Desc:     "growth of the network-service-curve bound vs the additive baseline, with fitted exponents",
-			Backends: Analytic,
-			Params:   ablationParams,
-		},
-		id: func(cfg Config) string { return ablationID("scaling", cfg) },
-		eval: func(ctx context.Context, cfg Config, _ Backend) (Result, error) {
+	Register(ablation("scaling",
+		"growth of the network-service-curve bound vs the additive baseline, with fitted exponents", ablationParams,
+		func(s experiments.Setup, util float64, quick bool) (Result, error) {
 			hs := []int{2, 4, 8, 16, 24}
-			if cfg.Bool("quick", false) {
+			if quick {
 				hs = []int{2, 4, 8}
 			}
-			rep, err := ablationSetup(ctx).Scaling(hs, cfg.Float("util", 0.5))
+			rep, err := s.Scaling(hs, util)
 			if err != nil {
 				return Result{}, err
 			}
 			return Result{Analytic: rep.NetworkExp, Detail: rep}, nil
-		},
-	})
-	Register(singleScenario{
-		info: Info{
-			Name:     "edf-gain",
-			Desc:     "persistence of scheduler differentiation: FIFO/BMUX and EDF/BMUX bound ratios vs H",
-			Backends: Analytic,
-			Params:   ablationParams,
-		},
-		id: func(cfg Config) string { return ablationID("edf-gain", cfg) },
-		eval: func(ctx context.Context, cfg Config, _ Backend) (Result, error) {
+		}))
+	Register(ablation("edf-gain",
+		"persistence of scheduler differentiation: FIFO/BMUX and EDF/BMUX bound ratios vs H", ablationParams,
+		func(s experiments.Setup, util float64, quick bool) (Result, error) {
 			hs := []int{1, 2, 4, 8, 16}
-			if cfg.Bool("quick", false) {
+			if quick {
 				hs = []int{2, 8}
 			}
-			rep, err := ablationSetup(ctx).EDFGain(hs, cfg.Float("util", 0.5))
+			rep, err := s.EDFGain(hs, util)
 			if err != nil {
 				return Result{}, err
 			}
@@ -89,39 +97,23 @@ func init() {
 				last = rep.EDFRatio[n-1]
 			}
 			return Result{Analytic: last, Detail: rep}, nil
-		},
-	})
-	Register(singleScenario{
-		info: Info{
-			Name:     "recipe",
-			Desc:     "ablation: the paper's K-recipe (Eqs. 40-42) vs the exact inner solver",
-			Backends: Analytic,
-			Params:   ablationParams,
-		},
-		id: func(cfg Config) string { return ablationID("recipe", cfg) },
-		eval: func(ctx context.Context, cfg Config, _ Backend) (Result, error) {
+		}))
+	Register(ablation("recipe",
+		"ablation: the paper's K-recipe (Eqs. 40-42) vs the exact inner solver", ablationParams,
+		func(s experiments.Setup, util float64, quick bool) (Result, error) {
 			hs := []int{2, 5, 10}
-			if cfg.Bool("quick", false) {
+			if quick {
 				hs = []int{2, 5}
 			}
-			rows, err := ablationSetup(ctx).AblateRecipe(hs, cfg.Float("util", 0.5))
+			rows, err := s.AblateRecipe(hs, util)
 			if err != nil {
 				return Result{}, err
 			}
 			return Result{Detail: rows}, nil
-		},
-	})
-	Register(singleScenario{
-		info: Info{
-			Name:     "gamma-alpha",
-			Desc:     "ablation: fixed rate slack γ and fixed EBB decay α vs the optimized bound",
-			Backends: Analytic,
-			Params:   ablationParams[:1],
-		},
-		id: func(cfg Config) string { return ablationID("gamma-alpha", cfg) },
-		eval: func(ctx context.Context, cfg Config, _ Backend) (Result, error) {
-			s := ablationSetup(ctx)
-			util := cfg.Float("util", 0.5)
+		}))
+	Register(ablation("gamma-alpha",
+		"ablation: fixed rate slack γ and fixed EBB decay α vs the optimized bound", ablationParams[:1],
+		func(s experiments.Setup, util float64, _ bool) (Result, error) {
 			var rows []experiments.AblationRow
 			for _, frac := range []float64{0.25, 0.5, 0.75} {
 				row, err := s.AblateGamma(5, util, frac)
@@ -136,8 +128,7 @@ func init() {
 			}
 			rows = append(rows, row)
 			return Result{Detail: rows}, nil
-		},
-	})
+		}))
 	Register(singleScenario{
 		info: Info{
 			Name:     "region",

@@ -126,6 +126,10 @@ func evalPath(ctx context.Context, cfg Config, _ Backend) (Result, error) {
 	if !(eps > 0 && eps < 1) {
 		return Result{}, fmt.Errorf("%w: -eps must be in (0,1), got %g", core.ErrBadConfig, eps)
 	}
+	alpha := cfg.Float("alpha", 0) // 0 optimizes α
+	if !(alpha >= 0) || math.IsInf(alpha, 1) {
+		return Result{}, fmt.Errorf("%w: -alpha must be positive and finite, or 0 to optimize it, got %g", core.ErrBadConfig, alpha)
+	}
 	// One effective-bandwidth evaluation per α for both aggregates.
 	memo, err := envelope.NewEBMemo(src)
 	if err != nil {
@@ -147,7 +151,7 @@ func evalPath(ctx context.Context, cfg Config, _ Backend) (Result, error) {
 	}
 
 	var res core.Result
-	if alpha := cfg.Float("alpha", 0); alpha > 0 {
+	if alpha > 0 {
 		pc, berr := build(alpha)
 		if berr != nil {
 			return Result{}, berr

@@ -285,9 +285,9 @@ func firstN(s string, n int) string {
 	return s
 }
 
-// fragmentsMerged counts fragments accepted by a merge (idempotent
-// registry lookup; shared across calls).
-func fragmentsMerged() *obs.Counter {
+// fragmentsMerged counts the fragments of a sweep accepted by a merge
+// (idempotent registry lookup; shared across calls).
+func fragmentsMerged(sweep string) *obs.Counter {
 	return obs.Default.Counter("shard_fragments_merged_total",
-		"integrity-checked checkpoint fragments accepted by a merge", nil)
+		"integrity-checked checkpoint fragments accepted by a merge", obs.Labels{"sweep": sweep})
 }

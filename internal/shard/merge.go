@@ -90,7 +90,7 @@ func MergeDir(dir, sweep string, universe []string) (map[string]string, MergeSta
 			merged[id] = val
 		}
 		stats.Fragments++
-		fragmentsMerged().Inc()
+		fragmentsMerged(sweep).Inc()
 	}
 
 	if len(merged) != len(universe) {
