@@ -6,9 +6,9 @@
 //
 // Like all commands built on internal/runner, it takes the shared
 // telemetry flags: -report (metric snapshot + span tree), -tracefile
-// (Chrome trace_event timeline), -metrics-addr (live /metrics) — and
-// the sharded-sweep group (-shard i/N, -claim N, -merge, -shard-dir;
-// see cmd/paperfigs) for splitting analytic sweeps across processes.
+// (Chrome trace_event timeline) and -metrics-addr (live /metrics). Each
+// ablation is one single-point scenario, not a sweep, so the
+// sharded-sweep flags (-shard/-claim/-merge) are rejected.
 //
 // Usage:
 //

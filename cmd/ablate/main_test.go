@@ -1,10 +1,8 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
-	"os"
 	"strings"
 	"testing"
 
@@ -12,9 +10,14 @@ import (
 	"deltasched/internal/plot"
 )
 
+// TestRunHelpIsErrHelp: -h surfaces flag.ErrHelp, alone and after
+// every ablate command line README.md and EXPERIMENTS.md show, which
+// run reaches only once it accepted every documented flag.
 func TestRunHelpIsErrHelp(t *testing.T) {
-	if err := run([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("-h must surface flag.ErrHelp, got %v", err)
+	for _, args := range append([][]string{nil}, documentedArgs(t, "ablate")...) {
+		if err := run(append(args, "-h")); !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("ablate %s -h: want flag.ErrHelp, got %v", strings.Join(args, " "), err)
+		}
 	}
 }
 
@@ -41,25 +44,13 @@ func TestRunFlagValidation(t *testing.T) {
 }
 
 func TestPlotTable(t *testing.T) {
-	// plotTable writes to stdout; capture it.
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
 	series := []plot.Series{{Label: "EDF", X: []float64{1, 2}, Y: []float64{3, 4}}}
-	perr := plotTable(series)
-	w.Close()
-	os.Stdout = old
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r); err != nil {
-		t.Fatal(err)
-	}
-	if perr != nil {
-		t.Fatal(perr)
-	}
-	if !strings.Contains(buf.String(), "EDF") || !strings.Contains(buf.String(), "class-1 flows") {
-		t.Fatalf("table output missing headers: %q", buf.String())
+	out := string(captureStdout(t, func() {
+		if err := plotTable(series); err != nil {
+			t.Error(err)
+		}
+	}))
+	if !strings.Contains(out, "EDF") || !strings.Contains(out, "class-1 flows") {
+		t.Fatalf("table output missing headers: %q", out)
 	}
 }

@@ -2,10 +2,24 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// TestRunHelpIsErrHelp: -h surfaces flag.ErrHelp, alone and after
+// every benchjson command line README.md and EXPERIMENTS.md show, which
+// run reaches only once it accepted every documented flag.
+func TestRunHelpIsErrHelp(t *testing.T) {
+	for _, args := range append([][]string{nil}, documentedArgs(t, "benchjson")...) {
+		if err := run(append(args, "-h")); !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("benchjson %s -h: want flag.ErrHelp, got %v", strings.Join(args, " "), err)
+		}
+	}
+}
 
 const sampleOut = `goos: linux
 goarch: amd64

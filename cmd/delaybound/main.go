@@ -89,10 +89,10 @@ func run(args []string) error {
 		if *additive {
 			if det.AddErr != nil {
 				fmt.Printf("additive bound   : infeasible (%v)\n", det.AddErr)
-			} else if det.Additive != nil {
+			} else {
 				fmt.Printf("additive bound   : %.4g slots (node-by-node; looseness ×%.2f)\n",
-					det.Additive.D, det.Additive.D/res.D)
-				a.Sess.Report.SetBound("additive_bound_slots", det.Additive.D)
+					det.Additive, det.Additive/res.D)
+				a.Sess.Report.SetBound("additive_bound_slots", det.Additive)
 			}
 		}
 		return nil

@@ -1,18 +1,29 @@
 package main
 
 import (
+	"encoding/csv"
+	"encoding/json"
 	"errors"
 	"flag"
+	"math"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"deltasched/internal/core"
+	"deltasched/internal/experiments"
 )
 
+// TestRunHelpIsErrHelp: -h surfaces flag.ErrHelp, alone and after
+// every delaybound command line README.md and EXPERIMENTS.md show, which
+// run reaches only once it accepted every documented flag.
 func TestRunHelpIsErrHelp(t *testing.T) {
-	if err := run([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("-h must surface flag.ErrHelp, got %v", err)
+	for _, args := range append([][]string{nil}, documentedArgs(t, "delaybound")...) {
+		if err := run(append(args, "-h")); !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("delaybound %s -h: want flag.ErrHelp, got %v", strings.Join(args, " "), err)
+		}
 	}
 }
 
@@ -78,5 +89,70 @@ func TestRunFixedAlphaSmoke(t *testing.T) {
 	if err := run([]string{"-H", "2", "-sched", "fifo", "-n0", "20", "-nc", "40",
 		"-alpha", "0.1", "-additive"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// reportedAdditive runs delaybound -additive with a -report and returns
+// the additive baseline the report records.
+func reportedAdditive(t *testing.T, args ...string) float64 {
+	t.Helper()
+	report := filepath.Join(t.TempDir(), "r.json")
+	args = append(args, "-additive", "-report", report)
+	captureStdout(t, func() {
+		if err := run(args); err != nil {
+			t.Errorf("run(%v): %v", args, err)
+		}
+	})
+	raw, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r struct {
+		Bounds map[string]float64 `json:"bounds"`
+	}
+	if err := json.Unmarshal(raw, &r); err != nil {
+		t.Fatal(err)
+	}
+	v, ok := r.Bounds["additive_bound_slots"]
+	if !ok {
+		t.Fatalf("%v: the report records no additive_bound_slots (bounds %v)", args, r.Bounds)
+	}
+	return v
+}
+
+// TestAdditiveBaselineAtItsOwnAlpha: under an optimized α the additive
+// baseline is the node-by-node bound at its own α optimum, the curve
+// Fig. 4 draws, not the baseline re-priced at the network bound's α.
+func TestAdditiveBaselineAtItsOwnAlpha(t *testing.T) {
+	// Under SP the network bound's decay is α itself, not α/(H+1), so an
+	// α recovered as Bound.Alpha·(H+1) overloads the baseline's path.
+	if v := reportedAdditive(t, "-H", "3", "-sched", "sp", "-n0", "50", "-nc", "150"); math.IsInf(v, 0) || math.IsNaN(v) || v <= 0 {
+		t.Errorf("SP additive baseline = %g, want a finite bound", v)
+	}
+
+	f, err := os.Open(filepath.Join("..", "paperfigs", "testdata", "fig3.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := math.NaN()
+	for _, row := range rows {
+		if row[0] == "BMUX additive U=50%" && row[1] == "12" {
+			if want, err = strconv.ParseFloat(row[2], 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if math.IsNaN(want) {
+		t.Fatal("fig3.csv has no BMUX additive U=50% point at H=12")
+	}
+	n := strconv.FormatFloat(experiments.PaperSetup().FlowCount(0.5)/2, 'g', -1, 64)
+	got := reportedAdditive(t, "-H", "12", "-sched", "bmux", "-n0", n, "-nc", n)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("additive baseline at H=12, U=50%% = %v, want fig3.csv's %v", got, want)
 	}
 }

@@ -86,9 +86,14 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 }
 
+// TestRunHelpIsErrHelp: -h surfaces flag.ErrHelp, alone and after
+// every netsim command line README.md and EXPERIMENTS.md show, which
+// run reaches only once it accepted every documented flag.
 func TestRunHelpIsErrHelp(t *testing.T) {
-	if err := run([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("-h must surface flag.ErrHelp, got %v", err)
+	for _, args := range append([][]string{nil}, documentedArgs(t, "netsim")...) {
+		if err := run(append(args, "-h")); !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("netsim %s -h: want flag.ErrHelp, got %v", strings.Join(args, " "), err)
+		}
 	}
 }
 
@@ -96,7 +101,7 @@ func TestRunWritesReport(t *testing.T) {
 	dir := t.TempDir()
 	report := filepath.Join(dir, "r.json")
 	cpu := filepath.Join(dir, "cpu.prof")
-	stderr := captureStderr(t, func() {
+	stderr := capture(t, &os.Stderr, func() {
 		err := run([]string{"-H", "2", "-C", "20", "-n0", "5", "-nc", "10",
 			"-slots", "3000", "-eps", "1e-2", "-seed", "3",
 			"-report", report, "-cpuprofile", cpu, "-progress"})
@@ -164,11 +169,11 @@ func TestRunWritesReport(t *testing.T) {
 	}
 }
 
-// captureStderr runs fn with os.Stderr redirected and returns what it
-// wrote.
-func captureStderr(t *testing.T, fn func()) string {
+// capture runs fn with *f (os.Stdout or os.Stderr) redirected and
+// returns what it wrote.
+func capture(t *testing.T, f **os.File, fn func()) string {
 	t.Helper()
-	old := os.Stderr
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
@@ -181,10 +186,10 @@ func captureStderr(t *testing.T, fn func()) string {
 	func() {
 		// Restore and close even when fn fails the test.
 		defer func() {
-			os.Stderr = old
+			*f = old
 			w.Close()
 		}()
-		os.Stderr = w
+		*f = w
 		fn()
 	}()
 	return <-out

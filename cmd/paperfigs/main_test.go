@@ -15,9 +15,14 @@ import (
 	"deltasched/internal/scenario"
 )
 
+// TestRunHelpIsErrHelp: -h surfaces flag.ErrHelp, alone and after
+// every paperfigs command line README.md and EXPERIMENTS.md show, which
+// run reaches only once it accepted every documented flag.
 func TestRunHelpIsErrHelp(t *testing.T) {
-	if err := run([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("-h must surface flag.ErrHelp, got %v", err)
+	for _, args := range append([][]string{nil}, documentedArgs(t, "paperfigs")...) {
+		if err := run(append(args, "-h")); !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("paperfigs %s -h: want flag.ErrHelp, got %v", strings.Join(args, " "), err)
+		}
 	}
 }
 

@@ -275,6 +275,39 @@ func TestDelayBoundGammaOptimization(t *testing.T) {
 			t.Errorf("optimized bound %g worse than fixed gamma %g: %g", best.D, frac*gmax, r.D)
 		}
 	}
+
+	// The γ landscape is a valley: small slacks inflate the union-bound
+	// factor 1/(1−e^{−αγ}), large ones erode the leftover rate. Sampled
+	// on a 32-point grid at α = 0.1, the grid argmin is interior, and the
+	// optimized bound is at least as good as every sample.
+	valley := PathConfig{
+		H:       5,
+		C:       100,
+		Through: envelope.EBB{M: 1, Rho: 25, Alpha: 0.1},
+		Cross:   envelope.EBB{M: 1, Rho: 25, Alpha: 0.1},
+	}
+	gammas := make([]float64, 32)
+	for i := range gammas {
+		gammas[i] = valley.GammaMax() * float64(i+1) / float64(len(gammas)+1)
+	}
+	grid, err := DelayBoundAtGammas(valley, 1e-9, gammas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gridMin := math.Inf(1)
+	for _, r := range grid {
+		gridMin = math.Min(gridMin, r.D)
+	}
+	if first, last := grid[0].D, grid[len(grid)-1].D; !(gridMin < first && gridMin < last) {
+		t.Errorf("grid argmin %g does not beat the grid edges (%g, %g)", gridMin, first, last)
+	}
+	opt, err := DelayBound(valley, 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.D > gridMin*(1+1e-12) {
+		t.Errorf("optimized bound %g worse than the grid argmin %g", opt.D, gridMin)
+	}
 }
 
 func TestDelayBoundValidation(t *testing.T) {

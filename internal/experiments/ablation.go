@@ -32,22 +32,11 @@ func (s Setup) AblateRecipe(hs []int, util float64) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, h := range hs {
 		for _, delta := range []float64{math.Inf(1), 0, -50} {
-			build := func(alpha float64) (core.PathConfig, error) {
-				through, err := s.Source.EBBAggregate(n0, alpha)
-				if err != nil {
-					return core.PathConfig{}, err
-				}
-				cross, err := s.Source.EBBAggregate(n0, alpha)
-				if err != nil {
-					return core.PathConfig{}, err
-				}
-				return core.PathConfig{H: h, C: s.Capacity, Through: through, Cross: cross, Delta0c: delta}, nil
-			}
-			res, err := core.OptimizeAlpha(build, s.Eps, s.AlphaLo, s.AlphaHi)
+			res, err := s.PathBound(s.Source, h, n0, n0, delta)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: recipe ablation H=%d Δ=%g: %w", h, delta, err)
 			}
-			recipe := core.PaperRecipe(h, s.Capacity, res.Gamma, cfgCrossRho(res, build), delta, res.Sigma)
+			recipe := core.PaperRecipe(h, s.Capacity, res.Gamma, cfgCrossRho(res, s.Path(s.Source, h, n0, n0, delta)), delta, res.Sigma)
 			rows = append(rows, AblationRow{
 				Label:   fmt.Sprintf("H=%d Δ=%g", h, delta),
 				Full:    res.D,
@@ -60,9 +49,10 @@ func (s Setup) AblateRecipe(hs []int, util float64) ([]AblationRow, error) {
 
 // cfgCrossRho recovers the cross rate used at the optimal α of a result.
 func cfgCrossRho(res core.Result, build func(alpha float64) (core.PathConfig, error)) float64 {
-	// The combined bound's decay is α/(H+1) for homogeneous inputs; invert
-	// to recover α, then rebuild the configuration.
-	// (Exact for the homogeneous paper setup used in this package.)
+	// The combined bound's decay is α/(H+1) for homogeneous inputs with
+	// Δ > −∞; invert to recover α, then rebuild the configuration. (Under
+	// SP, Δ = −∞, only the through envelope is paid and the decay is α
+	// itself; the recipe grid never includes it.)
 	cfg, err := build(res.Bound.Alpha * float64(len(res.Theta)+1))
 	if err != nil {
 		return math.NaN()
@@ -77,21 +67,11 @@ func (s Setup) AblateGamma(h int, util, fraction float64) (AblationRow, error) {
 		return AblationRow{}, fmt.Errorf("experiments: gamma fraction must be in (0,1), got %g", fraction)
 	}
 	n0 := s.FlowCount(util) / 2
-	build := func(alpha float64) (core.PathConfig, error) {
-		through, err := s.Source.EBBAggregate(n0, alpha)
-		if err != nil {
-			return core.PathConfig{}, err
-		}
-		cross, err := s.Source.EBBAggregate(n0, alpha)
-		if err != nil {
-			return core.PathConfig{}, err
-		}
-		return core.PathConfig{H: h, C: s.Capacity, Through: through, Cross: cross, Delta0c: 0}, nil
-	}
-	full, err := core.OptimizeAlpha(build, s.Eps, s.AlphaLo, s.AlphaHi)
+	full, err := s.PathBound(s.Source, h, n0, n0, 0)
 	if err != nil {
 		return AblationRow{}, err
 	}
+	build := s.Path(s.Source, h, n0, n0, 0)
 	_, fixed, err := core.OptimizeAlphaFunc(func(alpha float64) (float64, error) {
 		cfg, err := build(alpha)
 		if err != nil {
@@ -121,18 +101,7 @@ func (s Setup) AblateGamma(h int, util, fraction float64) (AblationRow, error) {
 // (reported as NaN), which is itself part of the finding.
 func (s Setup) AblateAlpha(h int, util float64) (AblationRow, error) {
 	n0 := s.FlowCount(util) / 2
-	build := func(alpha float64) (core.PathConfig, error) {
-		through, err := s.Source.EBBAggregate(n0, alpha)
-		if err != nil {
-			return core.PathConfig{}, err
-		}
-		cross, err := s.Source.EBBAggregate(n0, alpha)
-		if err != nil {
-			return core.PathConfig{}, err
-		}
-		return core.PathConfig{H: h, C: s.Capacity, Through: through, Cross: cross, Delta0c: 0}, nil
-	}
-	full, err := core.OptimizeAlpha(build, s.Eps, s.AlphaLo, s.AlphaHi)
+	full, err := s.PathBound(s.Source, h, n0, n0, 0)
 	if err != nil {
 		return AblationRow{}, err
 	}
@@ -152,7 +121,7 @@ func (s Setup) AblateAlpha(h int, util float64) (AblationRow, error) {
 			hi = mid
 		}
 	}
-	cfg, err := build(math.Sqrt(lo * hi))
+	cfg, err := s.Path(s.Source, h, n0, n0, 0)(math.Sqrt(lo * hi))
 	if err != nil {
 		return AblationRow{}, err
 	}

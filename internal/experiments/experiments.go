@@ -161,16 +161,14 @@ func (s Setup) Bound(sched Scheduler, h int, n0, nc float64) (float64, error) {
 	return s.BoundModel(s.Source, sched, h, n0, nc)
 }
 
-// BoundModel is Bound for an arbitrary traffic model (extension beyond the
-// paper's two-state sources).
-func (s Setup) BoundModel(model TrafficModel, sched Scheduler, h int, n0, nc float64) (float64, error) {
-	if h < 1 {
-		return 0, fmt.Errorf("experiments: H must be >= 1, got %d", h)
-	}
-	if model == nil {
-		return 0, fmt.Errorf("experiments: nil traffic model")
-	}
-	build := func(alpha float64) (core.PathConfig, error) {
+// Path is the one description of a homogeneous path: it maps an EBB
+// decay α to the H-node path on links of s.Capacity that carries the n0
+// through flows of model and, at every node, nc cross flows of the same
+// model, scheduled with the constant Δ_{0,c} = delta. Each call checks
+// s.Ctx first, so an α sweep over it stops at its next probe once the
+// context is cancelled.
+func (s Setup) Path(model TrafficModel, h int, n0, nc, delta float64) func(alpha float64) (core.PathConfig, error) {
+	return func(alpha float64) (core.PathConfig, error) {
 		if err := s.ctx().Err(); err != nil {
 			return core.PathConfig{}, err
 		}
@@ -182,72 +180,85 @@ func (s Setup) BoundModel(model TrafficModel, sched Scheduler, h int, n0, nc flo
 		if err != nil {
 			return core.PathConfig{}, err
 		}
-		return core.PathConfig{H: h, C: s.Capacity, Through: through, Cross: cross}, nil
+		return core.PathConfig{H: h, C: s.Capacity, Through: through, Cross: cross, Delta0c: delta}, nil
 	}
+}
 
-	// The α sweeps below are not spanned — they price ~40 configurations
-	// each. When the context carries an active span, one representative
-	// re-evaluation of the winning α runs under it (result discarded,
-	// outputs unchanged), so a trace shows the full bound → innerMinimize
-	// chain per point without drowning in sweep spans.
-	if ratio, isEDF := sched.DeadlineRatio(); isEDF {
-		a, d, err := core.OptimizeAlphaFunc(func(alpha float64) (float64, error) {
-			cfg, err := build(alpha)
-			if err != nil {
-				return 0, err
-			}
-			res, _, err := core.EDFProvisioned(cfg, s.Eps, ratio)
-			if err != nil {
-				return 0, err
-			}
-			return res.D, nil
-		}, s.AlphaLo, s.AlphaHi)
-		if err == nil && obs.SpanFromContext(s.ctx()) != nil {
-			if cfg, berr := build(a); berr == nil {
-				_, _, _ = core.EDFProvisionedCtx(s.ctx(), cfg, s.Eps, ratio)
-			}
-		}
-		return d, err
+// PathBound is the γ- and α-optimized bound of the fixed-Δ path that
+// Path describes, swept over [s.AlphaLo, s.AlphaHi]. Inside the sweep an
+// error only marks one α infeasible, so H < 1 and a nil model are
+// rejected before it starts.
+func (s Setup) PathBound(model TrafficModel, h int, n0, nc, delta float64) (core.Result, error) {
+	if err := checkPath(model, h); err != nil {
+		return core.Result{}, err
 	}
+	return core.OptimizeAlphaCtx(s.ctx(), s.Path(model, h, n0, nc, delta), s.Eps, s.AlphaLo, s.AlphaHi)
+}
 
-	var delta float64
-	switch sched {
-	case BMUX:
-		delta = math.Inf(1)
-	case FIFO:
-		delta = 0
-	case BMUXAdditive:
-		a, d, err := core.OptimizeAlphaFunc(func(alpha float64) (float64, error) {
-			cfg, err := build(alpha)
-			if err != nil {
-				return 0, err
-			}
-			res, err := core.AdditiveBound(cfg, s.Eps)
-			if err != nil {
-				return 0, err
-			}
-			return res.D, nil
-		}, s.AlphaLo, s.AlphaHi)
-		if err == nil && obs.SpanFromContext(s.ctx()) != nil {
-			if cfg, berr := build(a); berr == nil {
-				_, _ = core.AdditiveBoundCtx(s.ctx(), cfg, s.Eps)
-			}
-		}
-		return d, err
-	default:
-		return 0, fmt.Errorf("experiments: unknown scheduler %v", sched)
+// checkPath rejects the inputs no α can make feasible.
+func checkPath(model TrafficModel, h int) error {
+	if h < 1 {
+		return fmt.Errorf("%w: H must be >= 1, got %d", core.ErrBadConfig, h)
 	}
+	if model == nil {
+		return fmt.Errorf("%w: nil traffic model", core.ErrBadConfig)
+	}
+	return nil
+}
 
-	res, err := core.OptimizeAlphaCtx(s.ctx(), func(alpha float64) (core.PathConfig, error) {
-		cfg, err := build(alpha)
-		if err != nil {
-			return core.PathConfig{}, err
-		}
-		cfg.Delta0c = delta
-		return cfg, nil
-	}, s.Eps, s.AlphaLo, s.AlphaHi)
-	if err != nil {
+// BoundModel is Bound for an arbitrary traffic model (extension beyond the
+// paper's two-state sources).
+func (s Setup) BoundModel(model TrafficModel, sched Scheduler, h int, n0, nc float64) (float64, error) {
+	if err := checkPath(model, h); err != nil {
 		return 0, err
 	}
-	return res.D, nil
+	// price is the α objective of the schedulers that are not one fixed
+	// Δ: EDF solves its provisioning fixed point at each α, the additive
+	// baseline its node-by-node γ sweep.
+	var price func(ctx context.Context, cfg core.PathConfig) (float64, error)
+	switch sched {
+	case BMUX, FIFO:
+		delta := math.Inf(1)
+		if sched == FIFO {
+			delta = 0
+		}
+		res, err := s.PathBound(model, h, n0, nc, delta)
+		return res.D, err
+	case BMUXAdditive:
+		price = func(ctx context.Context, cfg core.PathConfig) (float64, error) {
+			res, err := core.AdditiveBoundCtx(ctx, cfg, s.Eps)
+			return res.D, err
+		}
+	default:
+		ratio, isEDF := sched.DeadlineRatio()
+		if !isEDF {
+			return 0, fmt.Errorf("%w: unknown scheduler %v", core.ErrBadConfig, sched)
+		}
+		price = func(ctx context.Context, cfg core.PathConfig) (float64, error) {
+			res, _, err := core.EDFProvisionedCtx(ctx, cfg, s.Eps, ratio)
+			return res.D, err
+		}
+	}
+
+	// The α sweep is not spanned — it prices ~40 configurations, and the
+	// core Ctx variants read their context only for its span, so the
+	// sweep passes Background; build still checks s.Ctx. When the context
+	// carries an active span, one representative re-evaluation of the
+	// winning α runs under it (result discarded, outputs unchanged), so a
+	// trace shows the full bound → innerMinimize chain per point without
+	// drowning in sweep spans.
+	build := s.Path(model, h, n0, nc, 0)
+	a, d, err := core.OptimizeAlphaFunc(func(alpha float64) (float64, error) {
+		cfg, err := build(alpha)
+		if err != nil {
+			return 0, err
+		}
+		return price(context.Background(), cfg)
+	}, s.AlphaLo, s.AlphaHi)
+	if err == nil && obs.SpanFromContext(s.ctx()) != nil {
+		if cfg, berr := build(a); berr == nil {
+			_, _ = price(s.ctx(), cfg)
+		}
+	}
+	return d, err
 }

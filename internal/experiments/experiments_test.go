@@ -80,11 +80,18 @@ func TestBoundOrderingAtModerateLoad(t *testing.T) {
 
 func TestBoundValidation(t *testing.T) {
 	s := PaperSetup()
-	if _, err := s.Bound(FIFO, 0, 100, 100); err == nil {
-		t.Error("H=0 must be rejected")
+	// Out-of-domain inputs are bad configurations, rejected before any
+	// α sweep could read them as "no feasible alpha".
+	for _, sched := range []Scheduler{FIFO, EDFRatio10, BMUXAdditive} {
+		if _, err := s.Bound(sched, 0, 100, 100); !errors.Is(err, core.ErrBadConfig) {
+			t.Errorf("%v at H=0: want core.ErrBadConfig, got %v", sched, err)
+		}
 	}
-	if _, err := s.Bound(Scheduler(99), 2, 100, 100); err == nil {
-		t.Error("unknown scheduler must be rejected")
+	if _, err := s.PathBound(s.Source, 0, 100, 100, 0); !errors.Is(err, core.ErrBadConfig) {
+		t.Errorf("PathBound at H=0: want core.ErrBadConfig, got %v", err)
+	}
+	if _, err := s.Bound(Scheduler(99), 2, 100, 100); !errors.Is(err, core.ErrBadConfig) {
+		t.Errorf("unknown scheduler: want core.ErrBadConfig, got %v", err)
 	}
 	// Saturated link: no feasible bound.
 	if _, err := s.Bound(FIFO, 2, 400, 400); err == nil {

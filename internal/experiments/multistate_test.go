@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"testing"
 
+	"deltasched/internal/core"
 	"deltasched/internal/envelope"
 )
 
@@ -76,7 +78,10 @@ func TestBoundModelMultiState(t *testing.T) {
 
 func TestBoundModelValidation(t *testing.T) {
 	s := PaperSetup()
-	if _, err := s.BoundModel(nil, FIFO, 2, 10, 10); err == nil {
-		t.Fatal("nil model must be rejected")
+	if _, err := s.BoundModel(nil, FIFO, 2, 10, 10); !errors.Is(err, core.ErrBadConfig) {
+		t.Errorf("BoundModel with a nil model: want core.ErrBadConfig, got %v", err)
+	}
+	if _, err := s.PathBound(nil, 2, 10, 10, 0); !errors.Is(err, core.ErrBadConfig) {
+		t.Errorf("PathBound with a nil model: want core.ErrBadConfig, got %v", err)
 	}
 }

@@ -37,60 +37,51 @@ func (s Setup) AdmissibleRegion(spec RegionSpec, n1s []float64) ([]plot.Series, 
 	if spec.Capacity <= 0 || spec.D1 <= 0 || spec.D2 <= 0 {
 		return nil, fmt.Errorf("experiments: invalid region spec %+v", spec)
 	}
-	type disc struct {
-		name string
-		// feasible reports whether (n1, n2) meets both requirements.
-		feasible func(n1, n2 float64) bool
-	}
-
-	boundFor := func(n1, n2, deltaTagged1, deltaTagged2 float64) (d1, d2 float64, ok bool) {
-		// Tagged class 1 vs cross class 2 and vice versa, α-swept.
-		evalTagged := func(nT, nX, delta float64) (float64, bool) {
+	// feasible reports whether (n1, n2) meets both requirements when
+	// class 1 sees class 2 under Δ = delta1 and class 2 sees class 1 under
+	// delta2, each bound α-swept on the single link. A failed sweep means
+	// infeasible; a cancelled context is returned as its error.
+	feasible := func(n1, n2, delta1, delta2 float64) (bool, error) {
+		for _, c := range [2]struct{ nT, nX, delta, req float64 }{
+			{n1, n2, delta1, spec.D1},
+			{n2, n1, delta2, spec.D2},
+		} {
 			_, d, err := core.OptimizeAlphaFunc(func(alpha float64) (float64, error) {
-				through, err := s.Source.EBBAggregate(nT, alpha)
+				if err := s.ctx().Err(); err != nil {
+					return 0, err
+				}
+				through, err := s.Source.EBBAggregate(c.nT, alpha)
 				if err != nil {
 					return 0, err
 				}
-				cross, err := s.Source.EBBAggregate(nX, alpha)
+				cross, err := s.Source.EBBAggregate(c.nX, alpha)
 				if err != nil {
 					return 0, err
 				}
 				r, err := core.DelayBoundStatNode(spec.Capacity, through,
-					[]core.StatFlow{{EBB: cross, Delta: delta}}, s.Eps)
+					[]core.StatFlow{{EBB: cross, Delta: c.delta}}, s.Eps)
 				if err != nil {
 					return 0, err
 				}
 				return r.D, nil
 			}, s.AlphaLo, s.AlphaHi)
-			if err != nil {
-				return 0, false
+			if cerr := s.ctx().Err(); cerr != nil {
+				return false, cerr
 			}
-			return d, true
+			if err != nil || !(d <= c.req) {
+				return false, nil
+			}
 		}
-		b1, ok1 := evalTagged(n1, n2, deltaTagged1)
-		if !ok1 {
-			return 0, 0, false
-		}
-		b2, ok2 := evalTagged(n2, n1, deltaTagged2)
-		if !ok2 {
-			return 0, 0, false
-		}
-		return b1, b2, true
+		return true, nil
 	}
 
-	discs := []disc{
-		{name: "EDF", feasible: func(n1, n2 float64) bool {
-			b1, b2, ok := boundFor(n1, n2, spec.D1-spec.D2, spec.D2-spec.D1)
-			return ok && b1 <= spec.D1 && b2 <= spec.D2
-		}},
-		{name: "FIFO", feasible: func(n1, n2 float64) bool {
-			b1, b2, ok := boundFor(n1, n2, 0, 0)
-			return ok && b1 <= spec.D1 && b2 <= spec.D2
-		}},
-		{name: "SP (class 1 high)", feasible: func(n1, n2 float64) bool {
-			b1, b2, ok := boundFor(n1, n2, math.Inf(-1), math.Inf(1))
-			return ok && b1 <= spec.D1 && b2 <= spec.D2
-		}},
+	discs := []struct {
+		name           string
+		delta1, delta2 float64
+	}{
+		{"EDF", spec.D1 - spec.D2, spec.D2 - spec.D1},
+		{"FIFO", 0, 0},
+		{"SP (class 1 high)", math.Inf(-1), math.Inf(1)},
 	}
 
 	mean := s.Source.MeanRate()
@@ -103,7 +94,11 @@ func (s Setup) AdmissibleRegion(spec RegionSpec, n1s []float64) ([]plot.Series, 
 				return nil, fmt.Errorf("experiments: negative class-1 population %g", n1)
 			}
 			// Largest feasible n2 by bisection (0 admissible or nothing is).
-			if !d.feasible(n1, 0) {
+			ok, err := feasible(n1, 0, d.delta1, d.delta2)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
 				ser.X = append(ser.X, n1)
 				ser.Y = append(ser.Y, math.NaN())
 				continue
@@ -111,7 +106,11 @@ func (s Setup) AdmissibleRegion(spec RegionSpec, n1s []float64) ([]plot.Series, 
 			lo, hi := 0.0, nMax
 			for i := 0; i < 30; i++ {
 				mid := (lo + hi) / 2
-				if d.feasible(n1, mid) {
+				ok, err := feasible(n1, mid, d.delta1, d.delta2)
+				if err != nil {
+					return nil, err
+				}
+				if ok {
 					lo = mid
 				} else {
 					hi = mid

@@ -39,9 +39,9 @@ func (a *App) registerShardFlags() {
 }
 
 // initShard resolves the shard flag group after parsing: exactly one
-// mode, a directory to share, no checkpoint (fragments are the
-// checkpoint of a sharded sweep), and a parsed fault schedule. Called
-// from Main before the session starts.
+// mode, a parsed fault schedule only where a shard worker can fire it,
+// a directory to share, and no checkpoint (fragments are the checkpoint
+// of a sharded sweep). Called from Main before the session starts.
 func (a *App) initShard() error {
 	modes := 0
 	if *a.shardStr != "" {
@@ -67,6 +67,20 @@ func (a *App) initShard() error {
 	if modes > 1 {
 		return fmt.Errorf("%w: -shard, -claim and -merge are mutually exclusive", core.ErrBadConfig)
 	}
+	inj, err := faults.Parse(*a.faultsStr)
+	if err != nil {
+		return fmt.Errorf("%w: -faults: %v", core.ErrBadConfig, err)
+	}
+	if inj == nil {
+		if inj, err = faults.FromEnv(); err != nil {
+			return fmt.Errorf("%w: $%s: %v", core.ErrBadConfig, faults.EnvVar, err)
+		}
+	}
+	// Faults fire only inside a shard worker; anywhere else a schedule
+	// would be accepted and never fire.
+	if inj != nil && a.shardMode != shardFixed && a.shardMode != shardClaim {
+		return fmt.Errorf("%w: a fault schedule (-faults or $%s) needs -shard or -claim", core.ErrBadConfig, faults.EnvVar)
+	}
 	if a.shardMode != shardOff {
 		if *a.shardDir == "" {
 			return fmt.Errorf("%w: sharded runs need -shard-dir", core.ErrBadConfig)
@@ -76,15 +90,6 @@ func (a *App) initShard() error {
 		}
 		if err := os.MkdirAll(*a.shardDir, 0o755); err != nil {
 			return fmt.Errorf("creating -shard-dir: %w", err)
-		}
-	}
-	inj, err := faults.Parse(*a.faultsStr)
-	if err != nil {
-		return fmt.Errorf("%w: -faults: %v", core.ErrBadConfig, err)
-	}
-	if inj == nil {
-		if inj, err = faults.FromEnv(); err != nil {
-			return fmt.Errorf("%w: $%s: %v", core.ErrBadConfig, faults.EnvVar, err)
 		}
 	}
 	a.injector = inj

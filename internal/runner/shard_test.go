@@ -1,11 +1,14 @@
 package runner
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"deltasched/internal/core"
+	"deltasched/internal/faults"
 	"deltasched/internal/obs"
 	"deltasched/internal/scenario"
 )
@@ -115,18 +118,28 @@ func TestAppMergeCountsFragmentsPerSweep(t *testing.T) {
 }
 
 func TestAppShardFlagValidation(t *testing.T) {
-	for name, flags := range map[string][]string{
-		"modes-exclusive":     {"-shard", "0/2", "-merge", "-shard-dir", "d"},
-		"claim-and-shard":     {"-shard", "0/2", "-claim", "2", "-shard-dir", "d"},
-		"needs-dir":           {"-shard", "0/2"},
-		"bad-spec":            {"-shard", "5/2", "-shard-dir", "d"},
-		"checkpoint-conflict": {"-claim", "2", "-shard-dir", "d", "-checkpoint", "c.json"},
-		"bad-faults":          {"-faults", "nonsense@x"},
+	for name, tc := range map[string]struct {
+		flags []string
+		env   string // $DELTASCHED_FAULTS
+	}{
+		"modes-exclusive":     {flags: []string{"-shard", "0/2", "-merge", "-shard-dir", "d"}},
+		"claim-and-shard":     {flags: []string{"-shard", "0/2", "-claim", "2", "-shard-dir", "d"}},
+		"needs-dir":           {flags: []string{"-shard", "0/2"}},
+		"bad-spec":            {flags: []string{"-shard", "5/2", "-shard-dir", "d"}},
+		"checkpoint-conflict": {flags: []string{"-claim", "2", "-shard-dir", "d", "-checkpoint", "c.json"}},
+		"bad-faults":          {flags: []string{"-faults", "nonsense@x"}},
+		// The injector is armed only inside a shard worker: a schedule
+		// anywhere else would never fire.
+		"faults-unsharded":     {flags: []string{"-faults", "panic@0"}},
+		"faults-with-merge":    {flags: []string{"-merge", "-shard-dir", "d", "-faults", "panic@0"}},
+		"faults-env-unsharded": {env: "panic@0"},
 	} {
 		t.Run(name, func(t *testing.T) {
+			t.Setenv(faults.EnvVar, tc.env)
 			app := New("ttool", scenario.Analytic)
-			if err := app.Main(flags, func(a *App) error { return nil }); err == nil {
-				t.Fatalf("flags %v accepted", flags)
+			err := app.Main(tc.flags, func(a *App) error { return nil })
+			if !errors.Is(err, core.ErrBadConfig) {
+				t.Fatalf("flags %v with $%s=%q: want core.ErrBadConfig, got %v", tc.flags, faults.EnvVar, tc.env, err)
 			}
 		})
 	}

@@ -36,6 +36,14 @@ func ablationSetup(ctx context.Context) experiments.Setup {
 	return s
 }
 
+// pathSetup is ablationSetup on links of capacity c at violation
+// probability eps: the setup that prices the path and tandem scenarios.
+func pathSetup(ctx context.Context, c, eps float64) experiments.Setup {
+	s := ablationSetup(ctx)
+	s.Capacity, s.Eps = c, eps
+	return s
+}
+
 // ablationID builds the deterministic point ID of an ablation run.
 func ablationID(name string, cfg Config) string {
 	return name + "/u=" + strconv.FormatFloat(cfg.Float("util", 0.5), 'g', -1, 64) +

@@ -11,6 +11,7 @@ import (
 
 	"deltasched/internal/core"
 	"deltasched/internal/envelope"
+	"deltasched/internal/experiments"
 )
 
 // PathDetail is the Detail payload of the path scenario: the full
@@ -21,9 +22,10 @@ type PathDetail struct {
 	Res   core.Result
 	Delta float64
 	Src   envelope.MMOO
-	// Additive holds the node-by-node baseline when requested; AddErr its
-	// failure (an infeasible additive bound is reported, not fatal).
-	Additive *core.AdditiveResult
+	// Additive holds the node-by-node baseline bound when requested;
+	// AddErr its failure (an infeasible additive bound is reported, not
+	// fatal).
+	Additive float64
 	AddErr   error
 }
 
@@ -135,55 +137,41 @@ func evalPath(ctx context.Context, cfg Config, _ Backend) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	build := func(a float64) (core.PathConfig, error) {
-		if err := ctx.Err(); err != nil {
-			return core.PathConfig{}, err
-		}
-		through, err := memo.EBBAggregate(n0, a)
-		if err != nil {
-			return core.PathConfig{}, err
-		}
-		cross, err := memo.EBBAggregate(nc, a)
-		if err != nil {
-			return core.PathConfig{}, err
-		}
-		return core.PathConfig{H: h, C: c, Through: through, Cross: cross, Delta0c: delta}, nil
-	}
-
-	var res core.Result
+	s := pathSetup(ctx, c, eps)
+	additive := cfg.Bool("additive", false)
+	detail := PathDetail{Delta: delta, Src: src}
 	if alpha > 0 {
-		pc, berr := build(alpha)
-		if berr != nil {
-			return Result{}, berr
+		pc, err := s.Path(memo, h, n0, nc, delta)(alpha)
+		if err != nil {
+			return Result{}, err
 		}
-		res, err = core.DelayBoundCtx(ctx, pc, eps)
+		if detail.Res, err = core.DelayBoundCtx(ctx, pc, eps); err != nil {
+			return Result{}, err
+		}
+		if additive {
+			add, aerr := core.AdditiveBoundCtx(ctx, pc, eps)
+			detail.Additive, detail.AddErr = add.D, aerr
+		}
 	} else {
-		res, err = core.OptimizeAlphaCtx(ctx, build, eps, 1e-3, 50)
+		if detail.Res, err = s.PathBound(memo, h, n0, nc, delta); err != nil {
+			return Result{}, err
+		}
+		if additive {
+			// The baseline's own α optimum, priced as Fig. 4 prices it.
+			detail.Additive, detail.AddErr = s.BoundModel(memo, experiments.BMUXAdditive, h, n0, nc)
+		}
 	}
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-
-	detail := PathDetail{Res: res, Delta: delta, Src: src}
-	if cfg.Bool("additive", false) {
-		pc, berr := build(res.Bound.Alpha * float64(h+1)) // the α the combined bound used
-		if berr != nil {
-			return Result{}, berr
-		}
-		add, aerr := core.AdditiveBoundCtx(ctx, pc, eps)
-		if aerr != nil {
-			detail.AddErr = aerr
-		} else {
-			detail.Additive = &add
-		}
-	}
+	res := detail.Res
 	out := Result{
 		Analytic: res.D,
 		Extra:    map[string]float64{"gamma": res.Gamma, "sigma": res.Sigma},
 		Detail:   detail,
 	}
-	if detail.Additive != nil {
-		out.Extra["additive_bound_slots"] = detail.Additive.D
+	if additive && detail.AddErr == nil {
+		out.Extra["additive_bound_slots"] = detail.Additive
 	}
 	return out, nil
 }
@@ -372,6 +360,7 @@ func HeteroBound(ctx context.Context, pf PathFile) (core.Result, error) {
 		}
 		return core.HeteroPath{Through: through, Nodes: nodes}, nil
 	}
+	setup := experiments.PaperSetup()
 	alpha, _, err := core.OptimizeAlphaFunc(func(a float64) (float64, error) {
 		p, err := build(a)
 		if err != nil {
@@ -382,7 +371,7 @@ func HeteroBound(ctx context.Context, pf PathFile) (core.Result, error) {
 			return 0, err
 		}
 		return r.D, nil
-	}, 1e-3, 50)
+	}, setup.AlphaLo, setup.AlphaHi)
 	if err != nil {
 		return core.Result{}, err
 	}

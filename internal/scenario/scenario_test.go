@@ -40,7 +40,7 @@ func TestRegistryHasBuiltins(t *testing.T) {
 	for _, name := range []string{
 		"fig1", "fig2", "fig3",
 		"scaling", "edf-gain", "recipe", "gamma-alpha", "region",
-		"path", "heteropath", "tandem", "gamma-profile",
+		"path", "heteropath", "tandem",
 	} {
 		sc, err := Get(name)
 		if err != nil {

@@ -171,21 +171,7 @@ func (tandemScenario) Evaluate(ctx context.Context, cfg Config, _ Point, be Back
 		if err != nil {
 			return Result{}, err
 		}
-		build := func(a float64) (core.PathConfig, error) {
-			if err := ctx.Err(); err != nil {
-				return core.PathConfig{}, err
-			}
-			through, err := memo.EBBAggregate(float64(n0), a)
-			if err != nil {
-				return core.PathConfig{}, err
-			}
-			cross, err := memo.EBBAggregate(float64(nc), a)
-			if err != nil {
-				return core.PathConfig{}, err
-			}
-			return core.PathConfig{H: h, C: c, Through: through, Cross: cross, Delta0c: delta}, nil
-		}
-		res, err := core.OptimizeAlphaCtx(ctx, build, eps, 1e-3, 50)
+		res, err := pathSetup(ctx, c, eps).PathBound(memo, h, float64(n0), float64(nc), delta)
 		if err != nil {
 			return Result{}, fmt.Errorf("computing the bound: %w", err)
 		}
