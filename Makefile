@@ -113,7 +113,7 @@ scenarios:
 	$(GO) run ./cmd/paperfigs -scenarios
 
 fmt:
-	gofmt -w ./cmd ./internal ./examples ./bench_test.go
+	gofmt -w ./cmd ./internal ./examples ./bench_test.go ./exports_test.go
 
 vet:
 	$(GO) vet ./...
@@ -141,7 +141,7 @@ fuzz-smoke:
 # trajectory, a live probe of the /metrics endpoint, a run of every
 # example program, and a fuzz smoke test of the numeric kernels.
 check:
-	@unformatted=$$(gofmt -l cmd internal examples bench_test.go); \
+	@unformatted=$$(gofmt -l cmd internal examples bench_test.go exports_test.go); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi

@@ -29,6 +29,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-util", "Inf"},
 		{"-reps", "0"},
 		{"-simworkers", "-1"},
+		{"extra", "-util", "0"},
 	} {
 		err := run(append([]string{"-quick"}, args...))
 		if !errors.Is(err, core.ErrBadConfig) || errors.Is(err, core.ErrInfeasible) {

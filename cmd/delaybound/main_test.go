@@ -66,6 +66,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"infinite alpha", []string{"-alpha", "Inf"}, true},
 		{"zero replications", []string{"-reps", "0"}, true},
 		{"negative replication workers", []string{"-simworkers", "-1"}, true},
+		// A stray word ends flag parsing: -sched sp would be dropped.
+		{"stray argument", []string{"-H", "2", "extra", "-sched", "sp"}, true},
 	} {
 		err := run(tc.args)
 		if err == nil {

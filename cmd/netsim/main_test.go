@@ -78,6 +78,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-probe-every", "-1"},
 		{"-reps", "0"},
 		{"-simworkers", "-1"},
+		{"-backend", "analytic", "extra", "-sched", "sp"},
 	} {
 		err := run(append(args, "-slots", "1000"))
 		if !errors.Is(err, core.ErrBadConfig) || errors.Is(err, core.ErrInfeasible) {

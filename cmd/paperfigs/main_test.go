@@ -59,6 +59,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-backend", "sim", "-reps", "0"},
 		{"-backend", "sim", "-reps", "-3"},
 		{"-simworkers", "-1"},
+		{"-fig", "3", "-outdir", t.TempDir(), "extra", "-fig", "9"},
 	} {
 		if err := run(append([]string{"-quick"}, args...)); !errors.Is(err, core.ErrBadConfig) {
 			t.Errorf("%v: want core.ErrBadConfig, got %v", args, err)

@@ -127,18 +127,6 @@ func (s *Scratch) goldenGammaMin(cfg PathConfig, eps, lo, hi float64, iters int)
 	return (a + b) / 2
 }
 
-// DelayBoundAtGammas prices a whole γ grid in one call on a fresh
-// Scratch, returning caller-owned Results. It is the batch counterpart
-// of DelayBoundAtGamma: element i is bit-identical to
-// DelayBoundAtGamma(cfg, eps, gammas[i]), including the error for an
-// out-of-range γ (the batch stops at the first infeasible element,
-// exactly as a caller's loop would).
-func DelayBoundAtGammas(cfg PathConfig, eps float64, gammas []float64) ([]Result, error) {
-	s := getScratch()
-	defer putScratch(s)
-	return s.DelayBoundAtGammas(cfg, eps, gammas, nil)
-}
-
 // DelayBoundAtGammas is the scratch-reusing batch probe: the results
 // are appended to dst[:0] and the Theta buffers of dst's existing
 // entries are recycled, so a caller that round-trips the returned slice

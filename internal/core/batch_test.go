@@ -299,7 +299,7 @@ func TestDelayBoundAtGammasMatchesLoop(t *testing.T) {
 			for i := 1; i <= 24; i++ {
 				gammas = append(gammas, gmax*float64(i)/25)
 			}
-			batch, err := DelayBoundAtGammas(cfg, 1e-9, gammas)
+			batch, err := new(Scratch).DelayBoundAtGammas(cfg, 1e-9, gammas, nil)
 			if err != nil {
 				t.Fatalf("batch failed: %v", err)
 			}
@@ -344,7 +344,7 @@ func TestDelayBoundAtGammasErrorAndRecycling(t *testing.T) {
 
 	// An out-of-range γ mid-batch fails the whole call, exactly as the
 	// caller's own loop would have failed at that element.
-	if _, err := DelayBoundAtGammas(cfg, 1e-9, []float64{gmax / 2, gmax * 2, gmax / 3}); err == nil {
+	if _, err := new(Scratch).DelayBoundAtGammas(cfg, 1e-9, []float64{gmax / 2, gmax * 2, gmax / 3}, nil); err == nil {
 		t.Fatal("expected error for out-of-range gamma in batch")
 	}
 

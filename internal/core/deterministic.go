@@ -142,128 +142,3 @@ func (p fixedDelta) Delta(j, k FlowID) float64 {
 		return -p.delta
 	}
 }
-
-// BacklogBoundDet returns the deterministic backlog bound of flow j at a
-// Δ-scheduled node: the vertical deviation between its envelope and the
-// Theorem 1 leftover service curve at θ=0.
-func BacklogBoundDet(c float64, j FlowID, envs map[FlowID]minplus.Curve, p Policy) (float64, error) {
-	s, err := LeftoverDet(c, j, envs, p, 0)
-	if err != nil {
-		return 0, err
-	}
-	env, ok := envs[j]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownFlow, j)
-	}
-	return minplus.VDev(env, s), nil
-}
-
-// OutputEnvelopeDet returns the deterministic envelope of flow j's
-// departures from a Δ-scheduled node — the min-plus deconvolution of its
-// arrival envelope by the leftover service curve — used to chain
-// node-by-node analyses (and to quantify how burstiness grows per hop,
-// the effect that makes additive analyses blow up).
-func OutputEnvelopeDet(c float64, j FlowID, envs map[FlowID]minplus.Curve, p Policy) (minplus.Curve, error) {
-	s, err := LeftoverDet(c, j, envs, p, 0)
-	if err != nil {
-		return minplus.Curve{}, err
-	}
-	env, ok := envs[j]
-	if !ok {
-		return minplus.Curve{}, fmt.Errorf("%w: %d", ErrUnknownFlow, j)
-	}
-	return minplus.Deconvolve(env, s)
-}
-
-// DetNodeSpec is one node of a non-homogeneous deterministic path.
-type DetNodeSpec struct {
-	C     float64
-	Cross minplus.Curve
-	Delta float64
-}
-
-// DelayBoundDetHetero extends the deterministic path analysis to
-// non-homogeneous nodes: per-node capacities, cross envelopes and
-// scheduler constants. A single θ (shared across nodes, optimized by the
-// same grid + golden-section scheme) parameterizes the Theorem 1 curves;
-// per-node θ would only tighten further, so the result remains a valid
-// upper bound.
-func DelayBoundDetHetero(through minplus.Curve, nodes []DetNodeSpec) (DetResult, error) {
-	if len(nodes) == 0 {
-		return DetResult{}, badConfig("deterministic hetero path needs at least one node")
-	}
-	if !through.NonDecreasing() {
-		return DetResult{}, badConfig("through envelope must be non-decreasing")
-	}
-	for i, n := range nodes {
-		if n.C <= 0 || math.IsNaN(n.C) {
-			return DetResult{}, badConfig("node %d capacity must be positive, got %g", i+1, n.C)
-		}
-		if !n.Cross.NonDecreasing() {
-			return DetResult{}, badConfig("node %d cross envelope must be non-decreasing", i+1)
-		}
-		if math.IsNaN(n.Delta) {
-			return DetResult{}, badConfig("node %d Delta is NaN", i+1)
-		}
-		if through.TailSlope()+n.Cross.TailSlope() > n.C+1e-12 {
-			return DetResult{}, fmt.Errorf("%w: node %d rates %g+%g vs capacity %g",
-				ErrUnstable, i+1, through.TailSlope(), n.Cross.TailSlope(), n.C)
-		}
-	}
-
-	netFor := func(theta float64) (minplus.Curve, error) {
-		var net minplus.Curve
-		for i, n := range nodes {
-			envs := map[FlowID]minplus.Curve{0: through, 1: n.Cross}
-			per, err := LeftoverDet(n.C, 0, envs, fixedDelta{delta: n.Delta}, theta)
-			if err != nil {
-				return minplus.Curve{}, err
-			}
-			per, err = minplus.LowerNonDecreasing(per)
-			if err != nil {
-				return minplus.Curve{}, err
-			}
-			if i == 0 {
-				net = per
-			} else {
-				net = minplus.Convolve(net, per)
-			}
-		}
-		return net, nil
-	}
-	eval := func(theta float64) float64 {
-		net, err := netFor(theta)
-		if err != nil {
-			return math.Inf(1)
-		}
-		d, err := minplus.HDev(through, net)
-		if err != nil {
-			return math.Inf(1)
-		}
-		return d
-	}
-
-	d0 := eval(0)
-	if math.IsInf(d0, 1) {
-		return DetResult{}, fmt.Errorf("%w: no deterministic bound at theta=0", ErrUnstable)
-	}
-	hiTheta := d0 + 1
-	const gridN = 32
-	bestT, bestD := 0.0, d0
-	for i := 1; i <= gridN; i++ {
-		th := hiTheta * float64(i) / gridN
-		if d := eval(th); d < bestD {
-			bestD, bestT = d, th
-		}
-	}
-	step := hiTheta / gridN
-	t := goldenMin(eval, math.Max(0, bestT-step), bestT+step, 48)
-	if d := eval(t); d < bestD {
-		bestD, bestT = d, t
-	}
-	net, err := netFor(bestT)
-	if err != nil {
-		return DetResult{}, err
-	}
-	return DetResult{D: bestD, Theta: bestT, SNet: net}, nil
-}

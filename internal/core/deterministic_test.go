@@ -115,94 +115,3 @@ func TestDetMatchesSingleNodeAtH1(t *testing.T) {
 		almost(t, res.D, want, 1e-5*(1+want), "H=1 path vs single node")
 	}
 }
-
-func TestBacklogBoundDet(t *testing.T) {
-	envs := map[FlowID]minplus.Curve{
-		0: minplus.Affine(2, 4),
-		1: minplus.Affine(3, 12),
-	}
-	// BMUX: leftover β_{7, 12/7}; backlog bound = B0 + ρ0·T = 4 + 2·12/7.
-	b, err := BacklogBoundDet(10, 0, envs, BMUX{Low: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, b, 4+2*12.0/7, 1e-9, "BMUX backlog bound")
-
-	// Strict priority: service Ct dominates the envelope after the burst;
-	// the worst backlog is the burst itself.
-	bSP, err := BacklogBoundDet(10, 0, envs, StaticPriority{Level: map[FlowID]int{0: 2, 1: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, bSP, 4, 1e-9, "SP backlog bound")
-}
-
-func TestOutputEnvelopeDetBurstGrowth(t *testing.T) {
-	envs := map[FlowID]minplus.Curve{
-		0: minplus.Affine(2, 4),
-		1: minplus.Affine(3, 12),
-	}
-	out, err := OutputEnvelopeDet(10, 0, envs, BMUX{Low: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// γ_{ρ,B} ⊘ β_{R,T} = γ_{ρ, B+ρT}: burst grows by ρ0·T = 2·12/7.
-	want := minplus.Affine(2, 4+2*12.0/7)
-	if !minplus.AlmostEqual(out, want, 1e-6, 40) {
-		t.Fatalf("output envelope %v, want %v", out, want)
-	}
-	// The rate is preserved: only burstiness accumulates across hops.
-	almost(t, out.TailSlope(), 2, 1e-9, "output rate preserved")
-}
-
-func TestDelayBoundDetHeteroMatchesHomogeneous(t *testing.T) {
-	cfg := detCfg(3, 0)
-	hom, err := DelayBoundDetPath(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]DetNodeSpec, cfg.H)
-	for i := range nodes {
-		nodes[i] = DetNodeSpec{C: cfg.C, Cross: cfg.Cross, Delta: cfg.Delta0c}
-	}
-	het, err := DelayBoundDetHetero(cfg.Through, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, het.D, hom.D, 1e-4*(1+hom.D), "identical nodes")
-}
-
-func TestDelayBoundDetHeteroBottleneck(t *testing.T) {
-	through := minplus.Affine(2, 4)
-	cross := minplus.Affine(3, 12)
-	fast := DetNodeSpec{C: 20, Cross: cross, Delta: math.Inf(1)}
-	slow := DetNodeSpec{C: 8, Cross: cross, Delta: math.Inf(1)}
-	allFast, err := DelayBoundDetHetero(through, []DetNodeSpec{fast, fast})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withSlow, err := DelayBoundDetHetero(through, []DetNodeSpec{fast, slow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withSlow.D <= allFast.D {
-		t.Fatalf("bottleneck should worsen the bound: %g vs %g", withSlow.D, allFast.D)
-	}
-	// BMUX closed form for two heterogeneous nodes:
-	// d = B0/(minC−ρc) + Σ_h Bc/(C_h−ρc).
-	want := 4.0/(8-3) + 12.0/(20-3) + 12.0/(8-3)
-	almost(t, withSlow.D, want, 1e-6, "hetero BMUX closed form")
-}
-
-func TestDelayBoundDetHeteroValidation(t *testing.T) {
-	through := minplus.Affine(2, 4)
-	if _, err := DelayBoundDetHetero(through, nil); err == nil {
-		t.Error("empty path must be rejected")
-	}
-	if _, err := DelayBoundDetHetero(through, []DetNodeSpec{{C: 0, Cross: minplus.Affine(1, 1)}}); err == nil {
-		t.Error("zero capacity must be rejected")
-	}
-	if _, err := DelayBoundDetHetero(through, []DetNodeSpec{{C: 4, Cross: minplus.Affine(3, 1)}}); err == nil {
-		t.Error("unstable node must be rejected")
-	}
-}

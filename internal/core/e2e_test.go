@@ -290,7 +290,7 @@ func TestDelayBoundGammaOptimization(t *testing.T) {
 	for i := range gammas {
 		gammas[i] = valley.GammaMax() * float64(i+1) / float64(len(gammas)+1)
 	}
-	grid, err := DelayBoundAtGammas(valley, 1e-9, gammas)
+	grid, err := new(Scratch).DelayBoundAtGammas(valley, 1e-9, gammas, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,16 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"deltasched/internal/envelope"
 	"deltasched/internal/minplus"
 )
-
-// StatEnvelope pairs a statistical sample-path envelope curve G with an
-// exponential bounding function (paper Eq. 2 with ε(σ) = M·e^{−ασ}).
-type StatEnvelope struct {
-	G     minplus.Curve
-	Bound envelope.ExpBound
-}
 
 // LeftoverDet constructs the deterministic leftover service curve of
 // Theorem 1 (Eq. 19) for flow j at a Δ-scheduled link of rate c:
@@ -53,39 +45,4 @@ func LeftoverDet(c float64, j FlowID, envs map[FlowID]minplus.Curve, p Policy, t
 	}
 	s := minplus.SubPos(minplus.ConstantRate(c), sum)
 	return minplus.ZeroUntil(s, theta), nil
-}
-
-// LeftoverStat constructs the statistical leftover service curve of
-// Theorem 1 (Eq. 8) for flow j, given statistical sample-path envelopes of
-// the cross flows, together with its bounding function
-//
-//	ε_s(σ) = inf_{Σσ_k=σ} Σ_{k∈N_{−j}} ε_k(σ_k),
-//
-// evaluated in closed form for exponential bounds via envelope.Merge.
-func LeftoverStat(c float64, j FlowID, envs map[FlowID]StatEnvelope, p Policy, theta float64) (minplus.Curve, envelope.ExpBound, error) {
-	if _, ok := envs[j]; !ok {
-		return minplus.Curve{}, envelope.ExpBound{}, fmt.Errorf("%w: %d", ErrUnknownFlow, j)
-	}
-	curves := make(map[FlowID]minplus.Curve, len(envs))
-	var bounds []envelope.ExpBound
-	for k, e := range envs {
-		curves[k] = e.G
-		if k == j || math.IsInf(p.Delta(j, k), -1) {
-			continue
-		}
-		bounds = append(bounds, e.Bound)
-	}
-	curve, err := LeftoverDet(c, j, curves, p, theta)
-	if err != nil {
-		return minplus.Curve{}, envelope.ExpBound{}, err
-	}
-	if len(bounds) == 0 {
-		// No cross traffic can precede flow j: the guarantee is deterministic.
-		return curve, envelope.ExpBound{M: 0, Alpha: 1}, nil
-	}
-	b, err := envelope.Merge(bounds...)
-	if err != nil {
-		return minplus.Curve{}, envelope.ExpBound{}, err
-	}
-	return curve, b, nil
 }

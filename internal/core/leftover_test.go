@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"deltasched/internal/envelope"
 	"deltasched/internal/minplus"
 )
 
@@ -178,37 +177,4 @@ func TestLeftoverDetIsServiceCurveInFluidModel(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestLeftoverStatMergesBounds(t *testing.T) {
-	g := minplus.ConstantRate(5)
-	envs := map[FlowID]StatEnvelope{
-		0: {G: g, Bound: envelope.ExpBound{M: 1, Alpha: 1}},
-		1: {G: g, Bound: envelope.ExpBound{M: 2, Alpha: 0.5}},
-		2: {G: g, Bound: envelope.ExpBound{M: 3, Alpha: 0.25}},
-	}
-	_, bound, err := LeftoverStat(20, 0, envs, FIFO{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := envelope.Merge(envelope.ExpBound{M: 2, Alpha: 0.5}, envelope.ExpBound{M: 3, Alpha: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, bound.M, want.M, 1e-9, "merged prefactor")
-	almost(t, bound.Alpha, want.Alpha, 1e-12, "merged decay")
-}
-
-func TestLeftoverStatNoCross(t *testing.T) {
-	envs := map[FlowID]StatEnvelope{
-		0: {G: minplus.ConstantRate(5), Bound: envelope.ExpBound{M: 1, Alpha: 1}},
-		1: {G: minplus.ConstantRate(5), Bound: envelope.ExpBound{M: 1, Alpha: 1}},
-	}
-	p := StaticPriority{Level: map[FlowID]int{0: 9, 1: 0}}
-	curve, bound, err := LeftoverStat(20, 0, envs, p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, curve.Eval(2), 40, 1e-9, "full link rate")
-	almost(t, bound.At(0), 0, 0, "deterministic guarantee: zero violation")
 }

@@ -105,19 +105,6 @@ func (e EDF) Delta(j, k FlowID) float64 {
 	return e.Deadline[j] - e.Deadline[k]
 }
 
-// ValidatePolicy checks the locally-FIFO requirement Δ_{j,j} = 0 and the
-// antisymmetry sanity Δ_{j,k} = −Δ_{k,j} expected of precedence constants
-// for the given flows (antisymmetry holds for FIFO, SP, BMUX and EDF; it
-// is reported, not required, for custom policies).
-func ValidatePolicy(p Policy, flows []FlowID) error {
-	for _, j := range flows {
-		if d := p.Delta(j, j); d != 0 {
-			return badConfig("policy %s is not locally FIFO: Delta(%d,%d) = %g", p.Name(), j, j, d)
-		}
-	}
-	return nil
-}
-
 // DeltaClamped returns Δ_{j,k}(y) = min(Δ_{j,k}, y) (paper Eq. (7)): with
 // respect to a tagged flow-j arrival still in the system y time units
 // later, higher-precedence flow-k traffic must have arrived by t + Δ(y).

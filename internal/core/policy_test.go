@@ -60,19 +60,6 @@ func TestEDFDeltas(t *testing.T) {
 	}
 }
 
-func TestValidatePolicy(t *testing.T) {
-	flows := []FlowID{0, 1, 2}
-	for _, p := range []Policy{FIFO{}, BMUX{Low: 1}, StaticPriority{Level: map[FlowID]int{0: 1}}, EDF{Deadline: map[FlowID]float64{0: 5}}} {
-		if err := ValidatePolicy(p, flows); err != nil {
-			t.Errorf("%s: %v", p.Name(), err)
-		}
-	}
-	bad := EDF{Deadline: map[FlowID]float64{}} // fine: all deltas zero
-	if err := ValidatePolicy(bad, flows); err != nil {
-		t.Errorf("empty EDF deadlines should still be locally FIFO: %v", err)
-	}
-}
-
 func TestDeltaClamped(t *testing.T) {
 	tests := []struct{ delta, y, want float64 }{
 		{5, 3, 3},

@@ -12,11 +12,10 @@ import (
 // deviation computations accumulate floating-point error across breakpoint
 // enumeration and curve shifting, so exact comparisons would misclassify
 // configurations sitting on the feasibility boundary (where the bisection
-// in DelayBoundDet converges by construction). The slack is expressed in
-// the comparison's native units — kbit for Eq. 24's vertical deviation
-// against the capacity–delay product C·d, slots for the horizontal
-// deviation against d in DelayBoundGeneral — and is orders of magnitude
-// below any physically meaningful backlog or delay in the paper's setups.
+// in DelayBoundDet converges by construction). The slack is in kbit, the
+// units of Eq. 24's vertical deviation against the capacity–delay product
+// C·d, and is orders of magnitude below any physically meaningful backlog
+// in the paper's setups.
 const SchedulabilitySlack = 1e-9
 
 // SchedulableDet evaluates the paper's deterministic schedulability
@@ -127,29 +126,4 @@ func DelayBoundDet(c float64, j FlowID, envs map[FlowID]minplus.Curve, p Policy)
 		}
 	}
 	return hi, nil
-}
-
-// WitnessBacklog evaluates the backlog process of the Theorem 2 necessity
-// proof (Eq. 26) for a tagged flow-j arrival at time tStar, when every
-// flow k transmits greedily along its envelope from time 0:
-//
-//	B_j^{t*}(s) = Σ_{k∈N_j} E_k(t* + Δ_{j,k}(s − t*)) − C·s.
-//
-// If B stays positive on [0, t*+d), the tagged arrival cannot depart by
-// t*+d and the delay bound d is violated — the constructive half of
-// Theorem 2 used by the tightness tests.
-func WitnessBacklog(c float64, j FlowID, envs map[FlowID]minplus.Curve, p Policy, tStar, s float64) (float64, error) {
-	if _, ok := envs[j]; !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownFlow, j)
-	}
-	total := 0.0
-	for k, ek := range envs {
-		delta := p.Delta(j, k)
-		if math.IsInf(delta, -1) {
-			continue
-		}
-		arg := tStar + DeltaClamped(delta, s-tStar)
-		total += ek.Eval(arg)
-	}
-	return total - c*s, nil
 }

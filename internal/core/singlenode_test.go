@@ -117,65 +117,3 @@ func TestSchedulableDetMonotoneInDelay(t *testing.T) {
 		t.Error("delay below the minimal bound should not be schedulable")
 	}
 }
-
-func TestWitnessBacklogShowsTightness(t *testing.T) {
-	// Theorem 2 (necessity): with concave envelopes and greedy arrivals,
-	// the backlog with precedence over a tagged arrival at t* stays
-	// positive until t* + d for any d below the computed bound, so the
-	// bound is attained. For FIFO leaky buckets the witness is t* = 0.
-	envs := map[FlowID]minplus.Curve{
-		0: minplus.Affine(2, 4),
-		1: minplus.Affine(3, 12),
-	}
-	d, err := DelayBoundDet(10, 0, envs, FIFO{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dTest := 0.97 * d
-	tStar := 0.0
-	for i := 0; i <= 100; i++ {
-		s := tStar + dTest*float64(i)/100
-		b, err := WitnessBacklog(10, 0, envs, FIFO{}, tStar, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i < 100 && b <= 0 {
-			t.Fatalf("backlog lost positivity at s=%g: %g (delay bound not tight?)", s, b)
-		}
-	}
-
-	// And for the *computed* bound itself the backlog does drain by t*+d
-	// (within tolerance): the bound is not loose either.
-	b, err := WitnessBacklog(10, 0, envs, FIFO{}, tStar, tStar+d+1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b > 1e-3 {
-		t.Errorf("backlog %g should have drained at the bound", b)
-	}
-}
-
-func TestWitnessBacklogEDF(t *testing.T) {
-	// Same tightness structure for EDF: the witness uses the scheduler's
-	// Δ-clamped arguments automatically.
-	envs := map[FlowID]minplus.Curve{
-		0: minplus.Affine(2, 4),
-		1: minplus.Affine(3, 12),
-	}
-	p := EDF{Deadline: map[FlowID]float64{0: 2, 1: 1}} // through has looser deadline
-	d, err := DelayBoundDet(10, 0, envs, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dTest := 0.97 * d
-	for i := 0; i < 100; i++ {
-		s := dTest * float64(i) / 100
-		b, err := WitnessBacklog(10, 0, envs, p, 0, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b <= 0 {
-			t.Fatalf("EDF backlog lost positivity at s=%g: %g", s, b)
-		}
-	}
-}

@@ -1,8 +1,8 @@
 // Package envelope provides the traffic characterizations of the paper's
-// Section II-A: deterministic sample-path envelopes, statistical envelopes
-// with exponential bounding functions, the EBB (Exponentially Bounded
-// Burstiness) traffic model, and Markov-modulated on-off sources with
-// their effective bandwidth.
+// Section II-A: exponential bounding functions, the EBB (Exponentially
+// Bounded Burstiness) traffic model with its discrete-time sample-path
+// envelope, and Markov-modulated on-off sources with their effective
+// bandwidth.
 //
 // Throughout, time is measured in slots (the paper's discrete-time unit,
 // 1 ms in the numerical examples) and data in the caller's unit (kilobits
@@ -13,20 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"deltasched/internal/minplus"
 )
-
-// Statistical is a statistical sample-path envelope in the sense of the
-// paper's Eq. (2): for all t, σ >= 0,
-//
-//	P( sup_{0<=s<=t} { A(s,t) − G(t−s) } > σ ) <= Eps(σ).
-//
-// A deterministic envelope is the special case Eps ≡ 0 (σ > 0).
-type Statistical struct {
-	G   minplus.Curve
-	Eps func(sigma float64) float64
-}
 
 // ExpBound is the exponential bounding function ε(σ) = M·e^{−α·σ}.
 // Bounding functions are probabilities, so callers should clamp At() to 1
@@ -145,116 +132,4 @@ func (e EBB) SamplePath(gamma float64) (rate float64, bound ExpBound, err error)
 	}
 	den := 1 - math.Exp(-e.Alpha*gamma)
 	return e.Rho + gamma, ExpBound{M: e.M / den, Alpha: e.Alpha}, nil
-}
-
-// SamplePathEnvelope packages SamplePath as a Statistical envelope.
-func (e EBB) SamplePathEnvelope(gamma float64) (Statistical, error) {
-	rate, bound, err := e.SamplePath(gamma)
-	if err != nil {
-		return Statistical{}, err
-	}
-	return Statistical{
-		G:   minplus.ConstantRate(rate),
-		Eps: bound.At,
-	}, nil
-}
-
-// SumEBB aggregates independent-or-not EBB flows: rates add and the
-// bounding functions combine through Merge (no independence is assumed,
-// matching the paper's multiplexing model).
-func SumEBB(flows ...EBB) (EBB, error) {
-	if len(flows) == 0 {
-		return EBB{}, errors.New("envelope: SumEBB needs at least one flow")
-	}
-	rho := 0.0
-	bounds := make([]ExpBound, 0, len(flows))
-	for _, f := range flows {
-		if err := f.Validate(); err != nil {
-			return EBB{}, err
-		}
-		rho += f.Rho
-		bounds = append(bounds, f.Bound())
-	}
-	b, err := Merge(bounds...)
-	if err != nil {
-		return EBB{}, err
-	}
-	if b.M < 1 {
-		b.M = 1 // an EBB prefactor below 1 is vacuous at σ=0; keep the model well-formed
-	}
-	return EBB{M: b.M, Rho: rho, Alpha: b.Alpha}, nil
-}
-
-// Deterministic returns the EBB representation of a leaky bucket
-// E(t) = Rho·t + B: letting M = e^{B·α} and α → ∞ recovers the bucket
-// (paper Section IV, case γ=0). The returned EBB uses the given finite α.
-func Deterministic(rho, burst, alpha float64) EBB {
-	return EBB{M: math.Exp(burst * alpha), Rho: rho, Alpha: alpha}
-}
-
-// FitEBB estimates, for a fixed decay α, the smallest (M, ρ) such that the
-// EBB bound P(A(s,t) > ρ(t−s)+σ) <= M·e^{−ασ} holds empirically on the
-// given per-slot arrival trace for every window length up to maxWindow:
-// ρ is taken as the worst observed rate over long windows (plus the slack
-// the caller wants to add afterwards), and M as the smallest prefactor
-// covering the empirical exceedance frequencies at all (window, σ) pairs
-// probed. The fit is a measurement tool (calibrating models to traces);
-// the returned parameters make the bound hold on the trace, not in
-// distribution.
-func FitEBB(trace []float64, alpha float64, maxWindow int) (EBB, error) {
-	if len(trace) < 2 {
-		return EBB{}, errors.New("envelope: FitEBB needs at least 2 slots")
-	}
-	if alpha <= 0 || math.IsNaN(alpha) {
-		return EBB{}, fmt.Errorf("envelope: FitEBB needs alpha > 0, got %g", alpha)
-	}
-	if maxWindow < 1 || maxWindow > len(trace) {
-		maxWindow = len(trace)
-	}
-	cum := make([]float64, len(trace)+1)
-	for i, x := range trace {
-		if x < 0 || math.IsNaN(x) {
-			return EBB{}, fmt.Errorf("envelope: trace slot %d invalid: %g", i, x)
-		}
-		cum[i+1] = cum[i] + x
-	}
-	mean := cum[len(trace)] / float64(len(trace))
-
-	// ρ: the long-window mean rate (EBB needs ρ at least the mean rate for
-	// the exceedance probabilities to decay).
-	rho := mean
-
-	// M: for a grid of windows and thresholds, the empirical exceedance
-	// frequency of ρ·n + σ must be <= M·e^{−ασ}.
-	m := 1.0
-	for n := 1; n <= maxWindow; n = growWindow(n) {
-		// Collect window sums.
-		count := len(trace) - n + 1
-		if count < 10 {
-			break
-		}
-		for _, sigmaFrac := range []float64{0.25, 0.5, 1, 2, 4} {
-			// Scale thresholds to the window's natural deviation.
-			sigma := sigmaFrac * (1 + math.Sqrt(float64(n))*mean)
-			exceed := 0
-			for s := 0; s < count; s++ {
-				if cum[s+n]-cum[s] > rho*float64(n)+sigma {
-					exceed++
-				}
-			}
-			freq := float64(exceed) / float64(count)
-			if need := freq * math.Exp(alpha*sigma); need > m {
-				m = need
-			}
-		}
-	}
-	return EBB{M: m, Rho: rho, Alpha: alpha}, nil
-}
-
-func growWindow(n int) int {
-	next := n * 3 / 2
-	if next == n {
-		next = n + 1
-	}
-	return next
 }

@@ -200,122 +200,3 @@ func TestSamplePathFormula(t *testing.T) {
 		t.Error("gamma=0 must be rejected")
 	}
 }
-
-func TestSamplePathEnvelopeShape(t *testing.T) {
-	e := EBB{M: 1, Rho: 3, Alpha: 1}
-	env, err := e.SamplePathEnvelope(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, env.G.Eval(10), 40, 1e-9, "G(t) = (rho+gamma)t")
-	if env.Eps(0) <= 1 {
-		t.Errorf("eps(0) = %g should exceed 1 for this M", env.Eps(0))
-	}
-	if e1, e2 := env.Eps(5), env.Eps(10); e1 <= e2 {
-		t.Error("bounding function must decay")
-	}
-}
-
-func TestSumEBBHomogeneous(t *testing.T) {
-	f := EBB{M: 1, Rho: 2, Alpha: 0.6}
-	agg, err := SumEBB(f, f, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, agg.Rho, 6, 1e-12, "rates add")
-	almost(t, agg.Alpha, 0.2, 1e-12, "decay splits")
-	almost(t, agg.M, 3, 1e-9, "prefactor N·M")
-}
-
-func TestDeterministicAsEBB(t *testing.T) {
-	// A leaky bucket (rho=5, burst=12) encoded as EBB with finite alpha:
-	// at sigma=burst the bound is exactly 1.
-	e := Deterministic(5, 12, 2)
-	almost(t, e.Bound().At(12), 1, 1e-9, "bound hits 1 at the burst size")
-	if e.Bound().At(13) >= 1 {
-		t.Error("beyond the burst the bound must drop below 1")
-	}
-}
-
-func TestFitEBBOnCBRTrace(t *testing.T) {
-	trace := make([]float64, 5000)
-	for i := range trace {
-		trace[i] = 2
-	}
-	e, err := FitEBB(trace, 0.5, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, e.Rho, 2, 1e-9, "CBR rate")
-	almost(t, e.M, 1, 1e-9, "CBR needs no prefactor above 1")
-}
-
-func TestFitEBBCoversTrace(t *testing.T) {
-	// A bursty trace: the fitted parameters must cover every probed
-	// exceedance on the trace itself.
-	r := rand.New(rand.NewSource(5))
-	trace := make([]float64, 20000)
-	for i := range trace {
-		if r.Float64() < 0.1 {
-			trace[i] = 10
-		}
-	}
-	alpha := 0.3
-	e, err := FitEBB(trace, alpha, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.M < 1 || e.Rho <= 0 {
-		t.Fatalf("degenerate fit: %+v", e)
-	}
-	cum := make([]float64, len(trace)+1)
-	for i, x := range trace {
-		cum[i+1] = cum[i] + x
-	}
-	for _, n := range []int{1, 10, 100} {
-		for _, sigma := range []float64{2, 8, 20} {
-			exceed, count := 0, 0
-			for s := 0; s+n <= len(trace); s++ {
-				count++
-				if cum[s+n]-cum[s] > e.Rho*float64(n)+sigma {
-					exceed++
-				}
-			}
-			freq := float64(exceed) / float64(count)
-			// The fit probes a threshold grid; on intermediate thresholds
-			// allow a small estimation factor.
-			if freq > 3*e.Bound().At(sigma)+1e-3 {
-				t.Errorf("window %d sigma %g: freq %g above fitted bound %g",
-					n, sigma, freq, e.Bound().At(sigma))
-			}
-		}
-	}
-}
-
-func TestFitEBBValidation(t *testing.T) {
-	if _, err := FitEBB(nil, 1, 10); err == nil {
-		t.Error("empty trace must be rejected")
-	}
-	if _, err := FitEBB([]float64{1, 2}, 0, 10); err == nil {
-		t.Error("alpha=0 must be rejected")
-	}
-	if _, err := FitEBB([]float64{1, -2, 3}, 1, 10); err == nil {
-		t.Error("negative trace values must be rejected")
-	}
-}
-
-func TestSumEBBValidation(t *testing.T) {
-	if _, err := SumEBB(); err == nil {
-		t.Error("empty sum must be rejected")
-	}
-	if _, err := SumEBB(EBB{M: 0.1, Rho: 1, Alpha: 1}); err == nil {
-		t.Error("invalid flow must be rejected")
-	}
-	// Single flow passes through (modulo the M >= 1 floor).
-	e, err := SumEBB(EBB{M: 2, Rho: 3, Alpha: 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, e.Rho, 3, 0, "single-flow rate")
-	almost(t, e.Alpha, 0.7, 0, "single-flow alpha")
-}

@@ -1,7 +1,6 @@
 package envelope
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -130,9 +129,6 @@ func NewEBMemo(m MMOO) (*EBMemo, error) {
 	return &EBMemo{m: m}, nil
 }
 
-// Source returns the wrapped model.
-func (c *EBMemo) Source() MMOO { return c.m }
-
 // EffectiveBandwidth returns m.EffectiveBandwidth(s), cached for
 // consecutive calls with equal s.
 func (c *EBMemo) EffectiveBandwidth(s float64) (float64, error) {
@@ -158,18 +154,4 @@ func (c *EBMemo) EBBAggregate(n, s float64) (EBB, error) {
 		return EBB{}, err
 	}
 	return EBB{M: 1, Rho: n * eb, Alpha: s}, nil
-}
-
-// FlowsForUtilization returns the number of flows n such that n·MeanRate
-// equals util·capacity — how the paper translates a utilization target
-// into a flow count.
-func (m MMOO) FlowsForUtilization(util, capacity float64) (float64, error) {
-	mean := m.MeanRate()
-	if mean <= 0 {
-		return 0, errors.New("envelope: source has zero mean rate")
-	}
-	if util < 0 || capacity <= 0 {
-		return 0, fmt.Errorf("envelope: need util >= 0 and capacity > 0 (util=%g, capacity=%g)", util, capacity)
-	}
-	return util * capacity / mean, nil
 }

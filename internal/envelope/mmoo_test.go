@@ -99,23 +99,6 @@ func TestEBBAggregate(t *testing.T) {
 	}
 }
 
-func TestFlowsForUtilization(t *testing.T) {
-	m := PaperSource()
-	n, err := m.FlowsForUtilization(0.15, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The paper equates N=100 flows with U=15% on a 100 Mbps link using the
-	// rounded per-flow average of 0.15 Mbps; the exact mean gives ≈100.9.
-	almost(t, n, 0.15*100/m.MeanRate(), 1e-9, "flow count")
-	if n < 100 || n > 102 {
-		t.Fatalf("flow count %g implausible for the paper's setup", n)
-	}
-	if _, err := m.FlowsForUtilization(0.5, 0); err == nil {
-		t.Error("zero capacity must be rejected")
-	}
-}
-
 func TestStationaryGeneralMarkov(t *testing.T) {
 	gen := PaperSource().TwoState()
 	pi, err := gen.Stationary()

@@ -1,15 +1,15 @@
 // Package minplus implements the (min,+) algebra on piecewise-linear
 // functions that underpins the deterministic and stochastic network
-// calculus: arrival envelopes, service curves, min-plus convolution and
-// deconvolution, and the horizontal/vertical deviations that yield delay
-// and backlog bounds.
+// calculus: arrival envelopes, service curves, min-plus convolution, and
+// the horizontal/vertical deviations that yield delay and backlog bounds.
 //
 // A Curve represents a function f: R -> R ∪ {+∞} with
 //
 //   - f(t) = 0 for t < 0 (the usual network-calculus convention),
-//   - a finite piecewise-linear part on [0, InfFrom()), described by
+//   - a finite piecewise-linear part on [0, infFrom), described by
 //     segments, and
-//   - f(t) = +∞ for t >= InfFrom() (used by the burst-delay function δ_d).
+//   - f(t) = +∞ for t >= infFrom (used by the burst-delay function δ_d),
+//     where infFrom is FromSegments' first argument.
 //
 // Jumps are allowed and follow the right-continuous convention: the value
 // at a jump instant is the value of the segment that starts there. All
@@ -27,7 +27,7 @@ import (
 )
 
 // Segment is one linear piece of a Curve. It covers [T0, next segment's T0)
-// — or [T0, InfFrom()) for the final segment — with value
+// — or [T0, infFrom) for the final segment — with value
 // V0 + Slope·(t − T0).
 type Segment struct {
 	T0    float64 // start of the piece (inclusive)
@@ -216,7 +216,7 @@ func Step(t0, v float64) Curve {
 }
 
 // Eval returns f(t). By convention f(t) = 0 for t < 0 and f(t) = +∞ for
-// t >= InfFrom().
+// t >= infFrom.
 func (c Curve) Eval(t float64) float64 {
 	if t < 0 {
 		return 0
@@ -231,15 +231,6 @@ func (c Curve) Eval(t float64) float64 {
 	s := c.segs[i]
 	return s.V0 + s.Slope*(t-s.T0)
 }
-
-// Segments returns a copy of the finite piecewise-linear part.
-func (c Curve) Segments() []Segment {
-	return append([]Segment(nil), c.segs...)
-}
-
-// InfFrom returns the time from which the curve is +∞ (inclusive), or
-// +Inf if the curve is finite everywhere.
-func (c Curve) InfFrom() float64 { return c.infFrom }
 
 // LastBreak returns the start time of the final finite segment.
 func (c Curve) LastBreak() float64 { return c.segs[len(c.segs)-1].T0 }
@@ -262,39 +253,6 @@ func (c Curve) NonDecreasing() bool {
 			if s.V0 < p.V0+p.Slope*(s.T0-p.T0)-eqTol {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// IsConvex reports whether the finite part of the curve is convex
-// (non-decreasing slopes and no downward jumps).
-func (c Curve) IsConvex() bool {
-	for i := 1; i < len(c.segs); i++ {
-		p, s := c.segs[i-1], c.segs[i]
-		endV := p.V0 + p.Slope*(s.T0-p.T0)
-		if s.Slope < p.Slope-eqTol || s.V0 < endV-eqTol {
-			return false
-		}
-		if s.V0 > endV+eqTol {
-			return false // upward jump breaks convexity except at 0
-		}
-	}
-	return true
-}
-
-// IsConcave reports whether the finite part of the curve is concave on
-// (0, ∞) (non-increasing slopes; an initial burst at t=0 is allowed, as is
-// customary for concave envelopes).
-func (c Curve) IsConcave() bool {
-	if !c.IsFinite() {
-		return false
-	}
-	for i := 1; i < len(c.segs); i++ {
-		p, s := c.segs[i-1], c.segs[i]
-		endV := p.V0 + p.Slope*(s.T0-p.T0)
-		if s.Slope > p.Slope+eqTol || !nearlyEqual(s.V0, endV) {
-			return false
 		}
 	}
 	return true

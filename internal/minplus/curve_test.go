@@ -108,25 +108,6 @@ func TestFromPointsJumps(t *testing.T) {
 }
 
 func TestShapePredicates(t *testing.T) {
-	if !Affine(2, 5).IsConcave() {
-		t.Error("leaky bucket should be concave")
-	}
-	if !RateLatency(4, 3).IsConvex() {
-		t.Error("rate-latency should be convex")
-	}
-	if !Affine(2, 5).IsConvex() {
-		t.Error("a single line segment is (weakly) convex on [0, ∞)")
-	}
-	bent := Min(Affine(2, 5), ConstantRate(6)) // two decreasing slopes
-	if bent.IsConvex() {
-		t.Error("strictly concave two-piece curve must not report convex")
-	}
-	if !bent.IsConcave() {
-		t.Error("min of two affine curves should be concave")
-	}
-	if RateLatency(4, 3).IsConcave() {
-		t.Error("rate-latency should not be concave")
-	}
 	if !Affine(2, 5).NonDecreasing() || !RateLatency(4, 3).NonDecreasing() {
 		t.Error("standard curves should be non-decreasing")
 	}
@@ -148,7 +129,7 @@ func TestTrimMergesCollinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(c.Segments()); got != 2 {
+	if got := len(c.segs); got != 2 {
 		t.Fatalf("expected collinear segments merged to 2, got %d: %v", got, c)
 	}
 }
@@ -170,12 +151,6 @@ func TestAlmostEqual(t *testing.T) {
 
 func TestAccessorsAndString(t *testing.T) {
 	d := Delay(3)
-	if got := d.InfFrom(); got != 3 {
-		t.Fatalf("InfFrom = %g, want 3", got)
-	}
-	if got := Affine(2, 5).InfFrom(); !math.IsInf(got, 1) {
-		t.Fatalf("finite curve InfFrom = %g, want +Inf", got)
-	}
 	s := Affine(2, 5).String()
 	if !strings.Contains(s, "5") || !strings.Contains(s, "2") {
 		t.Fatalf("String() = %q, want burst and rate visible", s)

@@ -32,21 +32,6 @@ func ExampleHDev() {
 	// delay bound = 6 (latency + burst/rate)
 }
 
-// ExampleDeconvolve computes an output envelope: the burst grows by
-// rate·latency while the long-term rate is preserved.
-func ExampleDeconvolve() {
-	in := minplus.Affine(2, 5)
-	service := minplus.RateLatency(10, 3)
-	out, err := minplus.Deconvolve(in, service)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("output burst = %.0f, rate = %.0f\n", out.Eval(0), out.TailSlope())
-	// Output:
-	// output burst = 11, rate = 2
-}
-
 // ExampleVDev is the matching backlog bound.
 func ExampleVDev() {
 	backlog := minplus.VDev(minplus.Affine(2, 6), minplus.RateLatency(3, 4))

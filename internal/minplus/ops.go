@@ -7,11 +7,6 @@ import (
 	"sort"
 )
 
-// ErrDiverges indicates an operation whose result is +∞ everywhere of
-// interest (for example a deconvolution where the envelope outgrows the
-// service curve).
-var ErrDiverges = errors.New("minplus: result diverges")
-
 // ErrBadArgument indicates an out-of-range scalar argument (negative or
 // non-finite scale factors and shift distances). Callers hit it with
 // invalid inputs at the package boundary; invariant violations inside the
@@ -48,24 +43,6 @@ func Min(f, g Curve) Curve {
 // Max returns the pointwise maximum (upper envelope) of f and g.
 func Max(f, g Curve) Curve {
 	return combine(f, g, math.Max, true)
-}
-
-// ScaleV returns k·f for finite k >= 0; other factors are rejected with
-// ErrBadArgument.
-func ScaleV(f Curve, k float64) (Curve, error) {
-	if k < 0 || !isFinite(k) {
-		return Curve{}, fmt.Errorf("%w: ScaleV factor %g", ErrBadArgument, k)
-	}
-	segs := f.Segments()
-	for i := range segs {
-		segs[i].V0 *= k
-		segs[i].Slope *= k
-	}
-	c, err := FromSegments(f.infFrom, segs...)
-	if err != nil {
-		panic("minplus: internal: " + err.Error())
-	}
-	return c, nil
 }
 
 // ShiftRight returns f(·−d) for finite d >= 0, i.e. the min-plus
@@ -211,111 +188,6 @@ func Convolve(f, g Curve) Curve {
 		panic("minplus: internal convolve: " + err.Error())
 	}
 	return c
-}
-
-// ConvolveAll folds Convolve over a non-empty list of curves.
-func ConvolveAll(curves ...Curve) Curve {
-	if len(curves) == 0 {
-		panic("minplus: ConvolveAll needs at least one curve")
-	}
-	out := curves[0]
-	for _, c := range curves[1:] {
-		out = Convolve(out, c)
-	}
-	return out
-}
-
-// Deconvolve returns the min-plus deconvolution
-//
-//	(f ⊘ g)(t) = sup_{u>=0} { f(t+u) − g(u) },
-//
-// which yields output envelopes (D ⊘ S) and is exact here for concave
-// non-decreasing f and convex non-decreasing g — the shapes that occur for
-// arrival envelopes and service curves. It returns ErrDiverges when the
-// supremum is +∞ (f ultimately outgrows g).
-func Deconvolve(f, g Curve) (Curve, error) {
-	if !f.IsFinite() || !f.IsConcave() || !f.NonDecreasing() {
-		return Curve{}, errors.New("minplus: Deconvolve requires a finite concave non-decreasing f")
-	}
-	if !g.IsConvex() || !g.NonDecreasing() {
-		return Curve{}, errors.New("minplus: Deconvolve requires a convex non-decreasing g")
-	}
-	if !g.IsFinite() {
-		// g jumps to +∞ at g.infFrom: beyond that point g dominates any f,
-		// so the supremum over u is attained on [0, g.infFrom] — equivalent
-		// to deconvolving against g truncated with an infinite tail slope.
-		// Handled below by restricting candidate u to [0, g.infFrom].
-		_ = g
-	} else if f.TailSlope() > g.TailSlope()+eqTol {
-		return Curve{}, ErrDiverges
-	}
-
-	// φ_t(u) = f(t+u) − g(u) is concave in u; its maximum over u >= 0 sits
-	// at a breakpoint of φ_t, i.e. at u ∈ {0} ∪ breaks(g) ∪ {breaks(f) − t}.
-	// h(t) = max_u φ_t(u) is concave in t, and linear between t-values of
-	// the form bf − bg, so evaluating at those candidates is exact.
-	uCap := math.Inf(1)
-	if !g.IsFinite() {
-		uCap = g.infFrom
-	}
-	sup := func(t float64) float64 {
-		us := []float64{0}
-		for _, b := range g.breakTimes() {
-			if b <= uCap {
-				us = append(us, b)
-			}
-		}
-		for _, b := range f.breakTimes() {
-			if u := b - t; u > 0 && u <= uCap {
-				us = append(us, u)
-			}
-		}
-		best := math.Inf(-1)
-		for _, u := range us {
-			gu := g.Eval(u)
-			if math.IsInf(gu, 1) {
-				continue
-			}
-			if v := f.Eval(t+u) - gu; v > best {
-				best = v
-			}
-		}
-		if uCap < math.Inf(1) {
-			// Approach the +∞ boundary of g from the left: extrapolate its
-			// last finite segment to uCap.
-			last := g.segs[len(g.segs)-1]
-			gu := last.V0 + last.Slope*(uCap-last.T0)
-			if v := f.Eval(t+uCap) - gu; v > best {
-				best = v
-			}
-		}
-		return best
-	}
-
-	var ts []float64
-	ts = append(ts, 0)
-	for _, bf := range f.breakTimes() {
-		for _, bg := range g.breakTimes() {
-			if d := bf - bg; d > 0 {
-				ts = append(ts, d)
-			}
-		}
-		if bf > 0 {
-			ts = append(ts, bf)
-		}
-	}
-	ts = dedupSorted(ts)
-	last := ts[len(ts)-1]
-	pts := make([][2]float64, 0, len(ts))
-	for _, t := range ts {
-		pts = append(pts, [2]float64{t, sup(t)})
-	}
-	tailSlope := sup(last+1) - sup(last)
-	c, err := FromPoints(tailSlope, pts...)
-	if err != nil {
-		return Curve{}, fmt.Errorf("minplus: internal deconvolve: %w", err)
-	}
-	return c, nil
 }
 
 // piece is a linear function on the bounded interval [a, b].
@@ -668,36 +540,4 @@ func LowerNonDecreasing(f Curve) (Curve, error) {
 		segs = append(segs, Segment{T0: p.t0, V0: p.v0, Slope: p.slope})
 	}
 	return FromSegments(f.infFrom, segs...)
-}
-
-// SubadditiveClosure returns (an approximation of) the subadditive closure
-//
-//	f*(t) = min_{n >= 1} f^{(n)}(t),
-//
-// where f^{(n)} is the n-fold min-plus self-convolution — the smallest
-// envelope consistent with f over concatenated intervals (the paper notes
-// that the tightest deterministic envelope of a flow is always
-// subadditive). The computation uses the standard squaring iteration
-// g ← min(g, g ∗ g), which covers all n <= 2^iters; it stops early at a
-// fixpoint (detected on [0, horizon]). Concave f with f(0) = 0 are already
-// subadditive and return immediately.
-func SubadditiveClosure(f Curve, iters int, horizon float64) (Curve, error) {
-	if iters < 1 {
-		return Curve{}, fmt.Errorf("minplus: SubadditiveClosure needs iters >= 1, got %d", iters)
-	}
-	if horizon <= 0 {
-		return Curve{}, fmt.Errorf("minplus: SubadditiveClosure needs horizon > 0, got %g", horizon)
-	}
-	if f.Eval(0) < 0 {
-		return Curve{}, fmt.Errorf("minplus: SubadditiveClosure needs f(0) >= 0, got %g", f.Eval(0))
-	}
-	g := f
-	for i := 0; i < iters; i++ {
-		next := Min(g, Convolve(g, g))
-		if AlmostEqual(next, g, 1e-9, horizon) {
-			return next, nil
-		}
-		g = next
-	}
-	return g, nil
 }

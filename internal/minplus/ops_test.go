@@ -82,11 +82,8 @@ func TestSubPosInfinityRules(t *testing.T) {
 	almost(t, r2.Eval(4), math.Inf(1), 0, "f=+∞ dominates")
 }
 
-func TestScaleVAndShiftRight(t *testing.T) {
+func TestShiftRight(t *testing.T) {
 	f := Affine(2, 5)
-	almost(t, mustCurve(ScaleV(f, 3)).Eval(2), 27, 1e-9, "ScaleV")
-	almost(t, mustCurve(ScaleV(f, 0)).Eval(2), 0, 1e-9, "ScaleV zero")
-
 	s := mustCurve(ShiftRight(f, 4))
 	almost(t, s.Eval(2), 0, 0, "shift: zero before d")
 	almost(t, s.Eval(4), 5, 1e-9, "shift: original value at d")
@@ -109,9 +106,6 @@ func mustCurve(c Curve, err error) Curve {
 func TestScaleShiftRejectBadArguments(t *testing.T) {
 	f := Affine(2, 5)
 	for name, err := range map[string]error{
-		"ScaleV -1":      second(ScaleV(f, -1)),
-		"ScaleV NaN":     second(ScaleV(f, math.NaN())),
-		"ScaleV +Inf":    second(ScaleV(f, math.Inf(1))),
 		"ShiftRight -1":  second(ShiftRight(f, -1)),
 		"ShiftRight NaN": second(ShiftRight(f, math.NaN())),
 		"ShiftLeft -1":   second(ShiftLeft(f, -1)),
@@ -244,72 +238,6 @@ func TestConvolveAssociative(t *testing.T) {
 	}
 }
 
-func TestConvolveAll(t *testing.T) {
-	// H identical rate-latency curves compose to rate R, latency H·T —
-	// the linear-in-H scaling of network service curves the paper cites.
-	per := RateLatency(10, 2)
-	net := ConvolveAll(per, per, per, per)
-	want := RateLatency(10, 8)
-	if !AlmostEqual(net, want, 1e-9, 50) {
-		t.Errorf("4-fold convolution = %v, want %v", net, want)
-	}
-}
-
-func TestDeconvolveClassic(t *testing.T) {
-	// γ_{r,b} ⊘ β_{R,T} = γ_{r, b+rT} for r <= R: the standard output
-	// envelope of a leaky-bucket flow through a rate-latency server.
-	f := Affine(2, 5)
-	g := RateLatency(10, 3)
-	out, err := Deconvolve(f, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Affine(2, 11)
-	if !AlmostEqual(out, want, 1e-9, 30) {
-		t.Errorf("γ⊘β = %v, want %v", out, want)
-	}
-}
-
-func TestDeconvolveDiverges(t *testing.T) {
-	f := Affine(5, 1) // envelope rate exceeds service rate
-	g := ConstantRate(2)
-	if _, err := Deconvolve(f, g); !errors.Is(err, ErrDiverges) {
-		t.Fatalf("expected ErrDiverges, got %v", err)
-	}
-}
-
-func TestDeconvolveShapeErrors(t *testing.T) {
-	// Strictly convex (two increasing slopes) and strictly concave (two
-	// decreasing slopes) shapes; a single line is both and is accepted.
-	convex := RateLatency(2, 1)
-	concave := mustPoints(t, 1, [2]float64{0, 0}, [2]float64{2, 6})
-	if _, err := Deconvolve(convex, convex); err == nil {
-		t.Error("expected shape error for convex f")
-	}
-	if _, err := Deconvolve(concave, concave); err == nil {
-		t.Error("expected shape error for strictly concave g")
-	}
-}
-
-func TestDeconvolveBruteForce(t *testing.T) {
-	f := mustPoints(t, 1, [2]float64{0, 3}, [2]float64{2, 8}, [2]float64{5, 11}) // concave
-	g := RateLatency(4, 1.5)
-	out, err := Deconvolve(f, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range sampleGrid(8) {
-		want := math.Inf(-1)
-		for i := 0; i <= 4000; i++ {
-			u := 20 * float64(i) / 4000
-			if v := f.Eval(x+u) - g.Eval(u); v > want {
-				want = v
-			}
-		}
-		almost(t, out.Eval(x), want, 1e-3, "deconv vs brute force")
-	}
-}
-
 func mustPoints(t *testing.T, tail float64, pts ...[2]float64) Curve {
 	t.Helper()
 	c, err := FromPoints(tail, pts...)
@@ -395,68 +323,5 @@ func TestLowerNonDecreasing(t *testing.T) {
 	}
 	if _, err := LowerNonDecreasing(dec); err == nil {
 		t.Error("negative tail slope must be rejected")
-	}
-}
-
-func TestSubadditiveClosureFixpointForConcave(t *testing.T) {
-	// Concave with f(0)=0: already subadditive, closure is f itself.
-	f := mustPoints(t, 1, [2]float64{0, 0}, [2]float64{2, 6}, [2]float64{5, 9})
-	g, err := SubadditiveClosure(f, 8, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !AlmostEqual(g, f, 1e-9, 30) {
-		t.Fatalf("closure of a subadditive curve changed it:\n f = %v\n g = %v", f, g)
-	}
-}
-
-func TestSubadditiveClosureRateLatency(t *testing.T) {
-	// β_{R,T} has closure min_n R[t−nT]_+ which tends pointwise to 0 on any
-	// bounded horizon once 2^iters·T exceeds it.
-	f := RateLatency(4, 2)
-	g, err := SubadditiveClosure(f, 6, 20) // covers n up to 64, nT=128 > 20
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1, 5, 12, 19} {
-		if v := g.Eval(x); v > 1e-6 {
-			t.Fatalf("closure of rate-latency at %g is %g, want ≈0", x, v)
-		}
-	}
-}
-
-func TestSubadditiveClosureIsSubadditive(t *testing.T) {
-	// A non-subadditive staircase: f(t) jumps by 5 at t=1 and grows slope 3
-	// after — f(2) = 8 > 2·f(1) is fine but check closure property broadly.
-	f := mustPoints(t, 3, [2]float64{0, 0}, [2]float64{1, 0}, [2]float64{1, 5}, [2]float64{3, 5})
-	g, err := SubadditiveClosure(f, 8, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 40; i++ {
-		for j := 1; j <= 40-i; j++ {
-			s, u := float64(i)*0.3, float64(j)*0.3
-			if g.Eval(s+u) > g.Eval(s)+g.Eval(u)+1e-6 {
-				t.Fatalf("closure not subadditive at %g+%g: %g > %g+%g",
-					s, u, g.Eval(s+u), g.Eval(s), g.Eval(u))
-			}
-		}
-	}
-	// Closure never exceeds the original.
-	for i := 0; i <= 80; i++ {
-		x := float64(i) * 0.3
-		if g.Eval(x) > f.Eval(x)+1e-9 {
-			t.Fatalf("closure exceeds f at %g", x)
-		}
-	}
-}
-
-func TestSubadditiveClosureValidation(t *testing.T) {
-	f := Affine(1, 1)
-	if _, err := SubadditiveClosure(f, 0, 10); err == nil {
-		t.Error("iters=0 must be rejected")
-	}
-	if _, err := SubadditiveClosure(f, 3, 0); err == nil {
-		t.Error("horizon=0 must be rejected")
 	}
 }

@@ -39,12 +39,3 @@ func (s SeedStream) Seed(i int) int64 {
 	z ^= z >> 31
 	return int64(z)
 }
-
-// Seeds returns the first n seeds of the stream in index order.
-func (s SeedStream) Seeds(n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = s.Seed(i)
-	}
-	return out
-}

@@ -121,6 +121,11 @@ func (a *App) Main(args []string, body func(a *App) error) (retErr error) {
 	if err := a.FS.Parse(args); err != nil {
 		return err
 	}
+	// Parsing stops at the first non-flag word, so every flag after a
+	// stray argument would be dropped without a word.
+	if a.FS.NArg() > 0 {
+		return fmt.Errorf("%w: unexpected argument %q (the flags after it would be ignored)", core.ErrBadConfig, a.FS.Arg(0))
+	}
 	if *a.catalog {
 		return PrintCatalog(os.Stdout)
 	}

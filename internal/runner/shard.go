@@ -38,11 +38,24 @@ func (a *App) registerShardFlags() {
 	a.faultsStr = a.FS.String("faults", "", "fault injection schedule for chaos testing, e.g. panic@3,partial@0 (default: $"+faults.EnvVar+")")
 }
 
-// initShard resolves the shard flag group after parsing: exactly one
-// mode, a parsed fault schedule only where a shard worker can fire it,
-// a directory to share, and no checkpoint (fragments are the checkpoint
-// of a sharded sweep). Called from Main before the session starts.
+// initShard resolves the shard flag group after parsing: resilience
+// knobs inside their domain, exactly one mode, a parsed fault schedule
+// only where a shard worker can fire it, a directory to share, and no
+// checkpoint (fragments are the checkpoint of a sharded sweep). Called
+// from Main before the session starts.
 func (a *App) initShard() error {
+	// Out-of-domain values would otherwise be read as one attempt, no
+	// deadline, no backoff and the default lease TTL.
+	switch {
+	case *a.pointRetries < 0:
+		return fmt.Errorf("%w: -point-retries wants at least 0, got %d", core.ErrBadConfig, *a.pointRetries)
+	case *a.pointTimeout < 0:
+		return fmt.Errorf("%w: -point-timeout wants at least 0 (0 = none), got %v", core.ErrBadConfig, *a.pointTimeout)
+	case *a.retryBase < 0:
+		return fmt.Errorf("%w: -retry-base wants at least 0, got %v", core.ErrBadConfig, *a.retryBase)
+	case *a.leaseTTL <= 0:
+		return fmt.Errorf("%w: -lease-ttl wants a positive duration, got %v", core.ErrBadConfig, *a.leaseTTL)
+	}
 	modes := 0
 	if *a.shardStr != "" {
 		sp, err := shard.ParseSpec(*a.shardStr)

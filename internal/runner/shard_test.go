@@ -133,6 +133,12 @@ func TestAppShardFlagValidation(t *testing.T) {
 		"faults-unsharded":     {flags: []string{"-faults", "panic@0"}},
 		"faults-with-merge":    {flags: []string{"-merge", "-shard-dir", "d", "-faults", "panic@0"}},
 		"faults-env-unsharded": {env: "panic@0"},
+		// Resilience knobs outside their domain; -point-timeout 0 and
+		// -retry-base 0 stay valid.
+		"negative-point-retries": {flags: []string{"-point-retries", "-5"}},
+		"negative-point-timeout": {flags: []string{"-point-timeout", "-1s"}},
+		"negative-retry-base":    {flags: []string{"-retry-base", "-1s"}},
+		"zero-lease-ttl":         {flags: []string{"-lease-ttl", "0"}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			t.Setenv(faults.EnvVar, tc.env)

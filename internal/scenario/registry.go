@@ -41,18 +41,6 @@ func Get(name string) (Scenario, error) {
 	return s, nil
 }
 
-// Names returns the registered scenario names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Infos returns the registry cards of all scenarios, sorted by name.
 func Infos() []Info {
 	regMu.RLock()

@@ -18,7 +18,7 @@ import (
 // The digest test pins every discipline's simulated output to recorded
 // values. The parity tests compare two slot loops that share one
 // scheduler implementation, and the scenario goldens cover FIFO, BMUX
-// and EDF only, so a change inside SP, GPS, DRR, SCED or the packetized
+// and EDF only, so a change inside SP, GPS, DRR or the packetized
 // wrapper — or inside Network or SingleNode — would pass both. Each
 // literal below is the FNV-64a digest of one (discipline, topology) run:
 // every per-slot virtual delay, the recorders' backlogs, the Stats
@@ -200,15 +200,9 @@ func TestSchedulerOutputDigests(t *testing.T) {
 		"np-fifo-ring/network": 0x81ac115f89bc1eac,
 		"np-fifo-ring/single":  0xf1e6262d816f0658,
 		"np-fifo-ring/tandem":  0xe3ae7adccafb711d,
-		"np-sced/network":      0x5fdf528596fb28a8,
-		"np-sced/single":       0x7514df71ea19c943,
-		"np-sced/tandem":       0x0d61ec23dd8b9f1b,
 		"np-sp/network":        0x7b8d65e3181653cf,
 		"np-sp/single":         0xe2bfd53e7b9dfa9f,
 		"np-sp/tandem":         0xa5271d11b9225586,
-		"sced/network":         0x2a1edd22230fbd8d,
-		"sced/single":          0x06aaec3dd4c4e888,
-		"sced/tandem":          0xee0ca7a969acd435,
 		"sp/network":           0xbab835fa457a3937,
 		"sp/single":            0x4cf93adea35ba6d7,
 		"sp/tandem":            0x152bc50373a9baca,

@@ -28,7 +28,7 @@ type NonPreemptive struct {
 var _ Scheduler = (*NonPreemptive)(nil)
 
 // NewNonPreemptive wraps the given precedence scheduler (any HeadQueue:
-// the *Precedence disciplines, SCED included, or the *FIFO ring).
+// the *Precedence disciplines SP, BMUX and EDF, or the *FIFO ring).
 func NewNonPreemptive(inner HeadQueue, packetSize float64) (*NonPreemptive, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("sim: NonPreemptive needs an inner scheduler")

@@ -116,16 +116,6 @@ func heapEDF(deadline map[core.FlowID]float64) *heapPrecedence {
 	}
 }
 
-// heapSCED runs SCED's key function, with fresh per-flow state, on the
-// heap executor.
-func heapSCED(curves map[core.FlowID]RateLatencySpec) *heapPrecedence {
-	p, err := NewSCED(curves)
-	if err != nil {
-		panic(err)
-	}
-	return &heapPrecedence{name: p.name, keyOf: p.keyOf}
-}
-
 // fifoKey is FIFO's precedence key: arrival slot, then flow id.
 func fifoKey(_ core.FlowID, slot int, _ float64) (float64, float64) {
 	return float64(slot), 0
@@ -282,15 +272,14 @@ func requireSameSchedule(t *testing.T, label string, sched []queueStep, nflows i
 
 // TestPrecedenceLanesMatchHeap drives Precedence's per-flow lanes and
 // the heap oracle through one randomized schedule under every key
-// function the executor runs — SP, BMUX, EDF (with ±Inf deadlines and a
-// flow without one), SCED and FIFO — over sparse flow ids, fluid and
-// through NonPreemptive. NaN keys are out of domain and not drawn: they
+// table the executor runs — SP, BMUX, EDF (with ±Inf deadlines and a
+// flow without one) and FIFO — over sparse flow ids, fluid and through
+// NonPreemptive. NaN keys are out of domain and not drawn: they
 // admit no strict order.
 func TestPrecedenceLanesMatchHeap(t *testing.T) {
 	flows := []core.FlowID{0, 2, 5, 9}
 	level := map[core.FlowID]int{0: 1, 5: 2, 9: -1}
 	deadline := map[core.FlowID]float64{0: 3, 5: math.Inf(1), 9: math.Inf(-1)}
-	curves := map[core.FlowID]RateLatencySpec{0: {Rate: 3, Latency: 2}, 5: {Rate: 1.5, Latency: 6}}
 	pairs := []struct {
 		name  string
 		lanes func() *Precedence
@@ -299,14 +288,7 @@ func TestPrecedenceLanesMatchHeap(t *testing.T) {
 		{"sp", func() *Precedence { return NewSP(level) }, func() *heapPrecedence { return heapSP(level) }},
 		{"bmux", func() *Precedence { return NewBMUX(5) }, func() *heapPrecedence { return heapBMUX(5) }},
 		{"edf", func() *Precedence { return NewEDF(deadline) }, func() *heapPrecedence { return heapEDF(deadline) }},
-		{"sced", func() *Precedence {
-			p, err := NewSCED(curves)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		}, func() *heapPrecedence { return heapSCED(curves) }},
-		{"fifo", func() *Precedence { return &Precedence{name: "FIFO", keyOf: fifoKey} }, newHeapFIFO},
+		{"fifo", func() *Precedence { return &Precedence{name: "FIFO", addSlot: true} }, newHeapFIFO},
 	}
 	sched := queueSchedule(23, flows, 5000)
 	nflows := int(flows[len(flows)-1]) + 1

@@ -38,16 +38,6 @@ func schedulerFactories(t *testing.T) map[string]func(int) Scheduler {
 			}
 			return d
 		},
-		"sced": func(int) Scheduler {
-			s, err := NewSCED(map[core.FlowID]RateLatencySpec{
-				ThroughFlow: {Rate: 8, Latency: 2},
-				CrossFlow:   {Rate: 10, Latency: 10},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
 		"fifo/packetized": func(int) Scheduler {
 			np, err := NewNonPreemptive(NewFIFO(), 1.5)
 			if err != nil {

@@ -81,11 +81,10 @@ func chunkLess(a, b *chunk) bool {
 
 // Precedence is the executor for disciplines that fix a chunk's
 // precedence at arrival: chunks are served in increasing key order, with
-// keys assigned at arrival by a discipline-specific function of the
-// chunk's flow, slot and size. Static priority, BMUX and EDF are
-// instances (their precedence between any two arrivals is fixed at
-// arrival time — precisely the Δ-scheduler property of Definition 1), and
-// so is SCED, whose key function carries per-flow service-curve state.
+// keys assigned at arrival from a static per-flow table and the chunk's
+// slot. Static priority, BMUX and EDF are instances (their precedence
+// between any two arrivals is fixed at arrival time — precisely the
+// Δ-scheduler property of Definition 1).
 //
 // Chunks queue in one lane per flow, each lane sorted by (k1, k2) with
 // equal keys in admission order, and service always takes the smallest
@@ -95,11 +94,10 @@ func chunkLess(a, b *chunk) bool {
 // heap is kept as a test oracle): the chunk's flow is implicit in its
 // lane index and its admission sequence in the lane order. SP, BMUX and
 // EDF are locally FIFO, so a flow's in-order admissions arrive in key
-// order and its lane behaves as a plain ring; SCED's service-curve
-// deadlines can fall within a flow after a burst, and the lane's
-// insertion sorts them. Finding the head scans every lane, which suits
-// the few flows a node of the paper's topologies carries (two in a
-// tandem).
+// order and its lane behaves as a plain ring; an admission stamped with
+// an earlier slot than the flow's last one is sorted in by the lane's
+// insertion. Finding the head scans every lane, which suits the few
+// flows a node of the paper's topologies carries (two in a tandem).
 //
 // Flow ids index the lanes and key tables directly, as they index
 // ServeInto's out, so they must be non-negative. Keys must not be NaN:
@@ -108,12 +106,10 @@ func chunkLess(a, b *chunk) bool {
 // rejects the NaN Δ a NaN EDF deadline would produce.
 type Precedence struct {
 	name string
-	// Static keys are k1 = off[f] and k2 = slot, with slot added to k1
-	// when addSlot is set; off reads 0 past its end. keyOf, when
-	// non-nil, computes both keys instead.
+	// Keys are k1 = off[f] and k2 = slot, with slot added to k1 when
+	// addSlot is set; off reads 0 past its end.
 	off     []float64
 	addSlot bool
-	keyOf   func(f core.FlowID, slot int, bits float64) (k1, k2 float64)
 
 	lanes   []lane // indexed by flow id, up to the largest id admitted
 	n       int    // queued chunks across all lanes
@@ -226,17 +222,13 @@ func (p *Precedence) Enqueue(f core.FlowID, slot int, bits float64) {
 	if bits <= 0 {
 		return
 	}
-	var k1, k2 float64
-	if p.keyOf != nil {
-		k1, k2 = p.keyOf(f, slot, bits)
-	} else {
-		k2 = float64(slot)
-		if int(f) < len(p.off) {
-			k1 = p.off[f]
-		}
-		if p.addSlot {
-			k1 = k2 + k1
-		}
+	var k1 float64
+	k2 := float64(slot)
+	if int(f) < len(p.off) {
+		k1 = p.off[f]
+	}
+	if p.addSlot {
+		k1 = k2 + k1
 	}
 	if int(f) >= len(p.lanes) {
 		p.lanes = append(p.lanes, make([]lane, int(f)+1-len(p.lanes))...)

@@ -73,7 +73,7 @@ func mkTandemSources(seed int64, h, n0, nc int, countAgg bool) (traffic.Source, 
 
 // paritySchedulers is the scheduler matrix: every discipline the tandem
 // scenario can select, both FIFO implementations, and the packetized
-// wrappers around both FIFOs, EDF, SP and SCED.
+// wrappers around both FIFOs, EDF and SP.
 func paritySchedulers() map[string]func(node int) Scheduler {
 	return map[string]func(node int) Scheduler{
 		"fifo-ring": func(int) Scheduler { return NewFIFO() },
@@ -96,16 +96,6 @@ func paritySchedulers() map[string]func(node int) Scheduler {
 				panic(err)
 			}
 			return d
-		},
-		"sced": func(int) Scheduler {
-			s, err := NewSCED(map[core.FlowID]RateLatencySpec{
-				ThroughFlow: {Rate: 12, Latency: 2},
-				CrossFlow:   {Rate: 8, Latency: 10},
-			})
-			if err != nil {
-				panic(err)
-			}
-			return s
 		},
 		"np-fifo-ring": func(int) Scheduler {
 			np, err := NewNonPreemptive(NewFIFO(), 2)
@@ -130,20 +120,6 @@ func paritySchedulers() map[string]func(node int) Scheduler {
 		},
 		"np-sp": func(int) Scheduler {
 			np, err := NewNonPreemptive(NewSP(map[core.FlowID]int{ThroughFlow: 0, CrossFlow: 1}), 2)
-			if err != nil {
-				panic(err)
-			}
-			return np
-		},
-		"np-sced": func(int) Scheduler {
-			s, err := NewSCED(map[core.FlowID]RateLatencySpec{
-				ThroughFlow: {Rate: 12, Latency: 2},
-				CrossFlow:   {Rate: 8, Latency: 10},
-			})
-			if err != nil {
-				panic(err)
-			}
-			np, err := NewNonPreemptive(s, 2)
 			if err != nil {
 				panic(err)
 			}

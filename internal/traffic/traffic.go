@@ -401,44 +401,6 @@ func (g *Greedy) Next() float64 {
 	return out
 }
 
-// Delayed wraps a source, holding it silent for the first `start` slots —
-// used to inject a tagged arrival at a chosen time t*.
-type Delayed struct {
-	Start int
-	Src   Source
-
-	slot int
-}
-
-// Next implements Source.
-func (d *Delayed) Next() float64 {
-	if d.slot < d.Start {
-		d.slot++
-		return 0
-	}
-	d.slot++
-	return d.Src.Next()
-}
-
-// Pulse emits a single burst of the given size at slot Start and nothing
-// otherwise.
-type Pulse struct {
-	Start int
-	Size  float64
-
-	slot int
-}
-
-// Next implements Source.
-func (p *Pulse) Next() float64 {
-	s := p.slot
-	p.slot++
-	if s == p.Start {
-		return p.Size
-	}
-	return 0
-}
-
 // Trace replays a recorded per-slot arrival sequence; past the end it
 // emits nothing. Useful for feeding measured traffic into the simulator
 // or for crafting exact adversarial patterns in tests.
@@ -459,31 +421,4 @@ func (t *Trace) Next() float64 {
 		return 0
 	}
 	return v
-}
-
-// PeriodicOnOff is a deterministic on-off source: Rate per slot for On
-// slots, then silent for Off slots, repeating, starting at phase Phase
-// into the cycle. It is the deterministic counterpart of the MMOO source
-// (worst-case burstiness for a given mean when phase-aligned).
-type PeriodicOnOff struct {
-	Rate  float64
-	On    int
-	Off   int
-	Phase int
-
-	slot int
-}
-
-// Next implements Source.
-func (p *PeriodicOnOff) Next() float64 {
-	period := p.On + p.Off
-	if period <= 0 || p.On <= 0 {
-		return 0
-	}
-	pos := (p.slot + p.Phase) % period
-	p.slot++
-	if pos < p.On {
-		return p.Rate
-	}
-	return 0
 }

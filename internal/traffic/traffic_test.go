@@ -143,38 +143,6 @@ func TestGreedyRejectsBadEnvelopes(t *testing.T) {
 	}
 }
 
-func TestDelayed(t *testing.T) {
-	d := &Delayed{Start: 3, Src: CBR{Rate: 5}}
-	var got []float64
-	for i := 0; i < 6; i++ {
-		got = append(got, d.Next())
-	}
-	want := []float64{0, 0, 0, 5, 5, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("slot %d: got %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestPulse(t *testing.T) {
-	p := &Pulse{Start: 2, Size: 7}
-	var total float64
-	for i := 0; i < 10; i++ {
-		v := p.Next()
-		if i == 2 && v != 7 {
-			t.Fatalf("pulse slot: got %g, want 7", v)
-		}
-		if i != 2 && v != 0 {
-			t.Fatalf("slot %d: got %g, want 0", i, v)
-		}
-		total += v
-	}
-	if total != 7 {
-		t.Fatalf("total emission %g, want 7", total)
-	}
-}
-
 func TestTrace(t *testing.T) {
 	tr := &Trace{Data: []float64{1, 0, 2.5, -3, 4}}
 	want := []float64{1, 0, 2.5, 0, 4, 0, 0}
@@ -182,28 +150,6 @@ func TestTrace(t *testing.T) {
 		if got := tr.Next(); got != w {
 			t.Fatalf("slot %d: got %g, want %g", i, got, w)
 		}
-	}
-}
-
-func TestPeriodicOnOff(t *testing.T) {
-	p := &PeriodicOnOff{Rate: 2, On: 2, Off: 3}
-	want := []float64{2, 2, 0, 0, 0, 2, 2, 0, 0, 0}
-	for i, w := range want {
-		if got := p.Next(); got != w {
-			t.Fatalf("slot %d: got %g, want %g", i, got, w)
-		}
-	}
-	// Phase shift moves the burst.
-	ph := &PeriodicOnOff{Rate: 2, On: 2, Off: 3, Phase: 2}
-	want = []float64{0, 0, 0, 2, 2}
-	for i, w := range want {
-		if got := ph.Next(); got != w {
-			t.Fatalf("phased slot %d: got %g, want %g", i, got, w)
-		}
-	}
-	// Degenerate configurations stay silent.
-	if z := (&PeriodicOnOff{Rate: 2}).Next(); z != 0 {
-		t.Fatalf("degenerate source emitted %g", z)
 	}
 }
 
