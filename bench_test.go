@@ -233,7 +233,8 @@ func BenchmarkReplicatedTandem(b *testing.B) {
 	run := func(b *testing.B, reps, workers int) {
 		cfg := scenario.Config{
 			"H": 3, "n0": 30, "nc": 60, "sched": "fifo", "agg": "count",
-			"slots": totalSlots, "reps": reps, "simworkers": workers, "seed": 9,
+			"slots": totalSlots, "reps": reps, "simworkers": workers, "seed": int64(9),
+			"probe-every": 0,
 		}
 		pts, err := sc.Points(cfg)
 		if err != nil {

@@ -31,14 +31,11 @@ func main() {
 
 func run(args []string) error {
 	app := runner.New("ablate", scenario.Analytic)
-	var (
-		utilFlag = app.FS.Float64("util", 0.5, "total utilization for the sweeps")
-		quick    = app.FS.Bool("quick", false, "smaller grids")
-		region   = app.FS.Bool("region", false, "also compute the two-class admissible region")
-	)
+	app.Flags("scaling", "edf-gain", "recipe", "gamma-alpha", "region")
+	region := app.FS.Bool("region", false, "also compute the two-class admissible region")
 	return app.Main(args, func(a *runner.App) error {
-		util := *utilFlag
-		cfg := scenario.Config{"util": util, "quick": *quick}
+		cfg := a.Config()
+		util := cfg.Float("util")
 		// one evaluates the named single-point scenario and hands back its
 		// Detail payload.
 		one := func(name string) (any, error) {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"deltasched/cmd/internal/docargs"
 	"deltasched/internal/core"
 	"deltasched/internal/plot"
 )
@@ -14,7 +15,7 @@ import (
 // every ablate command line README.md and EXPERIMENTS.md show, which
 // run reaches only once it accepted every documented flag.
 func TestRunHelpIsErrHelp(t *testing.T) {
-	for _, args := range append([][]string{nil}, documentedArgs(t, "ablate")...) {
+	for _, args := range append([][]string{nil}, docargs.Args(t, "ablate")...) {
 		if err := run(append(args, "-h")); !errors.Is(err, flag.ErrHelp) {
 			t.Errorf("ablate %s -h: want flag.ErrHelp, got %v", strings.Join(args, " "), err)
 		}

@@ -8,13 +8,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"deltasched/cmd/internal/docargs"
 )
 
 // TestRunHelpIsErrHelp: -h surfaces flag.ErrHelp, alone and after
 // every benchjson command line README.md and EXPERIMENTS.md show, which
 // run reaches only once it accepted every documented flag.
 func TestRunHelpIsErrHelp(t *testing.T) {
-	for _, args := range append([][]string{nil}, documentedArgs(t, "benchjson")...) {
+	for _, args := range append([][]string{nil}, docargs.Args(t, "benchjson")...) {
 		if err := run(append(args, "-h")); !errors.Is(err, flag.ErrHelp) {
 			t.Errorf("benchjson %s -h: want flag.ErrHelp, got %v", strings.Join(args, " "), err)
 		}

@@ -33,36 +33,15 @@ func main() {
 
 func run(args []string) error {
 	app := runner.New("delaybound", scenario.Analytic)
-	var (
-		h        = app.FS.Int("H", 1, "path length (number of nodes)")
-		c        = app.FS.Float64("C", 100, "link capacity per node [kbit/slot]")
-		sched    = app.FS.String("sched", "fifo", "scheduler: fifo, bmux, sp (through prioritized), edf")
-		edfD0    = app.FS.Float64("edf-d0", 0, "EDF per-node deadline of the through traffic [slots]")
-		edfDc    = app.FS.Float64("edf-dc", 0, "EDF per-node deadline of the cross traffic [slots]")
-		n0       = app.FS.Float64("n0", 100, "number of through flows")
-		nc       = app.FS.Float64("nc", 100, "number of cross flows per node")
-		eps      = app.FS.Float64("eps", 1e-9, "violation probability")
-		peak     = app.FS.Float64("peak", 1.5, "MMOO peak emission per slot [kbit]")
-		p11      = app.FS.Float64("p11", 0.989, "MMOO P(OFF→OFF)")
-		p22      = app.FS.Float64("p22", 0.9, "MMOO P(ON→ON)")
-		alpha    = app.FS.Float64("alpha", 0, "fix the EBB decay α instead of optimizing it")
-		additive = app.FS.Bool("additive", false, "also compute the node-by-node additive bound")
-		config   = app.FS.String("config", "", "JSON file describing a heterogeneous path (overrides the flags)")
-	)
+	app.Flags("path", "heteropath")
 	return app.Main(args, func(a *runner.App) error {
-		if *config != "" {
-			return runHetero(a, *config)
+		cfg := a.Config()
+		if cfg.Str("config") != "" {
+			return runHetero(a, cfg)
 		}
 		sc, err := scenario.Get("path")
 		if err != nil {
 			return err
-		}
-		cfg := scenario.Config{
-			"H": *h, "C": *c, "sched": *sched,
-			"edf-d0": *edfD0, "edf-dc": *edfDc,
-			"n0": *n0, "nc": *nc, "eps": *eps,
-			"peak": *peak, "p11": *p11, "p22": *p22,
-			"alpha": *alpha, "additive": *additive,
 		}
 		_, rs, err := a.Run(sc, cfg, runner.RunOpt{Stage: "optimize"})
 		if err != nil {
@@ -74,19 +53,20 @@ func run(args []string) error {
 		a.Sess.Report.SetBound("gamma", res.Gamma)
 		a.Sess.Report.SetBound("sigma", res.Sigma)
 
+		c, n0, nc := cfg.Float("C"), cfg.Float("n0"), cfg.Float("nc")
 		mean := det.Src.MeanRate()
-		fmt.Printf("scheduler        : %s (Delta_0c = %g)\n", *sched, det.Delta)
-		fmt.Printf("path             : H=%d nodes, C=%g kbit/slot\n", *h, *c)
+		fmt.Printf("scheduler        : %s (Delta_0c = %g)\n", cfg.Str("sched"), det.Delta)
+		fmt.Printf("path             : H=%d nodes, C=%g kbit/slot\n", cfg.Int("H"), c)
 		fmt.Printf("traffic          : N0=%g through + Nc=%g cross MMOO flows (mean %.4g kbit/slot each)\n",
-			*n0, *nc, mean)
+			n0, nc, mean)
 		fmt.Printf("utilization      : U0=%.1f%%  Uc=%.1f%%  U=%.1f%%\n",
-			100**n0*mean / *c, 100**nc*mean / *c, 100*(*n0+*nc)*mean / *c)
-		fmt.Printf("violation prob   : %.3g\n", *eps)
+			100*n0*mean/c, 100*nc*mean/c, 100*(n0+nc)*mean/c)
+		fmt.Printf("violation prob   : %.3g\n", cfg.Float("eps"))
 		fmt.Printf("DELAY BOUND      : %.4g slots (ms at the paper's 1 ms slots)\n", res.D)
 		fmt.Printf("optimizer        : gamma=%.4g  sigma=%.4g  X=%.4g\n", res.Gamma, res.Sigma, res.X)
 		fmt.Printf("theta            : %v\n", compact(res.Theta))
 
-		if *additive {
+		if cfg.Bool("additive") {
 			if det.AddErr != nil {
 				fmt.Printf("additive bound   : infeasible (%v)\n", det.AddErr)
 			} else {
@@ -100,12 +80,12 @@ func run(args []string) error {
 }
 
 // runHetero formats the heteropath scenario: the -config code path.
-func runHetero(a *runner.App, config string) error {
+func runHetero(a *runner.App, cfg scenario.Config) error {
 	sc, err := scenario.Get("heteropath")
 	if err != nil {
 		return err
 	}
-	_, rs, err := a.Run(sc, scenario.Config{"config": config}, runner.RunOpt{Stage: "optimize-hetero"})
+	_, rs, err := a.Run(sc, cfg, runner.RunOpt{Stage: "optimize-hetero"})
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"deltasched/cmd/internal/docargs"
 	"deltasched/internal/core"
 	"deltasched/internal/experiments"
 )
@@ -20,7 +21,7 @@ import (
 // every delaybound command line README.md and EXPERIMENTS.md show, which
 // run reaches only once it accepted every documented flag.
 func TestRunHelpIsErrHelp(t *testing.T) {
-	for _, args := range append([][]string{nil}, documentedArgs(t, "delaybound")...) {
+	for _, args := range append([][]string{nil}, docargs.Args(t, "delaybound")...) {
 		if err := run(append(args, "-h")); !errors.Is(err, flag.ErrHelp) {
 			t.Errorf("delaybound %s -h: want flag.ErrHelp, got %v", strings.Join(args, " "), err)
 		}
@@ -68,6 +69,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"negative replication workers", []string{"-simworkers", "-1"}, true},
 		// A stray word ends flag parsing: -sched sp would be dropped.
 		{"stray argument", []string{"-H", "2", "extra", "-sched", "sp"}, true},
+		// Checked where it is parsed, though no simulation runs.
+		{"unknown measurement backend", []string{"-measure", "bogus"}, true},
 	} {
 		err := run(tc.args)
 		if err == nil {
@@ -156,5 +159,25 @@ func TestAdditiveBaselineAtItsOwnAlpha(t *testing.T) {
 	got := reportedAdditive(t, "-H", "12", "-sched", "bmux", "-n0", n, "-nc", n)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("additive baseline at H=12, U=50%% = %v, want fig3.csv's %v", got, want)
+	}
+}
+
+// TestRunChecksReportDirFirst: a -report whose directory does not exist
+// fails before the bound is computed and printed, not when the report
+// is written at exit.
+func TestRunChecksReportDirFirst(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	out := captureStdout(t, func() {
+		err = run([]string{"-H", "2", "-report", filepath.Join(file, "dir", "r.json")})
+	})
+	if err == nil {
+		t.Fatal("a -report under a regular file must fail")
+	}
+	if len(out) > 0 {
+		t.Fatalf("stdout before the error:\n%s", out)
 	}
 }

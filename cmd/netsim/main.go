@@ -41,44 +41,22 @@ func main() {
 
 func run(args []string) error {
 	app := runner.New("netsim", scenario.Both)
-	var (
-		h     = app.FS.Int("H", 3, "path length (number of nodes)")
-		c     = app.FS.Float64("C", 20, "link capacity per node [kbit/slot]")
-		n0    = app.FS.Int("n0", 30, "number of through MMOO flows")
-		nc    = app.FS.Int("nc", 60, "number of cross MMOO flows per node")
-		sched = app.FS.String("sched", "fifo", "scheduler: fifo, bmux, sp, edf, gps, drr")
-		agg   = app.FS.String("agg", "per-source", "traffic aggregation: per-source or count (O(1) ON-count chain; same law, different RNG stream)")
-		edfD0 = app.FS.Float64("edf-d0", 5, "EDF deadline of the through traffic [slots]")
-		edfDc = app.FS.Float64("edf-dc", 50, "EDF deadline of the cross traffic [slots]")
-		gpsW0 = app.FS.Float64("gps-w0", 1, "GPS weight of the through traffic")
-		gpsWc = app.FS.Float64("gps-wc", 1, "GPS weight of the cross traffic")
-		pkt   = app.FS.Float64("pktsize", 0, "packet size for non-preemptive service (0 = fluid); fifo/bmux/sp/edf only")
-		ccdf  = app.FS.Bool("ccdf", false, "print the empirical delay CCDF")
-		slots = app.FS.Int("slots", 200000, "simulation length in slots")
-		seed  = app.FS.Int64("seed", 1, "RNG seed")
-		eps   = app.FS.Float64("eps", 1e-2, "violation probability for the analytical bound")
-		every = app.FS.Int("probe-every", 1, "probe sampling stride in slots (with -report)")
-	)
+	app.Flags("tandem")
+	ccdf := app.FS.Bool("ccdf", false, "print the empirical delay CCDF")
 	return app.Main(args, func(a *runner.App) error {
-		a.Sess.Report.Seed = *seed
-		if *every < 0 {
-			return fmt.Errorf("%w: -probe-every wants a stride >= 0, got %d", core.ErrBadConfig, *every)
+		cfg := a.Config()
+		a.Sess.Report.Seed = cfg.Int64("seed")
+		if every := cfg.Int("probe-every"); every < 0 {
+			return fmt.Errorf("%w: -probe-every wants a stride >= 0, got %d", core.ErrBadConfig, every)
+		}
+		// The per-node probe feeds only the report.
+		if !a.ReportEnabled() {
+			cfg["probe-every"] = 0
 		}
 
 		sc, err := scenario.Get("tandem")
 		if err != nil {
 			return err
-		}
-		probeEvery := 0
-		if a.ReportEnabled() {
-			probeEvery = *every
-		}
-		cfg := scenario.Config{
-			"H": *h, "C": *c, "n0": *n0, "nc": *nc,
-			"sched": *sched, "agg": *agg, "edf-d0": *edfD0, "edf-dc": *edfDc,
-			"gps-w0": *gpsW0, "gps-wc": *gpsWc, "pktsize": *pkt,
-			"slots": *slots, "seed": *seed, "eps": *eps,
-			"probe-every": probeEvery,
 		}
 		_, rs, err := a.Run(sc, cfg, runner.RunOpt{Label: "netsim: slots", Stage: "simulate"})
 		if err != nil {
@@ -88,10 +66,11 @@ func run(args []string) error {
 		stopAnalyze := a.Sess.Stage("analyze")
 		defer stopAnalyze()
 
+		c, n0, nc, eps := cfg.Float("C"), cfg.Int("n0"), cfg.Int("nc"), cfg.Float("eps")
 		mean := envelope.PaperSource().MeanRate()
-		fmt.Printf("scenario         : H=%d C=%g, N0=%d + Nc=%d MMOO flows, scheduler %s\n", *h, *c, *n0, *nc, *sched)
+		fmt.Printf("scenario         : H=%d C=%g, N0=%d + Nc=%d MMOO flows, scheduler %s\n", cfg.Int("H"), c, n0, nc, cfg.Str("sched"))
 		fmt.Printf("utilization      : U=%.1f%% (U0=%.1f%%, Uc=%.1f%%)\n",
-			100*float64(*n0+*nc)*mean / *c, 100*float64(*n0)*mean / *c, 100*float64(*nc)*mean / *c)
+			100*float64(n0+nc)*mean/c, 100*float64(n0)*mean/c, 100*float64(nc)*mean/c)
 
 		if a.Backend.Has(scenario.Sim) {
 			dist := det.Dist
@@ -100,7 +79,7 @@ func run(args []string) error {
 					det.Reps, det.SlotsPerRep, det.Stats.ThroughArrived, det.Stats.MaxBacklog)
 			} else {
 				fmt.Printf("simulated        : %d slots, %.4g kbit through traffic, max node backlog %.4g kbit\n",
-					*slots, det.Stats.ThroughArrived, det.Stats.MaxBacklog)
+					cfg.Int("slots"), det.Stats.ThroughArrived, det.Stats.MaxBacklog)
 			}
 			if cf := dist.CensoredFraction(); cf > 0 {
 				fmt.Printf("censored mass    : %.3g of observed volume ran past the horizon\n", cf)
@@ -122,20 +101,20 @@ func run(args []string) error {
 				obs.Default.Gauge("quantile_rank_error", "rank-error bound of the reported delay quantiles", nil).Set(re)
 			}
 			if det.Reps > 1 {
-				if mean, half, err := measure.QuantileCI(det.PerRep, 1-*eps); err == nil {
+				if mean, half, err := measure.QuantileCI(det.PerRep, 1-eps); err == nil {
 					fmt.Printf("delay p%-8.4g : %.4g ± %.4g slots (95%% CI over %d replications)\n",
-						100*(1-*eps), mean, half, det.Reps)
+						100*(1-eps), mean, half, det.Reps)
 					a.Sess.Report.SetBound("delay_quantile_ci_slots", half)
 				}
 			}
 		}
 		if a.Backend.Has(scenario.Analytic) {
-			fmt.Printf("%s : %.4g slots at eps=%.3g\n", det.BoundLabel, det.Res.D, *eps)
+			fmt.Printf("%s : %.4g slots at eps=%.3g\n", det.BoundLabel, det.Res.D, eps)
 			a.Sess.Report.SetBound("delay_bound_slots", det.Res.D)
 		}
 		if a.Backend == scenario.Both {
 			frac := det.Dist.ViolationFraction(det.Res.D)
-			fmt.Printf("empirical P(W>d) : %.3g  →  bound %s\n", frac, verdict(frac <= *eps))
+			fmt.Printf("empirical P(W>d) : %.3g  →  bound %s\n", frac, verdict(frac <= eps))
 			a.Sess.Report.SetBound("empirical_violation_fraction", frac)
 			if det.Reps > 1 {
 				if mean, half, err := measure.ViolationFractionCI(det.PerRep, det.Res.D); err == nil {

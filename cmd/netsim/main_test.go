@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"deltasched/cmd/internal/docargs"
 	"deltasched/internal/core"
 	"deltasched/internal/obs"
 )
@@ -79,6 +80,9 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-reps", "0"},
 		{"-simworkers", "-1"},
 		{"-backend", "analytic", "extra", "-sched", "sp"},
+		// -measure is checked where it is parsed, not only when a
+		// simulation runs.
+		{"-backend", "analytic", "-measure", "bogus"},
 	} {
 		err := run(append(args, "-slots", "1000"))
 		if !errors.Is(err, core.ErrBadConfig) || errors.Is(err, core.ErrInfeasible) {
@@ -91,7 +95,7 @@ func TestRunFlagValidation(t *testing.T) {
 // every netsim command line README.md and EXPERIMENTS.md show, which
 // run reaches only once it accepted every documented flag.
 func TestRunHelpIsErrHelp(t *testing.T) {
-	for _, args := range append([][]string{nil}, documentedArgs(t, "netsim")...) {
+	for _, args := range append([][]string{nil}, docargs.Args(t, "netsim")...) {
 		if err := run(append(args, "-h")); !errors.Is(err, flag.ErrHelp) {
 			t.Errorf("netsim %s -h: want flag.ErrHelp, got %v", strings.Join(args, " "), err)
 		}

@@ -55,15 +55,14 @@ func main() {
 
 func run(args []string) error {
 	app := runner.New("paperfigs", scenario.Analytic)
+	app.Flags("fig1", "fig2", "fig3")
 	var (
 		fig    = app.FS.String("fig", "all", "figure to regenerate: 1, 2, 3 or all")
-		quick  = app.FS.Bool("quick", false, "coarser sweeps (fast preview)")
 		outdir = app.FS.String("outdir", "", "directory for CSV output (optional)")
-		slots  = app.FS.Int("slots", 50000, "sim backend: simulated slots per point")
-		seed   = app.FS.Int64("seed", 1, "sim backend: RNG seed")
-		simeps = app.FS.Float64("simeps", 0.01, "sim backend: tail mass of the reported empirical quantile")
 	)
 	return app.Main(args, func(a *runner.App) error {
+		cfg := a.Config()
+		simeps := cfg.Float("simeps")
 		type figure struct {
 			id     string
 			title  string
@@ -97,7 +96,13 @@ func run(args []string) error {
 			return fmt.Errorf("%w: -fig wants 1, 2, 3 or all, got %q", core.ErrBadConfig, *fig)
 		}
 		if a.Backend.Has(scenario.Sim) {
-			a.Sess.Report.Seed = *seed
+			a.Sess.Report.Seed = cfg.Int64("seed")
+		}
+		// A bad -outdir fails here, before any figure is computed.
+		if *outdir != "" {
+			if err := os.MkdirAll(*outdir, 0o755); err != nil {
+				return err
+			}
 		}
 		// Without the analytic backend there is no bound to draw: the
 		// figure shows each point's simulated delay quantile instead, on
@@ -105,7 +110,7 @@ func run(args []string) error {
 		simOnly := a.Backend == scenario.Sim
 		ylabel := "delay bound [ms]"
 		if simOnly {
-			ylabel = fmt.Sprintf("simulated delay %g-quantile [ms]", 1-*simeps)
+			ylabel = fmt.Sprintf("simulated delay %g-quantile [ms]", 1-simeps)
 		}
 
 		for _, f := range figures {
@@ -116,7 +121,6 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			cfg := scenario.Config{"quick": *quick, "slots": *slots, "seed": *seed, "simeps": *simeps}
 			start := time.Now()
 			pts, rs, err := a.Run(sc, cfg, runner.RunOpt{
 				Label: "fig " + f.id,
@@ -155,12 +159,9 @@ func run(args []string) error {
 				return err
 			}
 			if a.Backend.Has(scenario.Sim) {
-				printSimCheck(pts, rs, *simeps)
+				printSimCheck(pts, rs, simeps)
 			}
 			if *outdir != "" {
-				if err := os.MkdirAll(*outdir, 0o755); err != nil {
-					return err
-				}
 				path := filepath.Join(*outdir, "fig"+f.id+".csv")
 				out, err := os.Create(path)
 				if err != nil {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"deltasched/cmd/internal/docargs"
 	"deltasched/internal/core"
 	"deltasched/internal/plot"
 	"deltasched/internal/scenario"
@@ -19,7 +20,7 @@ import (
 // every paperfigs command line README.md and EXPERIMENTS.md show, which
 // run reaches only once it accepted every documented flag.
 func TestRunHelpIsErrHelp(t *testing.T) {
-	for _, args := range append([][]string{nil}, documentedArgs(t, "paperfigs")...) {
+	for _, args := range append([][]string{nil}, docargs.Args(t, "paperfigs")...) {
 		if err := run(append(args, "-h")); !errors.Is(err, flag.ErrHelp) {
 			t.Errorf("paperfigs %s -h: want flag.ErrHelp, got %v", strings.Join(args, " "), err)
 		}
@@ -109,5 +110,33 @@ func TestRunSimBackendPlotsQuantiles(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) || strings.Contains(string(got), "NaN") {
 		t.Fatalf("fig2.csv does not hold the simulated quantiles\ngot:\n%s\nwant:\n%s", got, want.Bytes())
+	}
+}
+
+// TestRunChecksOutdirFirst: an -outdir that cannot be created fails
+// before the first figure is computed, not after it: nothing reaches
+// stdout, no table and no "computed in" line.
+func TestRunChecksOutdirFirst(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	old := os.Stdout
+	os.Stdout = stdout
+	func() {
+		defer func() { os.Stdout = old }()
+		err = run([]string{"-quick", "-fig", "1", "-outdir", filepath.Join(file, "sub")})
+	}()
+	if err == nil {
+		t.Fatal("an -outdir under a regular file must fail")
+	}
+	if out, _ := os.ReadFile(stdout.Name()); len(out) > 0 {
+		t.Fatalf("stdout before the error:\n%s", out)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
@@ -56,11 +57,24 @@ type Session struct {
 	metricsStop func()
 }
 
-// Start begins a session for the named tool: it creates the run report,
+// Start begins a session for the named tool: it checks that the
+// directories of the files Close writes exist, creates the run report,
 // starts the CPU profile and execution trace if requested, opens the
 // span tracer when a report or Chrome trace is wanted, and brings up the
 // metrics endpoint when -metrics-addr is set.
 func (f Flags) Start(tool string) (*Session, error) {
+	// The report, span trace and heap profile are written at Close: a
+	// directory that does not exist fails now, before the run's work.
+	for _, out := range [...]struct{ name, path string }{
+		{"report", f.Report}, {"tracefile", f.TraceFile}, {"memprofile", f.MemProfile},
+	} {
+		if out.path == "" {
+			continue
+		}
+		if st, err := os.Stat(filepath.Dir(out.path)); err != nil || !st.IsDir() {
+			return nil, fmt.Errorf("obs: -%s %s: its directory does not exist", out.name, out.path)
+		}
+	}
 	s := &Session{Report: NewReport(tool), Progress: f.Progress, flags: f}
 	if f.TraceFile != "" || f.Report != "" {
 		s.Tracer = NewTracer()

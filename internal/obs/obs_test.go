@@ -305,6 +305,24 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestStartChecksOutputDirs: the report, span trace and heap profile
+// are written at Close, so Start fails on a directory that does not
+// exist, or is a regular file, instead of after the run's work.
+func TestStartChecksOutputDirs(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{filepath.Join(file, "out"), filepath.Join(file, "dir", "out")} {
+		for _, f := range []Flags{{Report: bad}, {TraceFile: bad}, {MemProfile: bad}} {
+			if s, err := f.Start("t"); err == nil {
+				s.Close()
+				t.Errorf("%+v: Start must fail on a missing directory", f)
+			}
+		}
+	}
+}
+
 func TestFlagsRegister(t *testing.T) {
 	var f Flags
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)

@@ -16,7 +16,7 @@ func PrintCatalog(w io.Writer) error {
 			return err
 		}
 		for _, p := range info.Params {
-			if _, err := fmt.Fprintf(w, "      %-12s %-7s default %-8s %s\n", p.Name, p.Kind, p.Default, p.Help); err != nil {
+			if _, err := fmt.Fprintf(w, "      %-12s %-7T default %-8v %s\n", p.Name, p.Default, p.Default, p.Help); err != nil {
 				return err
 			}
 		}

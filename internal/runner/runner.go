@@ -12,6 +12,7 @@ import (
 	"deltasched/internal/core"
 	"deltasched/internal/experiments"
 	"deltasched/internal/faults"
+	"deltasched/internal/measure"
 	"deltasched/internal/obs"
 	"deltasched/internal/scenario"
 	"deltasched/internal/shard"
@@ -60,6 +61,7 @@ type App struct {
 	reps       *int
 	simWorkers *int
 	measure    *string
+	params     []string // flags declared by Flags, read back by Config
 
 	// Sharded-sweep flag group and point resilience knobs (shard.go).
 	shardStr     *string
@@ -79,8 +81,8 @@ type App struct {
 
 // New creates an App and registers the flags every command shares:
 // -checkpoint/-resume, -scenarios, -backend (defaulting to def), and the
-// observability set (-report, -progress, profiling). Command-specific
-// flags are added to app.FS before Main.
+// observability set (-report, -progress, profiling). A command adds its
+// scenarios' parameters with Flags, and its own flags to app.FS, before Main.
 func New(name string, def scenario.Backend) *App {
 	a := &App{Name: name, FS: flag.NewFlagSet(name, flag.ContinueOnError)}
 	a.checkpoint = a.FS.String("checkpoint", "", "record completed analytic sweep points in this file (a shard fragment of shard 0/1)")
@@ -95,17 +97,52 @@ func New(name string, def scenario.Backend) *App {
 	return a
 }
 
-// Reps returns the -reps flag value: independent sim replications per
-// point.
-func (a *App) Reps() int { return *a.reps }
+// Flags declares a flag for each Param of the named scenarios, of the
+// Param's type, default and help; Config reads them back. A name the
+// flag set already has, such as the shared -reps, is not declared
+// again, and one whose default differs in type or value panics.
+func (a *App) Flags(names ...string) {
+	for _, name := range names {
+		sc, err := scenario.Get(name)
+		if err != nil {
+			panic(err)
+		}
+		for _, p := range sc.Info().Params {
+			if f := a.FS.Lookup(p.Name); f != nil {
+				if g, ok := f.Value.(flag.Getter); !ok || g.Get() != p.Default {
+					panic(fmt.Sprintf("runner: parameter %q of scenario %s defaults to %v (%T), its flag to %s",
+						p.Name, name, p.Default, p.Default, f.DefValue))
+				}
+				continue
+			}
+			switch def := p.Default.(type) {
+			case int:
+				a.FS.Int(p.Name, def, p.Help)
+			case int64:
+				a.FS.Int64(p.Name, def, p.Help)
+			case float64:
+				a.FS.Float64(p.Name, def, p.Help)
+			case bool:
+				a.FS.Bool(p.Name, def, p.Help)
+			case string:
+				a.FS.String(p.Name, def, p.Help)
+			default:
+				panic(fmt.Sprintf("runner: parameter %q of scenario %s has a %T default", p.Name, name, def))
+			}
+			a.params = append(a.params, p.Name)
+		}
+	}
+}
 
-// SimWorkers returns the -simworkers flag value: the replication worker
-// pool bound (0 = GOMAXPROCS).
-func (a *App) SimWorkers() int { return *a.simWorkers }
-
-// Measure returns the -measure flag value: the delay measurement
-// backend name ("exact" or "sketch"), validated by the scenario.
-func (a *App) Measure() string { return *a.measure }
+// Config returns the values of the flags Flags declared, each of its
+// Param's type.
+func (a *App) Config() scenario.Config {
+	cfg := make(scenario.Config, len(a.params))
+	for _, name := range a.params {
+		cfg[name] = a.FS.Lookup(name).Value.(flag.Getter).Get()
+	}
+	return cfg
+}
 
 // ReportEnabled reports whether -report was set: commands use it to
 // enable expensive instrumentation (per-node probes) only when a report
@@ -137,6 +174,9 @@ func (a *App) Main(args []string, body func(a *App) error) (retErr error) {
 	if *a.reps < 1 || *a.simWorkers < 0 {
 		return fmt.Errorf("%w: -reps wants at least 1 and -simworkers at least 0, got %d and %d",
 			core.ErrBadConfig, *a.reps, *a.simWorkers)
+	}
+	if _, err := measure.ParseBackend(*a.measure); err != nil {
+		return fmt.Errorf("%w: %v", core.ErrBadConfig, err)
 	}
 	if err := a.initShard(); err != nil {
 		return err
@@ -239,7 +279,13 @@ func (a *App) Run(sc scenario.Scenario, cfg scenario.Config, opt RunOpt) ([]scen
 	// Points, so replicated point IDs carry their reps=R / measure=sketch
 	// tags). Scenarios without a sim path ignore the keys.
 	if be.Has(scenario.Sim) {
-		cfg = cfg.With("reps", a.Reps()).With("simworkers", a.SimWorkers()).With("measure", a.Measure())
+		cfg = cfg.With("reps", *a.reps).With("simworkers", *a.simWorkers).With("measure", *a.measure)
+	}
+	// Resolved once here, the config reaches every point complete, and
+	// the registry passes it on without a copy.
+	cfg, err := info.Resolve(cfg)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	pts, err := sc.Points(cfg)

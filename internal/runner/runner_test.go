@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -251,5 +252,86 @@ func TestDescribeClassifiesErrors(t *testing.T) {
 	}
 	if got := Describe("tool", fmt.Errorf("boom")); got != "tool: boom" {
 		t.Fatalf("plain error format changed: %q", got)
+	}
+}
+
+// TestAppFlags: Flags turns each Param of the named scenarios into a
+// flag of the Param's type, default and help, leaves the flags the App
+// already has alone, and Config reads the parsed values back typed.
+func TestAppFlags(t *testing.T) {
+	sc, err := scenario.Get("tandem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := New("ttool", scenario.Both)
+	app := New("ttool", scenario.Both)
+	app.Flags("tandem")
+	for _, p := range sc.Info().Params {
+		f := app.FS.Lookup(p.Name)
+		if f == nil {
+			t.Fatalf("no flag for parameter %q", p.Name)
+		}
+		if s := shared.FS.Lookup(p.Name); s != nil {
+			if f.Usage != s.Usage || f.DefValue != s.DefValue {
+				t.Errorf("-%s: Flags redeclared a flag New registers", p.Name)
+			}
+			continue
+		}
+		if got := f.Value.(flag.Getter).Get(); got != p.Default || f.Usage != p.Help {
+			t.Errorf("-%s: default %v (%T), help %q; want %v (%T), %q", p.Name, got, got, f.Usage, p.Default, p.Default, p.Help)
+		}
+	}
+
+	if err := app.FS.Parse([]string{"-H", "5", "-C", "12.5", "-seed", "4", "-sched", "edf", "-reps", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := app.Config()
+	for name, want := range map[string]any{"H": 5, "C": 12.5, "seed": int64(4), "sched": "edf", "n0": 30} {
+		if cfg[name] != want {
+			t.Errorf("Config()[%q] = %v (%T), want %v (%T)", name, cfg[name], cfg[name], want, want)
+		}
+	}
+	for _, name := range []string{"reps", "simworkers", "measure"} {
+		if _, ok := cfg[name]; ok {
+			t.Errorf("Config() carries the shared flag -%s, which Run injects", name)
+		}
+	}
+	if _, err := sc.Info().Resolve(cfg); err != nil {
+		t.Fatalf("Config() does not meet its own schema: %v", err)
+	}
+
+	// Scenarios that share a parameter with one type and default share
+	// its flag.
+	New("ttool", scenario.Analytic).Flags("fig1", "fig2", "fig3")
+	New("ttool", scenario.Analytic).Flags("path", "heteropath")
+}
+
+// TestAppFlagsPanicsOnConflict: two scenarios that give one name
+// different defaults or types cannot share a flag; path's H defaults to
+// 1, tandem's to 3.
+func TestAppFlagsPanicsOnConflict(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"H"`) {
+			t.Fatalf("conflicting parameter must panic naming it, got %v", r)
+		}
+	}()
+	New("ttool", scenario.Analytic).Flags("path", "tandem")
+}
+
+// TestAppRunRejectsMistypedConfig: App.Run resolves the config against
+// the scenario's schema before the first point, so an int seed where
+// the schema says int64 is a bad config instead of a run at seed 1.
+func TestAppRunRejectsMistypedConfig(t *testing.T) {
+	sc, err := scenario.Get("fig1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := New("ttool", scenario.Analytic)
+	err = app.Main(nil, func(a *App) error {
+		_, _, err := a.Run(sc, scenario.Config{"quick": true, "seed": 3}, RunOpt{})
+		return err
+	})
+	if !errors.Is(err, core.ErrBadConfig) || !strings.Contains(err.Error(), `"seed"`) {
+		t.Fatalf("mistyped seed: want core.ErrBadConfig naming it, got %v", err)
 	}
 }

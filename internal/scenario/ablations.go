@@ -46,13 +46,13 @@ func pathSetup(ctx context.Context, c, eps float64) experiments.Setup {
 
 // ablationID builds the deterministic point ID of an ablation run.
 func ablationID(name string, cfg Config) string {
-	return name + "/u=" + strconv.FormatFloat(cfg.Float("util", 0.5), 'g', -1, 64) +
-		"/quick=" + strconv.FormatBool(cfg.Bool("quick", false))
+	return name + "/u=" + strconv.FormatFloat(cfg.Float("util"), 'g', -1, 64) +
+		"/quick=" + strconv.FormatBool(cfg.Bool("quick"))
 }
 
 var ablationParams = []Param{
-	{Name: "util", Kind: "float", Default: "0.5", Help: "total utilization of the sweeps"},
-	{Name: "quick", Kind: "bool", Default: "false", Help: "smaller grids"},
+	{Name: "util", Default: 0.5, Help: "total utilization of the sweeps"},
+	{Name: "quick", Default: false, Help: "smaller grids"},
 }
 
 // ablation builds an analytic scenario that runs one grid of the shared
@@ -64,11 +64,11 @@ func ablation(name, desc string, params []Param, run func(s experiments.Setup, u
 		info: Info{Name: name, Desc: desc, Backends: Analytic, Params: params},
 		id:   func(cfg Config) string { return ablationID(name, cfg) },
 		eval: func(ctx context.Context, cfg Config, _ Backend) (Result, error) {
-			util := cfg.Float("util", 0.5)
+			util := cfg.Float("util")
 			if !(util > 0) || math.IsInf(util, 1) {
 				return Result{}, fmt.Errorf("%w: -util must be positive and finite, got %g", core.ErrBadConfig, util)
 			}
-			return run(ablationSetup(ctx), util, cfg.Bool("quick", false))
+			return run(ablationSetup(ctx), util, cfg.Bool("quick"))
 		},
 	}
 }

@@ -79,26 +79,23 @@ type figScenario struct {
 	enumerate  func(s experiments.Setup, quick bool) ([]experiments.SweepPoint, error)
 }
 
+// figParams are the figure scenarios' parameters, shared by all three.
+var figParams = []Param{
+	{Name: "quick", Default: false, Help: "coarser sweep grids (fast preview)"},
+	{Name: "slots", Default: 50000, Help: "sim backend: slot budget per point (split across replications)"},
+	{Name: "reps", Default: 1, Help: "sim backend: independent replications per point; reps>1 adds Student-t CI metrics"},
+	{Name: "simworkers", Default: 0, Help: "sim backend: max concurrent replications per point (0 = all cores)"},
+	{Name: "seed", Default: int64(1), Help: "sim backend: RNG seed (root of the replication seed stream)"},
+	{Name: "simeps", Default: 0.01, Help: "sim backend: tail mass of the reported empirical quantile"},
+	{Name: "measure", Default: "exact", Help: "sim backend: measurement backend, exact or sketch (fixed memory, reported rank-error bound)"},
+}
+
 func (f figScenario) Info() Info {
-	return Info{
-		Name:     f.name,
-		Desc:     f.desc,
-		Backends: Both,
-		Sweep:    true,
-		Params: []Param{
-			{Name: "quick", Kind: "bool", Default: "false", Help: "coarser sweep grids (fast preview)"},
-			{Name: "slots", Kind: "int", Default: "50000", Help: "sim backend: slot budget per point (split across replications)"},
-			{Name: "reps", Kind: "int", Default: "1", Help: "sim backend: independent replications per point; reps>1 adds Student-t CI metrics"},
-			{Name: "simworkers", Kind: "int", Default: "0", Help: "sim backend: max concurrent replications per point (0 = all cores)"},
-			{Name: "seed", Kind: "int", Default: "1", Help: "sim backend: RNG seed (root of the replication seed stream)"},
-			{Name: "simeps", Kind: "float", Default: "0.01", Help: "sim backend: tail mass of the reported empirical quantile"},
-			{Name: "measure", Kind: "string", Default: "exact", Help: "sim backend: measurement backend, exact or sketch (fixed memory, reported rank-error bound)"},
-		},
-	}
+	return Info{Name: f.name, Desc: f.desc, Backends: Both, Sweep: true, Params: figParams}
 }
 
 func (f figScenario) Points(cfg Config) ([]Point, error) {
-	sps, err := f.enumerate(experiments.PaperSetup(), cfg.Bool("quick", false))
+	sps, err := f.enumerate(experiments.PaperSetup(), cfg.Bool("quick"))
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +134,7 @@ func (f figScenario) Evaluate(ctx context.Context, cfg Config, pt Point, be Back
 		if err != nil {
 			return Result{}, err
 		}
-		backend, err := measure.ParseBackend(cfg.Str("measure", "exact"))
+		backend, err := measure.ParseBackend(cfg.Str("measure"))
 		if err != nil {
 			return Result{}, fmt.Errorf("%w: %v", core.ErrBadConfig, err)
 		}
@@ -148,16 +145,16 @@ func (f figScenario) Evaluate(ctx context.Context, cfg Config, pt Point, be Back
 			N0:         int(math.Round(sp.N0)),
 			Nc:         int(math.Round(sp.Nc)),
 			MkSched:    mk,
-			Slots:      cfg.Int("slots", 50000),
-			Seed:       cfg.Int64("seed", 1),
-			Reps:       cfg.Int("reps", 1),
-			SimWorkers: cfg.Int("simworkers", 0),
+			Slots:      cfg.Int("slots"),
+			Seed:       cfg.Int64("seed"),
+			Reps:       cfg.Int("reps"),
+			SimWorkers: cfg.Int("simworkers"),
 			Measure:    backend,
 		})
 		if err != nil {
 			return Result{}, err
 		}
-		res.Sim = simMetrics(rep, cfg.Float("simeps", 1e-2), bound)
+		res.Sim = simMetrics(rep, cfg.Float("simeps"), bound)
 	}
 	return res, nil
 }

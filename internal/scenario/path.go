@@ -49,27 +49,27 @@ func init() {
 			Name: "path",
 			Desc: "end-to-end delay bound for a homogeneous Δ-scheduled path (the delaybound flag set)",
 			Params: []Param{
-				{Name: "H", Kind: "int", Default: "1", Help: "path length (number of nodes)"},
-				{Name: "C", Kind: "float", Default: "100", Help: "link capacity per node [kbit/slot]"},
-				{Name: "sched", Kind: "string", Default: "fifo", Help: "scheduler: fifo, bmux, sp, edf"},
-				{Name: "edf-d0", Kind: "float", Default: "0", Help: "EDF per-node deadline of the through traffic [slots]"},
-				{Name: "edf-dc", Kind: "float", Default: "0", Help: "EDF per-node deadline of the cross traffic [slots]"},
-				{Name: "n0", Kind: "float", Default: "100", Help: "number of through flows"},
-				{Name: "nc", Kind: "float", Default: "100", Help: "number of cross flows per node"},
-				{Name: "eps", Kind: "float", Default: "1e-9", Help: "violation probability"},
-				{Name: "peak", Kind: "float", Default: "1.5", Help: "MMOO peak emission per slot [kbit]"},
-				{Name: "p11", Kind: "float", Default: "0.989", Help: "MMOO P(OFF→OFF)"},
-				{Name: "p22", Kind: "float", Default: "0.9", Help: "MMOO P(ON→ON)"},
-				{Name: "alpha", Kind: "float", Default: "0", Help: "fix the EBB decay α instead of optimizing it"},
-				{Name: "additive", Kind: "bool", Default: "false", Help: "also compute the node-by-node additive bound"},
+				{Name: "H", Default: 1, Help: "path length (number of nodes)"},
+				{Name: "C", Default: 100.0, Help: "link capacity per node [kbit/slot]"},
+				{Name: "sched", Default: "fifo", Help: "scheduler: fifo, bmux, sp (through prioritized), edf"},
+				{Name: "edf-d0", Default: 0.0, Help: "EDF per-node deadline of the through traffic [slots]"},
+				{Name: "edf-dc", Default: 0.0, Help: "EDF per-node deadline of the cross traffic [slots]"},
+				{Name: "n0", Default: 100.0, Help: "number of through flows"},
+				{Name: "nc", Default: 100.0, Help: "number of cross flows per node"},
+				{Name: "eps", Default: 1e-9, Help: "violation probability"},
+				{Name: "peak", Default: 1.5, Help: "MMOO peak emission per slot [kbit]"},
+				{Name: "p11", Default: 0.989, Help: "MMOO P(OFF→OFF)"},
+				{Name: "p22", Default: 0.9, Help: "MMOO P(ON→ON)"},
+				{Name: "alpha", Default: 0.0, Help: "fix the EBB decay α instead of optimizing it"},
+				{Name: "additive", Default: false, Help: "also compute the node-by-node additive bound"},
 			},
 			Backends: Analytic,
 		},
 		id: func(cfg Config) string {
-			return "path/" + cfg.Str("sched", "fifo") +
-				"/h=" + strconv.Itoa(cfg.Int("H", 1)) +
-				"/n0=" + strconv.FormatFloat(cfg.Float("n0", 100), 'g', -1, 64) +
-				"/nc=" + strconv.FormatFloat(cfg.Float("nc", 100), 'g', -1, 64)
+			return "path/" + cfg.Str("sched") +
+				"/h=" + strconv.Itoa(cfg.Int("H")) +
+				"/n0=" + strconv.FormatFloat(cfg.Float("n0"), 'g', -1, 64) +
+				"/nc=" + strconv.FormatFloat(cfg.Float("nc"), 'g', -1, 64)
 		},
 		eval: evalPath,
 	})
@@ -78,13 +78,13 @@ func init() {
 			Name: "heteropath",
 			Desc: "α-optimized bound for a heterogeneous path described by a JSON config file",
 			Params: []Param{
-				{Name: "config", Kind: "string", Default: "", Help: "JSON file describing the path (see DESIGN.md)"},
+				{Name: "config", Default: "", Help: "JSON file describing a heterogeneous path (overrides the flags)"},
 			},
 			Backends: Analytic,
 		},
-		id: func(cfg Config) string { return "heteropath/" + cfg.Str("config", "") },
+		id: func(cfg Config) string { return "heteropath/" + cfg.Str("config") },
 		eval: func(ctx context.Context, cfg Config, _ Backend) (Result, error) {
-			pf, err := LoadPathFile(cfg.Str("config", ""))
+			pf, err := LoadPathFile(cfg.Str("config"))
 			if err != nil {
 				return Result{}, err
 			}
@@ -92,33 +92,29 @@ func init() {
 			if err != nil {
 				return Result{}, err
 			}
-			return Result{
-				Analytic: res.D,
-				Extra:    map[string]float64{"gamma": res.Gamma},
-				Detail:   HeteroDetail{PF: pf, Res: res},
-			}, nil
+			return Result{Analytic: res.D, Detail: HeteroDetail{PF: pf, Res: res}}, nil
 		},
 	})
 }
 
 func evalPath(ctx context.Context, cfg Config, _ Backend) (Result, error) {
 	src := envelope.MMOO{
-		Peak: cfg.Float("peak", 1.5),
-		P11:  cfg.Float("p11", 0.989),
-		P22:  cfg.Float("p22", 0.9),
+		Peak: cfg.Float("peak"),
+		P11:  cfg.Float("p11"),
+		P22:  cfg.Float("p22"),
 	}
 	if err := src.Validate(); err != nil {
 		return Result{}, fmt.Errorf("%w: %w", core.ErrBadConfig, err)
 	}
-	delta, err := flagDelta(cfg)
+	delta, err := schedDelta(cfg.Str("sched"), cfg.Float("edf-d0"), cfg.Float("edf-dc"), "-sched", "-edf-d0", "-edf-dc")
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("%w: %w", core.ErrBadConfig, err)
 	}
-	h := cfg.Int("H", 1)
-	c := cfg.Float("C", 100)
-	n0 := cfg.Float("n0", 100)
-	nc := cfg.Float("nc", 100)
-	eps := cfg.Float("eps", 1e-9)
+	h := cfg.Int("H")
+	c := cfg.Float("C")
+	n0 := cfg.Float("n0")
+	nc := cfg.Float("nc")
+	eps := cfg.Float("eps")
 	if err := checkPath(h, c); err != nil {
 		return Result{}, err
 	}
@@ -128,7 +124,7 @@ func evalPath(ctx context.Context, cfg Config, _ Backend) (Result, error) {
 	if !(eps > 0 && eps < 1) {
 		return Result{}, fmt.Errorf("%w: -eps must be in (0,1), got %g", core.ErrBadConfig, eps)
 	}
-	alpha := cfg.Float("alpha", 0) // 0 optimizes α
+	alpha := cfg.Float("alpha") // 0 optimizes α
 	if !(alpha >= 0) || math.IsInf(alpha, 1) {
 		return Result{}, fmt.Errorf("%w: -alpha must be positive and finite, or 0 to optimize it, got %g", core.ErrBadConfig, alpha)
 	}
@@ -138,7 +134,7 @@ func evalPath(ctx context.Context, cfg Config, _ Backend) (Result, error) {
 		return Result{}, err
 	}
 	s := pathSetup(ctx, c, eps)
-	additive := cfg.Bool("additive", false)
+	additive := cfg.Bool("additive")
 	detail := PathDetail{Delta: delta, Src: src}
 	if alpha > 0 {
 		pc, err := s.Path(memo, h, n0, nc, delta)(alpha)
@@ -164,16 +160,7 @@ func evalPath(ctx context.Context, cfg Config, _ Backend) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	res := detail.Res
-	out := Result{
-		Analytic: res.D,
-		Extra:    map[string]float64{"gamma": res.Gamma, "sigma": res.Sigma},
-		Detail:   detail,
-	}
-	if additive && detail.AddErr == nil {
-		out.Extra["additive_bound_slots"] = detail.Additive
-	}
-	return out, nil
+	return Result{Analytic: detail.Res.D, Detail: detail}, nil
 }
 
 // HeteroDetail is the Detail payload of the heteropath scenario.
@@ -291,22 +278,11 @@ func (n PathNode) Delta() (float64, error) {
 	return schedDelta(n.Sched, n.EDFD0, n.EDFDc, "sched", "edfD0", "edfDc")
 }
 
-// flagDelta is PathNode.Delta for the -sched, -edf-d0 and -edf-dc
-// parameters of the analytic path scenarios; its errors name the flag.
-func flagDelta(cfg Config) (float64, error) {
-	delta, err := schedDelta(cfg.Str("sched", "fifo"), cfg.Float("edf-d0", 0), cfg.Float("edf-dc", 0),
-		"-sched", "-edf-d0", "-edf-dc")
-	if err != nil {
-		return 0, fmt.Errorf("%w: %w", core.ErrBadConfig, err)
-	}
-	return delta, nil
-}
-
 // schedDelta is the one table from scheduler name to Δ_{0,c} behind both
-// the config file and the path flags; schedName, d0Name and dcName label
-// the inputs in its errors. EDF deadlines must be positive and finite: an
-// infinite one would price another scheduler's bound (d0 = +Inf is BMUX's
-// Δ = +Inf, dc = +Inf SP's).
+// the config file and the path scenario's flags; schedName, d0Name and
+// dcName label the inputs in its errors. EDF deadlines must be positive
+// and finite: an infinite one would price another scheduler's bound
+// (d0 = +Inf is BMUX's Δ = +Inf, dc = +Inf SP's).
 func schedDelta(sched string, d0, dc float64, schedName, d0Name, dcName string) (float64, error) {
 	switch sched {
 	case "fifo":

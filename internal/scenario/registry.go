@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -14,11 +15,37 @@ var (
 	registry = make(map[string]Scenario)
 )
 
+// registered is a scenario as the registry serves it: its Info read
+// once, and every Config resolved against its Params before use.
+type registered struct {
+	Scenario
+	info Info
+}
+
+func (r registered) Info() Info { return r.info }
+
+func (r registered) Points(cfg Config) ([]Point, error) {
+	cfg, err := r.info.Resolve(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.Scenario.Points(cfg)
+}
+
+func (r registered) Evaluate(ctx context.Context, cfg Config, pt Point, be Backend) (Result, error) {
+	cfg, err := r.info.Resolve(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return r.Scenario.Evaluate(ctx, cfg, pt, be)
+}
+
 // Register adds a scenario under its Info().Name. It panics on a
 // duplicate or empty name: registration happens at init time, where a
 // collision is a build defect, not a runtime condition.
 func Register(s Scenario) {
-	name := s.Info().Name
+	info := s.Info()
+	name := info.Name
 	if name == "" {
 		panic("scenario: Register with empty name")
 	}
@@ -27,7 +54,7 @@ func Register(s Scenario) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("scenario: duplicate registration of %q", name))
 	}
-	registry[name] = s
+	registry[name] = registered{Scenario: s, info: info}
 }
 
 // Get returns the named scenario.

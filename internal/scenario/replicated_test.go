@@ -35,7 +35,7 @@ func evalTandem(t *testing.T, cfg Config) (map[string]float64, TandemDetail) {
 // merged metrics are bit-identical regardless of how many workers run
 // the replications. Runs under -race in make check.
 func TestReplicatedWorkerInvariance(t *testing.T) {
-	base := Config{"H": 2, "n0": 5, "nc": 10, "slots": 8000, "reps": 4, "seed": 7}
+	base := Config{"H": 2, "n0": 5, "nc": 10, "slots": 8000, "reps": 4, "seed": int64(7)}
 	many := runtime.NumCPU()
 	if many < 4 {
 		many = 4
@@ -61,7 +61,7 @@ func TestReplicatedWorkerInvariance(t *testing.T) {
 // metric — including the rank-error bound — must be invariant under the
 // worker count. Runs under -race in make check.
 func TestReplicatedWorkerInvarianceSketch(t *testing.T) {
-	base := Config{"H": 2, "n0": 5, "nc": 10, "slots": 8000, "reps": 4, "seed": 7, "measure": "sketch"}
+	base := Config{"H": 2, "n0": 5, "nc": 10, "slots": 8000, "reps": 4, "seed": int64(7), "measure": "sketch"}
 	many := runtime.NumCPU()
 	if many < 4 {
 		many = 4
@@ -86,7 +86,7 @@ func TestReplicatedWorkerInvarianceSketch(t *testing.T) {
 // long the run is, while the exact backend keeps one sample per busy
 // slot. A 10x-longer horizon pins both halves of that contract.
 func TestReplicatedSketchMemoryBounded(t *testing.T) {
-	base := Config{"H": 2, "n0": 5, "nc": 10, "seed": 5}
+	base := Config{"H": 2, "n0": 5, "nc": 10, "seed": int64(5)}
 	_, short := evalTandem(t, base.With("slots", 4000).With("measure", "sketch"))
 	_, long := evalTandem(t, base.With("slots", 40000).With("measure", "sketch"))
 	_, exact := evalTandem(t, base.With("slots", 40000))
@@ -129,7 +129,7 @@ func TestReplicatedSketchMemoryBounded(t *testing.T) {
 // of a bursty source, at least one pair of per-replication distributions
 // must differ (identical paths would mean seed collapse).
 func TestReplicatedSeedStreamsDisjoint(t *testing.T) {
-	_, det := evalTandem(t, Config{"H": 2, "n0": 5, "nc": 10, "slots": 8000, "reps": 4, "seed": 1})
+	_, det := evalTandem(t, Config{"H": 2, "n0": 5, "nc": 10, "slots": 8000, "reps": 4, "seed": int64(1)})
 	if len(det.PerRep) != 4 {
 		t.Fatalf("expected 4 per-replication distributions, got %d", len(det.PerRep))
 	}
@@ -208,7 +208,7 @@ func TestMeasureBadBackend(t *testing.T) {
 }
 
 func TestReplicatedMetrics(t *testing.T) {
-	m, det := evalTandem(t, Config{"H": 2, "n0": 5, "nc": 10, "slots": 8000, "reps": 4, "seed": 3})
+	m, det := evalTandem(t, Config{"H": 2, "n0": 5, "nc": 10, "slots": 8000, "reps": 4, "seed": int64(3)})
 	if det.Reps != 4 || det.SlotsPerRep != 2000 {
 		t.Fatalf("detail carries reps=%d slotsPerRep=%d, want 4 and 2000", det.Reps, det.SlotsPerRep)
 	}
@@ -223,7 +223,7 @@ func TestReplicatedMetrics(t *testing.T) {
 
 	// Single runs keep the historical metric set plus the (new, always
 	// emitted) censored fraction — and no CI keys.
-	m, det = evalTandem(t, Config{"H": 2, "n0": 5, "nc": 10, "slots": 8000, "reps": 1, "seed": 3})
+	m, det = evalTandem(t, Config{"H": 2, "n0": 5, "nc": 10, "slots": 8000, "reps": 1, "seed": int64(3)})
 	if det.Reps != 1 {
 		t.Fatalf("reps=1 detail carries reps=%d", det.Reps)
 	}
@@ -246,7 +246,7 @@ func TestReplicatedProgressAggregation(t *testing.T) {
 	}
 	var dones []int
 	total := 0
-	cfg := Config{"H": 2, "n0": 5, "nc": 10, "slots": 8000, "reps": 4, "simworkers": 2, "seed": 2}
+	cfg := Config{"H": 2, "n0": 5, "nc": 10, "slots": 8000, "reps": 4, "simworkers": 2, "seed": int64(2)}
 	cfg = cfg.WithProgress(func(done, tot int) {
 		dones = append(dones, done)
 		total = tot
@@ -302,7 +302,7 @@ func TestReplicatedCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := Config{"H": 2, "n0": 5, "nc": 10, "slots": 400000, "reps": 4, "seed": 1}
+	cfg := Config{"H": 2, "n0": 5, "nc": 10, "slots": 400000, "reps": 4, "seed": int64(1)}
 	pts, err := sc.Points(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,10 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"maps"
+	"reflect"
 
+	"deltasched/internal/core"
 	"deltasched/internal/plot"
 )
 
@@ -64,63 +67,47 @@ func (b Backend) String() string {
 // Has reports whether every engine in x is enabled in b.
 func (b Backend) Has(x Backend) bool { return b&x == x }
 
-// Param documents one configuration knob of a scenario: the schema the
-// registry listing prints and the contract for Config keys.
+// Param is one run parameter of a scenario and its only description:
+// the Config key and flag name (runner.App.Flags), the default, whose
+// Go type (int, int64, float64, bool or string) is the parameter's
+// type, and the help text.
 type Param struct {
-	Name    string // Config key (and conventionally the CLI flag name)
-	Kind    string // "int", "float", "bool" or "string"
-	Default string // human-readable default
+	Name    string
+	Default any
 	Help    string
 }
 
-// Config carries a scenario's resolved parameter values, keyed by Param
-// name. CLIs build it from their flags; typed getters apply defaults for
-// absent keys. The "_progress" key is reserved for the runner, which
-// injects a progress callback for long single-point evaluations.
+// Config carries a scenario's parameter values, keyed by Param name.
+// The registry resolves it against the scenario's Params (Info.Resolve)
+// before Points or Evaluate sees it, so the typed getters read values
+// that are present; a name outside the schema reads as the zero value.
+// The "_progress" key is reserved for the runner, which injects a
+// progress callback for long single-point evaluations.
 type Config map[string]any
 
 // reserved Config key for the runner-injected progress callback.
 const progressKey = "_progress"
 
-// Float returns the named float parameter, or def when unset.
-func (c Config) Float(name string, def float64) float64 {
-	if v, ok := c[name].(float64); ok {
-		return v
-	}
-	return def
+// param reads the named value as a T, or T's zero value.
+func param[T any](c Config, name string) T {
+	v, _ := c[name].(T)
+	return v
 }
 
-// Int returns the named int parameter, or def when unset.
-func (c Config) Int(name string, def int) int {
-	if v, ok := c[name].(int); ok {
-		return v
-	}
-	return def
-}
+// Float returns the named float64 parameter.
+func (c Config) Float(name string) float64 { return param[float64](c, name) }
 
-// Int64 returns the named int64 parameter, or def when unset.
-func (c Config) Int64(name string, def int64) int64 {
-	if v, ok := c[name].(int64); ok {
-		return v
-	}
-	return def
-}
+// Int returns the named int parameter.
+func (c Config) Int(name string) int { return param[int](c, name) }
 
-// Bool returns the named bool parameter, or def when unset.
-func (c Config) Bool(name string, def bool) bool {
-	if v, ok := c[name].(bool); ok {
-		return v
-	}
-	return def
-}
+// Int64 returns the named int64 parameter.
+func (c Config) Int64(name string) int64 { return param[int64](c, name) }
 
-// Str returns the named string parameter, or def when unset.
-func (c Config) Str(name, def string) string {
-	if v, ok := c[name].(string); ok {
-		return v
-	}
-	return def
-}
+// Bool returns the named bool parameter.
+func (c Config) Bool(name string) bool { return param[bool](c, name) }
+
+// Str returns the named string parameter.
+func (c Config) Str(name string) string { return param[string](c, name) }
 
 // With returns a copy of the config with one key set. The original
 // config is not modified, so callers can layer run-time values (the
@@ -138,12 +125,7 @@ func (c Config) With(key string, v any) Config {
 // for Evaluate implementations that report fine-grained progress (the
 // tandem simulation's slot loop). The original config is not modified.
 func (c Config) WithProgress(fn func(done, total int)) Config {
-	out := make(Config, len(c)+1)
-	for k, v := range c {
-		out[k] = v
-	}
-	out[progressKey] = fn
-	return out
+	return c.With(progressKey, fn)
 }
 
 // Progress returns the runner-injected progress callback, or nil.
@@ -167,11 +149,9 @@ type Point struct {
 // Result is the outcome of evaluating one point. Analytic is the delay
 // bound in slots (NaN when the analytic engine did not run or the point
 // is infeasible); Sim carries named empirical metrics when the simulator
-// ran; Extra carries named analytic side results (optimizer internals);
-// Detail is a scenario-specific payload for rich CLI formatting.
+// ran; Detail is a scenario-specific payload for rich CLI formatting.
 type Result struct {
 	Analytic float64
-	Extra    map[string]float64
 	Sim      map[string]float64
 	Detail   any
 }
@@ -189,6 +169,30 @@ type Info struct {
 	// infeasibility propagates as an error and resume never serves a
 	// stripped result.
 	Sweep bool
+}
+
+// Resolve checks cfg against the parameter schema: a missing parameter
+// takes its default, and a value of another Go type than its default
+// fails as core.ErrBadConfig. Other keys pass through. A complete cfg
+// comes back as is; otherwise one copy takes the defaults, so the
+// caller's map, which concurrent points share, is never written.
+func (in Info) Resolve(cfg Config) (Config, error) {
+	out, copied := cfg, false
+	for _, p := range in.Params {
+		v, ok := cfg[p.Name]
+		switch {
+		case !ok:
+			if !copied {
+				out, copied = make(Config, len(cfg)+len(in.Params)), true
+				maps.Copy(out, cfg)
+			}
+			out[p.Name] = p.Default
+		case reflect.TypeOf(v) != reflect.TypeOf(p.Default):
+			return nil, fmt.Errorf("%w: scenario %s: parameter %q is %T, want %T",
+				core.ErrBadConfig, in.Name, p.Name, v, p.Default)
+		}
+	}
+	return out, nil
 }
 
 // Scenario is one registered workload.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"deltasched/internal/core"
@@ -72,19 +73,19 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 
 func TestConfigGetters(t *testing.T) {
 	cfg := Config{"f": 1.5, "i": 3, "i64": int64(7), "b": true, "s": "x"}
-	if cfg.Float("f", 0) != 1.5 || cfg.Float("missing", 2.5) != 2.5 {
+	if cfg.Float("f") != 1.5 || cfg.Float("missing") != 0 {
 		t.Fatal("Float getter")
 	}
-	if cfg.Int("i", 0) != 3 || cfg.Int("missing", 9) != 9 {
+	if cfg.Int("i") != 3 || cfg.Int("missing") != 0 {
 		t.Fatal("Int getter")
 	}
-	if cfg.Int64("i64", 0) != 7 || cfg.Int64("missing", 8) != 8 {
+	if cfg.Int64("i64") != 7 || cfg.Int64("missing") != 0 {
 		t.Fatal("Int64 getter")
 	}
-	if !cfg.Bool("b", false) || cfg.Bool("missing", true) != true {
+	if !cfg.Bool("b") || cfg.Bool("missing") {
 		t.Fatal("Bool getter")
 	}
-	if cfg.Str("s", "") != "x" || cfg.Str("missing", "d") != "d" {
+	if cfg.Str("s") != "x" || cfg.Str("missing") != "" {
 		t.Fatal("Str getter")
 	}
 	if cfg.Progress() != nil {
@@ -101,6 +102,72 @@ func TestConfigGetters(t *testing.T) {
 	}
 	if cfg.Progress() != nil {
 		t.Fatal("WithProgress must not mutate the original config")
+	}
+}
+
+// TestResolve pins the schema contract every Config meets before a
+// scenario sees it: a value of another type than its Param's default
+// is a bad config, naming the parameter; a missing one takes the
+// default; a complete config passes through as is; and the caller's
+// map is never written.
+func TestResolve(t *testing.T) {
+	for _, tc := range []struct {
+		scenario, param string
+		cfg             Config
+	}{
+		{"fig1", "seed", Config{"seed": 3}},
+		{"tandem", "C", Config{"C": 20}},
+		{"path", "n0", Config{"n0": 100}},
+		{"tandem", "n0", Config{"n0": 30.0}},
+		{"scaling", "quick", Config{"quick": "true"}},
+	} {
+		sc, err := Get(tc.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sc.Info().Resolve(tc.cfg)
+		if !errors.Is(err, core.ErrBadConfig) || !strings.Contains(err.Error(), `"`+tc.param+`"`) {
+			t.Errorf("%s %v: Resolve err = %v, want ErrBadConfig naming %q", tc.scenario, tc.cfg, err, tc.param)
+		}
+		// Points and Evaluate resolve through the registry too.
+		if _, err := sc.Points(tc.cfg); !errors.Is(err, core.ErrBadConfig) {
+			t.Errorf("%s %v: Points err = %v, want ErrBadConfig", tc.scenario, tc.cfg, err)
+		}
+		if _, err := sc.Evaluate(context.Background(), tc.cfg, Point{}, Analytic); !errors.Is(err, core.ErrBadConfig) {
+			t.Errorf("%s %v: Evaluate err = %v, want ErrBadConfig", tc.scenario, tc.cfg, err)
+		}
+	}
+
+	sc, err := Get("tandem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := sc.Info()
+	partial := Config{"H": 7, "seed": int64(9), "_progress": "kept"}
+	got, err := info.Resolve(partial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(partial) != 3 {
+		t.Fatalf("Resolve wrote the caller's map: %v", partial)
+	}
+	if got.Int("H") != 7 || got.Int64("seed") != 9 || got["_progress"] != "kept" {
+		t.Fatalf("Resolve lost set values: %v", got)
+	}
+	for _, p := range info.Params {
+		if p.Name != "H" && p.Name != "seed" && got[p.Name] != p.Default {
+			t.Errorf("missing %s resolved to %v (%T), want its default %v (%T)", p.Name, got[p.Name], got[p.Name], p.Default, p.Default)
+		}
+	}
+	again, err := info.Resolve(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.ValueOf(again).Pointer() != reflect.ValueOf(got).Pointer() {
+		t.Fatal("a complete config must come back as is, not as a copy")
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = info.Resolve(got) }); n != 0 {
+		t.Fatalf("resolving a complete config allocates %v times", n)
 	}
 }
 

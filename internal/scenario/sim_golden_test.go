@@ -20,7 +20,8 @@ import (
 // pre-block-loop slot engine, so they prove the block-batched loop, the
 // devirtualized sources, and the FIFO ring fast path reproduce the old
 // per-slot loop bit for bit end to end — including through the replicated
-// merge path (fig3 runs reps=4 over 2 workers).
+// merge path (fig3 runs reps=4 over 2 workers). All three run at seed 1,
+// the seed the goldens were recorded at.
 //
 // Regenerate with UPDATE_SIM_GOLDEN=1 go test ./internal/scenario
 // -run TestSimBackendGolden (only legitimate after a deliberate,
@@ -33,11 +34,11 @@ func TestSimBackendGolden(t *testing.T) {
 		fig string
 		cfg Config
 	}{
-		{"fig1", Config{"quick": true, "slots": 4000, "seed": 3}},
-		{"fig2", Config{"quick": true, "slots": 4000, "seed": 5}},
+		{"fig1", Config{"quick": true, "slots": 4000, "seed": int64(1)}},
+		{"fig2", Config{"quick": true, "slots": 4000, "seed": int64(1)}},
 		// reps>1 pins the replicated path: SplitMix64 seed streams,
 		// worker-pool fan-out, index-order merge.
-		{"fig3", Config{"quick": true, "slots": 4000, "seed": 7, "reps": 4, "simworkers": 2}},
+		{"fig3", Config{"quick": true, "slots": 4000, "seed": int64(1), "reps": 4, "simworkers": 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fig, func(t *testing.T) {

@@ -20,7 +20,6 @@ import (
 type TandemDetail struct {
 	Res        core.Result
 	BoundLabel string
-	Delta      float64
 	Stats      sim.Stats
 	Dist       measure.Summary // pooled over replications (reps=1: the single run)
 	Probe      *obs.SimProbe
@@ -42,52 +41,52 @@ func (tandemScenario) Info() Info {
 		Name: "tandem",
 		Desc: "discrete-time tandem simulation vs the analytic bound (the netsim experiment)",
 		Params: []Param{
-			{Name: "H", Kind: "int", Default: "3", Help: "path length (number of nodes)"},
-			{Name: "C", Kind: "float", Default: "20", Help: "link capacity per node [kbit/slot]"},
-			{Name: "n0", Kind: "int", Default: "30", Help: "number of through MMOO flows"},
-			{Name: "nc", Kind: "int", Default: "60", Help: "number of cross MMOO flows per node"},
-			{Name: "sched", Kind: "string", Default: "fifo", Help: "scheduler: fifo, bmux, sp, edf, gps, drr"},
-			{Name: "agg", Kind: "string", Default: "per-source", Help: "traffic aggregation: per-source (n Bernoulli draws per slot) or count (O(1) binomial count chain; same law, different RNG stream)"},
-			{Name: "edf-d0", Kind: "float", Default: "5", Help: "EDF deadline of the through traffic [slots]"},
-			{Name: "edf-dc", Kind: "float", Default: "50", Help: "EDF deadline of the cross traffic [slots]"},
-			{Name: "gps-w0", Kind: "float", Default: "1", Help: "GPS weight of the through traffic"},
-			{Name: "gps-wc", Kind: "float", Default: "1", Help: "GPS weight of the cross traffic"},
-			{Name: "pktsize", Kind: "float", Default: "0", Help: "packet size for non-preemptive service (0 = fluid); fifo/bmux/sp/edf only"},
-			{Name: "slots", Kind: "int", Default: "200000", Help: "total simulation budget in slots (split across replications)"},
-			{Name: "reps", Kind: "int", Default: "1", Help: "independent replications with SplitMix64-derived seeds; reps>1 merges distributions and adds Student-t CI metrics"},
-			{Name: "simworkers", Kind: "int", Default: "0", Help: "max concurrent replications (0 = all cores)"},
-			{Name: "measure", Kind: "string", Default: "exact", Help: "measurement backend: exact (full per-slot samples) or sketch (fixed-memory mergeable quantile sketch with a reported rank-error bound)"},
-			{Name: "seed", Kind: "int", Default: "1", Help: "RNG seed (root of the replication seed stream)"},
-			{Name: "eps", Kind: "float", Default: "1e-2", Help: "violation probability for the analytical bound"},
-			{Name: "probe-every", Kind: "int", Default: "0", Help: "probe sampling stride in slots (0 disables the probe)"},
+			{Name: "H", Default: 3, Help: "path length (number of nodes)"},
+			{Name: "C", Default: 20.0, Help: "link capacity per node [kbit/slot]"},
+			{Name: "n0", Default: 30, Help: "number of through MMOO flows"},
+			{Name: "nc", Default: 60, Help: "number of cross MMOO flows per node"},
+			{Name: "sched", Default: "fifo", Help: "scheduler: fifo, bmux, sp, edf, gps, drr"},
+			{Name: "agg", Default: "per-source", Help: "traffic aggregation: per-source (n Bernoulli draws per slot) or count (O(1) binomial count chain; same law, different RNG stream)"},
+			{Name: "edf-d0", Default: 5.0, Help: "EDF deadline of the through traffic [slots]"},
+			{Name: "edf-dc", Default: 50.0, Help: "EDF deadline of the cross traffic [slots]"},
+			{Name: "gps-w0", Default: 1.0, Help: "GPS weight of the through traffic"},
+			{Name: "gps-wc", Default: 1.0, Help: "GPS weight of the cross traffic"},
+			{Name: "pktsize", Default: 0.0, Help: "packet size for non-preemptive service (0 = fluid); fifo/bmux/sp/edf only"},
+			{Name: "slots", Default: 200000, Help: "total simulation budget in slots (split across replications)"},
+			{Name: "reps", Default: 1, Help: "independent replications with SplitMix64-derived seeds; reps>1 merges distributions and adds Student-t CI metrics"},
+			{Name: "simworkers", Default: 0, Help: "max concurrent replications (0 = all cores)"},
+			{Name: "measure", Default: "exact", Help: "measurement backend: exact (full per-slot samples) or sketch (fixed-memory mergeable quantile sketch with a reported rank-error bound)"},
+			{Name: "seed", Default: int64(1), Help: "RNG seed (root of the replication seed stream)"},
+			{Name: "eps", Default: 1e-2, Help: "violation probability for the analytical bound"},
+			{Name: "probe-every", Default: 1, Help: "per-node probe sampling stride in slots (0 disables the probe; netsim probes only with -report)"},
 		},
 		Backends: Both,
 	}
 }
 
 func (tandemScenario) Points(cfg Config) ([]Point, error) {
-	id := "tandem/" + cfg.Str("sched", "fifo") +
-		"/h=" + strconv.Itoa(cfg.Int("H", 3)) +
-		"/n0=" + strconv.Itoa(cfg.Int("n0", 30)) +
-		"/nc=" + strconv.Itoa(cfg.Int("nc", 60)) +
-		"/slots=" + strconv.Itoa(cfg.Int("slots", 200000)) +
-		"/seed=" + strconv.FormatInt(cfg.Int64("seed", 1), 10)
+	id := "tandem/" + cfg.Str("sched") +
+		"/h=" + strconv.Itoa(cfg.Int("H")) +
+		"/n0=" + strconv.Itoa(cfg.Int("n0")) +
+		"/nc=" + strconv.Itoa(cfg.Int("nc")) +
+		"/slots=" + strconv.Itoa(cfg.Int("slots")) +
+		"/seed=" + strconv.FormatInt(cfg.Int64("seed"), 10)
 	// The default aggregation keeps its historical ID so existing
 	// checkpoints resume; the count chain samples a different RNG stream
 	// and must not be confused with per-source results.
-	if agg := cfg.Str("agg", "per-source"); agg != "per-source" {
+	if agg := cfg.Str("agg"); agg != "per-source" {
 		id += "/agg=" + agg
 	}
 	// A replicated point samples different (shorter, multi-seed) paths
 	// than the single run, so its checkpoint identity must differ; reps=1
 	// keeps the historical ID.
-	if reps := cfg.Int("reps", 1); reps > 1 {
+	if reps := cfg.Int("reps"); reps > 1 {
 		id += "/reps=" + strconv.Itoa(reps)
 	}
 	// The sketch backend reports approximate quantiles, so its results
 	// must not satisfy an exact-backend checkpoint; the exact default
 	// keeps the historical ID.
-	if ms := cfg.Str("measure", "exact"); ms != "exact" {
+	if ms := cfg.Str("measure"); ms != "exact" {
 		id += "/measure=" + ms
 	}
 	return []Point{{ID: id}}, nil
@@ -95,16 +94,16 @@ func (tandemScenario) Points(cfg Config) ([]Point, error) {
 
 func (tandemScenario) Evaluate(ctx context.Context, cfg Config, _ Point, be Backend) (Result, error) {
 	var (
-		h     = cfg.Int("H", 3)
-		c     = cfg.Float("C", 20)
-		n0    = cfg.Int("n0", 30)
-		nc    = cfg.Int("nc", 60)
-		sched = cfg.Str("sched", "fifo")
-		slots = cfg.Int("slots", 200000)
-		reps  = cfg.Int("reps", 1)
-		eps   = cfg.Float("eps", 1e-2)
-		pkt   = cfg.Float("pktsize", 0)
-		agg   = cfg.Str("agg", "per-source")
+		h     = cfg.Int("H")
+		c     = cfg.Float("C")
+		n0    = cfg.Int("n0")
+		nc    = cfg.Int("nc")
+		sched = cfg.Str("sched")
+		slots = cfg.Int("slots")
+		reps  = cfg.Int("reps")
+		eps   = cfg.Float("eps")
+		pkt   = cfg.Float("pktsize")
+		agg   = cfg.Str("agg")
 	)
 	if err := checkPath(h, c); err != nil {
 		return Result{}, err
@@ -127,15 +126,15 @@ func (tandemScenario) Evaluate(ctx context.Context, cfg Config, _ Point, be Back
 	if !(pkt >= 0) || math.IsInf(pkt, 0) {
 		return Result{}, fmt.Errorf("%w: -pktsize must be 0 (fluid) or positive and finite, got %g", core.ErrBadConfig, pkt)
 	}
-	backend, err := measure.ParseBackend(cfg.Str("measure", "exact"))
+	backend, err := measure.ParseBackend(cfg.Str("measure"))
 	if err != nil {
 		return Result{}, fmt.Errorf("%w: %v", core.ErrBadConfig, err)
 	}
 
 	src := envelope.PaperSource()
 	mkSched, delta, err := SchedulerFor(sched,
-		cfg.Float("edf-d0", 5), cfg.Float("edf-dc", 50),
-		cfg.Float("gps-w0", 1), cfg.Float("gps-wc", 1))
+		cfg.Float("edf-d0"), cfg.Float("edf-dc"),
+		cfg.Float("gps-w0"), cfg.Float("gps-wc"))
 	if err != nil {
 		return Result{}, err
 	}
@@ -154,7 +153,7 @@ func (tandemScenario) Evaluate(ctx context.Context, cfg Config, _ Point, be Back
 		}
 	}
 
-	detail := TandemDetail{Delta: delta}
+	var detail TandemDetail
 	bound := math.NaN()
 	if be.Has(Analytic) {
 		// GPS and DRR are not Δ-schedulers; the BMUX bound still applies
@@ -190,11 +189,11 @@ func (tandemScenario) Evaluate(ctx context.Context, cfg Config, _ Point, be Back
 			CountAgg:   agg == "count",
 			MkSched:    mkSched,
 			Slots:      slots,
-			Seed:       cfg.Int64("seed", 1),
-			Every:      cfg.Int("probe-every", 0),
+			Seed:       cfg.Int64("seed"),
+			Every:      cfg.Int("probe-every"),
 			Progress:   cfg.Progress(),
 			Reps:       reps,
-			SimWorkers: cfg.Int("simworkers", 0),
+			SimWorkers: cfg.Int("simworkers"),
 			Measure:    backend,
 		})
 		if err != nil {
