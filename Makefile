@@ -81,12 +81,16 @@ metrics-smoke:
 	echo "metrics-smoke: /metrics served the optimizer counters"
 
 # Build and run every program under examples/, failing on a non-zero
-# exit: `go build ./...` only compiles them, so one that breaks at run
-# time would pass unnoticed.
+# exit or on stdout that differs from the program's committed
+# examples/<name>/testdata/stdout.golden: `go build ./...` only compiles
+# them, so one that breaks or drifts at run time would pass unnoticed.
+# Every example is deterministic (fixed seeds).
 examples-smoke:
-	@for d in examples/*/; do \
+	@out=$$(mktemp); trap 'rm -f $$out' EXIT; \
+	for d in examples/*/; do \
 		echo "examples-smoke: $$d"; \
-		$(GO) run ./$$d >/dev/null || exit 1; \
+		$(GO) run ./$$d >$$out || exit 1; \
+		diff -u $${d}testdata/stdout.golden $$out || { echo "examples-smoke: $$d stdout differs from its golden"; exit 1; }; \
 	done
 
 # Chaos suite under the race detector: every deterministic fault

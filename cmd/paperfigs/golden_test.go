@@ -51,7 +51,7 @@ func TestGoldenCSVs(t *testing.T) {
 		for _, ev := range tf.TraceEvents {
 			seen[ev.Name] = true
 		}
-		for _, want := range []string{"point", "DelayBound", "innerMinimize"} {
+		for _, want := range []string{"point", "OptimizeAlpha", "DelayBound", "innerMinimize"} {
 			if !seen[want] {
 				t.Errorf("trace has no %q span (got %d events)", want, len(tf.TraceEvents))
 			}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -68,25 +69,14 @@ func main() {
 	for i, cl := range classes {
 		// Analytical bound for class i: every other class is cross traffic
 		// with Δ = d*_i − d*_k.
-		alpha, _, err := core.OptimizeAlphaFunc(func(a float64) (float64, error) {
+		_, res, err := core.OptimizeAlphaFunc(context.Background(), func(_ context.Context, a float64) (float64, core.NodeResult, error) {
 			through, cross, err := buildFlows(classes, i, a)
 			if err != nil {
-				return 0, err
+				return 0, core.NodeResult{}, err
 			}
 			r, err := core.DelayBoundStatNode(capacity, through, cross, eps)
-			if err != nil {
-				return 0, err
-			}
-			return r.D, nil
+			return r.D, r, err
 		}, 1e-3, 50)
-		if err != nil {
-			fail(err)
-		}
-		through, cross, err := buildFlows(classes, i, alpha)
-		if err != nil {
-			fail(err)
-		}
-		res, err := core.DelayBoundStatNode(capacity, through, cross, eps)
 		if err != nil {
 			fail(err)
 		}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -51,28 +52,18 @@ func main() {
 		}
 		return core.PathConfig{H: hops, C: c, Through: through, Cross: cross}, nil
 	}
-	bestAlpha, _, err := core.OptimizeAlphaFunc(func(alpha float64) (float64, error) {
+	_, res, err := core.OptimizeAlphaFunc(context.Background(), func(_ context.Context, alpha float64) (float64, core.Result, error) {
 		cfg, err := build(alpha)
 		if err != nil {
-			return 0, err
+			return 0, core.Result{}, err
 		}
 		res, _, err := core.EDFProvisioned(cfg, eps, 10)
-		if err != nil {
-			return 0, err
-		}
-		return res.D, nil
+		return res.D, res, err
 	}, 1e-3, 50)
 	if err != nil {
 		fail(err)
 	}
-	cfg, err := build(bestAlpha)
-	if err != nil {
-		fail(err)
-	}
-	res, d0, err := core.EDFProvisioned(cfg, eps, 10)
-	if err != nil {
-		fail(err)
-	}
+	d0 := res.D / hops // EDFProvisioned's per-node deadline d*_0 = D/H
 	dc := 10 * d0
 
 	mean := src.MeanRate()

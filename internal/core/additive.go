@@ -88,12 +88,13 @@ func AdditiveBound(cfg PathConfig, eps float64) (AdditiveResult, error) {
 	return AdditiveBoundCtx(context.Background(), cfg, eps)
 }
 
-// AdditiveBoundCtx is AdditiveBound with span tracing: with an active
-// span in ctx the solve appears as an "AdditiveBound" span. The γ-sweep
-// prices probes through a D-only evaluation over the γ-independent
-// decay-chain table (ensureAddTable) — the per-node delay vector is
-// materialized only for the winning γ, and the table amortizes the
-// merge-weight pricing across the whole sweep.
+// AdditiveBoundCtx is AdditiveBound under a context: a cancelled ctx
+// stops the γ search at its next probe and returns ctx's error, and with
+// an active span in ctx the solve appears as an "AdditiveBound" span. The
+// γ search prices probes through a D-only evaluation over the
+// γ-independent decay-chain table (ensureAddTable) — the per-node delay
+// vector is materialized only for the winning γ, and the table amortizes
+// the merge-weight pricing across the whole search.
 func AdditiveBoundCtx(ctx context.Context, cfg PathConfig, eps float64) (AdditiveResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return AdditiveResult{}, err
@@ -146,23 +147,11 @@ func AdditiveBoundCtx(ctx context.Context, cfg PathConfig, eps float64) (Additiv
 		}
 		return d
 	}
-	const gridN = 48
-	bestG, bestD := 0.0, math.Inf(1)
-	for i := 1; i <= gridN; i++ {
-		g := gmax * float64(i) / float64(gridN+1)
-		if d := evalD(g); d < bestD {
-			bestD, bestG = d, g
-		}
-	}
-	if math.IsInf(bestD, 1) {
-		return AdditiveResult{}, fmt.Errorf("%w: no feasible gamma for additive analysis", ErrUnstable)
-	}
-	g := goldenMin(evalD, math.Max(bestG-gmax/gridN, gmax*1e-9), math.Min(bestG+gmax/gridN, gmax*(1-1e-9)), 50)
-	res, err := s.additiveAtGamma(cfg, eps, g, true)
-	if err != nil || res.D > bestD {
-		res, err = s.additiveAtGamma(cfg, eps, bestG, true)
-	}
-	if err == nil {
+	res, err := gammaSearch(ctx, gmax, gmax/48, 50, evalD, func(g float64) (AdditiveResult, float64, error) {
+		r, err := s.additiveAtGamma(cfg, eps, g, true)
+		return r, r.D, err
+	})
+	if err == nil && sp != nil {
 		sp.SetAttr("gamma", res.Gamma)
 		sp.SetAttr("D", res.D)
 	}

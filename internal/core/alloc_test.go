@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -106,11 +107,11 @@ func TestScratchDelayBoundAllocFree(t *testing.T) {
 		Delta0c: 0,
 	}
 	var s Scratch
-	if _, err := s.DelayBound(cfg, 1e-9); err != nil {
+	if _, err := s.DelayBound(context.Background(), cfg, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := s.DelayBound(cfg, 1e-9); err != nil {
+		if _, err := s.DelayBound(context.Background(), cfg, 1e-9); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -171,7 +172,7 @@ func TestScratchResultMatchesPackageLevel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cfg %d: %v", i, err)
 		}
-		got, err := s.DelayBound(cfg, 1e-6)
+		got, err := s.DelayBound(context.Background(), cfg, 1e-6)
 		if err != nil {
 			t.Fatalf("cfg %d (scratch): %v", i, err)
 		}

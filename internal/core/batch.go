@@ -52,7 +52,7 @@ func (s *Scratch) ensurePricer(cfg PathConfig) *envelope.PathPricer {
 // dOnlyAtGamma is the sweep probe: delayBoundAtGamma reduced to the
 // delay value. It prices the bound through the kernel table and runs
 // the inner solve without materializing θ — the γ sweeps only compare
-// D values, and the winning γ is re-priced in full afterwards.
+// D values, and only the winning γ is priced in full afterwards.
 // Infeasible γ maps to +Inf exactly as the old sweep's error handling
 // did.
 func (s *Scratch) dOnlyAtGamma(cfg PathConfig, eps, gamma float64) float64 {
@@ -102,31 +102,6 @@ func (s *Scratch) evalGammaCached(cfg PathConfig, eps, gamma float64) float64 {
 	return d
 }
 
-// goldenGammaMin is goldenMin specialized to the cached γ objective:
-// the generic version costs a closure per solve and an indirect call
-// per probe, which the γ sweep — the hottest loop in the repository —
-// does not need to pay.
-func (s *Scratch) goldenGammaMin(cfg PathConfig, eps, lo, hi float64, iters int) float64 {
-	const phi = 0.6180339887498949
-	a, b := lo, hi
-	c1 := b - phi*(b-a)
-	c2 := a + phi*(b-a)
-	f1 := s.evalGammaCached(cfg, eps, c1)
-	f2 := s.evalGammaCached(cfg, eps, c2)
-	for i := 0; i < iters; i++ {
-		if f1 <= f2 {
-			b, c2, f2 = c2, c1, f1
-			c1 = b - phi*(b-a)
-			f1 = s.evalGammaCached(cfg, eps, c1)
-		} else {
-			a, c1, f1 = c1, c2, f2
-			c2 = a + phi*(b-a)
-			f2 = s.evalGammaCached(cfg, eps, c2)
-		}
-	}
-	return (a + b) / 2
-}
-
 // DelayBoundAtGammas is the scratch-reusing batch probe: the results
 // are appended to dst[:0] and the Theta buffers of dst's existing
 // entries are recycled, so a caller that round-trips the returned slice
@@ -140,7 +115,7 @@ func (s *Scratch) DelayBoundAtGammas(cfg PathConfig, eps float64, gammas []float
 	s.stats.gammaBatchProbes += int64(len(gammas))
 	out := dst[:0]
 	for _, g := range gammas {
-		r, err := s.delayBoundAtGamma(cfg, eps, g)
+		r, err := s.delayBoundAtGamma(nil, cfg, eps, g)
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +139,4 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 func getScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
-func putScratch(s *Scratch) {
-	s.span = nil
-	scratchPool.Put(s)
-}
+func putScratch(s *Scratch) { scratchPool.Put(s) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -28,29 +29,41 @@ func TestPolicyNames(t *testing.T) {
 }
 
 func TestOptimizeAlphaFuncDirect(t *testing.T) {
+	// value returns an objective's value as its own payload.
+	value := func(obj func(alpha float64) (float64, error)) func(context.Context, float64) (float64, float64, error) {
+		return func(_ context.Context, alpha float64) (float64, float64, error) {
+			v, err := obj(alpha)
+			return v, v, err
+		}
+	}
+	bg := context.Background()
+
 	// Convex objective with a known minimum at α = 2.
 	calls := 0
-	a, v, err := OptimizeAlphaFunc(func(alpha float64) (float64, error) {
+	a, v, err := OptimizeAlphaFunc(bg, value(func(alpha float64) (float64, error) {
 		calls++
 		return (alpha - 2) * (alpha - 2), nil
-	}, 0.1, 20)
+	}), 0.1, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(a-2) > 0.05 || v > 0.01 {
 		t.Fatalf("optimum at %g (value %g), want ≈2", a, v)
 	}
+	if v != (a-2)*(a-2) {
+		t.Fatalf("payload %g is not the objective at the returned α %g", v, a)
+	}
 	if calls == 0 {
 		t.Fatal("objective never evaluated")
 	}
 
 	// Errors mark infeasible points and are skipped.
-	a, _, err = OptimizeAlphaFunc(func(alpha float64) (float64, error) {
+	a, _, err = OptimizeAlphaFunc(bg, value(func(alpha float64) (float64, error) {
 		if alpha < 1 {
 			return 0, errors.New("infeasible")
 		}
 		return alpha, nil
-	}, 0.1, 20)
+	}), 0.1, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +72,14 @@ func TestOptimizeAlphaFuncDirect(t *testing.T) {
 	}
 
 	// Entirely infeasible objective errors out.
-	if _, _, err := OptimizeAlphaFunc(func(float64) (float64, error) {
+	if _, _, err := OptimizeAlphaFunc(bg, value(func(float64) (float64, error) {
 		return 0, errors.New("never")
-	}, 0.1, 20); !errors.Is(err, ErrUnstable) {
+	}), 0.1, 20); !errors.Is(err, ErrUnstable) {
 		t.Fatalf("expected ErrUnstable, got %v", err)
 	}
 
 	// Bad bracket.
-	if _, _, err := OptimizeAlphaFunc(func(a float64) (float64, error) { return a, nil }, 5, 1); err == nil {
+	if _, _, err := OptimizeAlphaFunc(bg, value(func(a float64) (float64, error) { return a, nil }), 5, 1); err == nil {
 		t.Fatal("inverted bracket must be rejected")
 	}
 }

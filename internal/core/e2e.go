@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -108,10 +107,6 @@ type Scratch struct {
 	// stats are plain-integer introspection counts, batch-flushed to the
 	// installed OptProbe once per top-level solve (see introspect.go).
 	stats optStats
-	// span, when non-nil, is the parent under which the winning γ
-	// evaluation opens "delayBoundAtGamma"/"innerMinimize" child spans;
-	// the sweep's probe evaluations run with it suppressed.
-	span *obs.Span
 }
 
 // DelayBound computes the probabilistic end-to-end delay bound
@@ -121,16 +116,25 @@ type Scratch struct {
 // effective bandwidth (MMOO sources) should additionally sweep α via
 // OptimizeAlpha.
 func DelayBound(cfg PathConfig, eps float64) (Result, error) {
+	return DelayBoundCtx(context.Background(), cfg, eps)
+}
+
+// DelayBoundCtx is DelayBound under a context: a cancelled ctx stops
+// the γ search at its next probe and returns ctx's error, and when ctx
+// carries an active span (obs.StartSpan) the solve appears as a
+// "DelayBound" span whose winning γ evaluation is traced down to
+// innerMinimize.
+func DelayBoundCtx(ctx context.Context, cfg PathConfig, eps float64) (Result, error) {
 	s := getScratch()
 	defer putScratch(s)
-	r, err := s.DelayBound(cfg, eps)
+	r, err := s.DelayBound(ctx, cfg, eps)
 	r.Theta = append([]float64(nil), r.Theta...) // un-alias from the pooled scratch
 	return r, err
 }
 
-// DelayBound is the scratch-reusing form of the package-level DelayBound;
-// see the Scratch ownership rules.
-func (s *Scratch) DelayBound(cfg PathConfig, eps float64) (Result, error) {
+// DelayBound is the scratch-reusing form of the package-level
+// DelayBoundCtx; see the Scratch ownership rules.
+func (s *Scratch) DelayBound(ctx context.Context, cfg PathConfig, eps float64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -143,74 +147,24 @@ func (s *Scratch) DelayBound(cfg PathConfig, eps float64) (Result, error) {
 	}
 	s.stats.delayBoundCalls++
 	defer s.flushOptStats()
+	sp := obs.SpanFromContext(ctx).Child("DelayBound")
+	defer sp.End()
 
 	// The γ→D ring cache catches re-probes of the same slack: the
 	// golden-section bracket collapses below float spacing in its last
 	// iterations, so repeats are always among the most recent probes.
 	s.gringLen, s.gringPos = 0, 0
 
-	// The γ-sweep's ~100 probes run with the span suppressed; only the
-	// winning evaluation below is traced, so a trace shows one
-	// representative delayBoundAtGamma → innerMinimize chain per solve
-	// instead of drowning in probe spans. The probes themselves go
-	// through the D-only table-driven kernel (batch.go); the winner is
-	// re-priced in full, with θ, below.
-	span := s.span
-	s.span = nil
-
-	// Coarse grid, then golden-section refinement around the best cell.
-	const gridN = 48
-	bestG, bestD := 0.0, math.Inf(1)
-	for i := 1; i <= gridN; i++ {
-		g := gmax * float64(i) / float64(gridN+1)
-		if d := s.evalGammaCached(cfg, eps, g); d < bestD {
-			bestD, bestG = d, g
-		}
-	}
-	if math.IsInf(bestD, 1) {
-		s.span = span
-		return Result{}, fmt.Errorf("%w: no feasible gamma below %g", ErrUnstable, gmax)
-	}
-	lo := math.Max(bestG-gmax/float64(gridN+1), gmax*1e-9)
-	hi := math.Min(bestG+gmax/float64(gridN+1), gmax*(1-1e-9))
-	g := s.goldenGammaMin(cfg, eps, lo, hi, 60)
-	s.span = span
-	res, err := s.delayBoundAtGamma(cfg, eps, g)
-	if err != nil {
-		return Result{}, err
-	}
-	if !(res.D <= bestD) { // golden refinement should never lose to the grid (nor be NaN)
-		return s.delayBoundAtGamma(cfg, eps, bestG)
-	}
-	return res, nil
-}
-
-// DelayBoundCtx is DelayBound with span tracing: when ctx carries an
-// active span (obs.StartSpan), the solve appears as a "DelayBound" span
-// whose winning γ evaluation is traced down to innerMinimize. Without a
-// span in the context it is exactly DelayBound.
-func DelayBoundCtx(ctx context.Context, cfg PathConfig, eps float64) (Result, error) {
-	s := getScratch()
-	defer putScratch(s)
-	r, err := s.DelayBoundCtx(ctx, cfg, eps)
-	r.Theta = append([]float64(nil), r.Theta...) // un-alias from the pooled scratch
-	return r, err
-}
-
-// DelayBoundCtx is the scratch-reusing form of the package-level
-// DelayBoundCtx; see the Scratch ownership rules.
-func (s *Scratch) DelayBoundCtx(ctx context.Context, cfg PathConfig, eps float64) (Result, error) {
-	parent := obs.SpanFromContext(ctx)
-	if parent == nil {
-		return s.DelayBound(cfg, eps)
-	}
-	sp := parent.Child("DelayBound")
-	defer sp.End()
-	prev := s.span
-	s.span = sp
-	res, err := s.DelayBound(cfg, eps)
-	s.span = prev
-	if err == nil {
+	// The search's ~100 probes go through the D-only table-driven kernel
+	// (batch.go) and are not traced; only the winning γ is priced in
+	// full, with θ, under the span.
+	res, err := gammaSearch(ctx, gmax, gmax/49, 60,
+		func(g float64) float64 { return s.evalGammaCached(cfg, eps, g) },
+		func(g float64) (Result, float64, error) {
+			r, err := s.delayBoundAtGamma(sp, cfg, eps, g)
+			return r, r.D, err
+		})
+	if err == nil && sp != nil { // guard: boxing the attr values would allocate on the untraced path
 		sp.SetAttr("gamma", res.Gamma)
 		sp.SetAttr("D", res.D)
 	}
@@ -234,19 +188,19 @@ func (s *Scratch) DelayBoundAtGamma(cfg PathConfig, eps, gamma float64) (Result,
 		return Result{}, err
 	}
 	defer s.flushOptStats()
-	return s.delayBoundAtGamma(cfg, eps, gamma)
+	return s.delayBoundAtGamma(nil, cfg, eps, gamma)
 }
 
 // delayBoundAtGamma is DelayBoundAtGamma after configuration validation:
-// the γ-sweep of DelayBound validates once at entry and then prices every
-// probe through here.
-func (s *Scratch) delayBoundAtGamma(cfg PathConfig, eps, gamma float64) (Result, error) {
+// the γ search of DelayBound validates once at entry and prices its
+// winner through here, traced as a child of parent (nil: untraced).
+func (s *Scratch) delayBoundAtGamma(parent *obs.Span, cfg PathConfig, eps, gamma float64) (Result, error) {
 	s.stats.gammaProbes++
 	s.stats.gammaBatchProbes++ // pathBound prices through the per-config table
 	if gamma <= 0 || gamma >= cfg.GammaMax() {
 		return Result{}, badConfig("gamma %g outside (0, %g)", gamma, cfg.GammaMax())
 	}
-	sp := s.span.Child("delayBoundAtGamma")
+	sp := parent.Child("delayBoundAtGamma")
 	bound := s.pathBound(cfg, gamma)
 	sigma := bound.SigmaFor(eps)
 	isp := sp.Child("innerMinimize")
@@ -704,24 +658,34 @@ func PaperRecipe(h int, c, gamma, rhoc, delta, sigma float64) float64 {
 	return d
 }
 
-// OptimizeAlphaFunc sweeps the EBB decay parameter α (the free effective-
-// bandwidth parameter s of Markov-modulated sources) for an arbitrary
-// objective eval(α) — typically a delay bound; NaN/Inf/error values mark
-// infeasible α. The sweep is a log-spaced grid over [alphaLo, alphaHi]
-// followed by a golden-section refinement; it returns the best α found.
-func OptimizeAlphaFunc(eval func(alpha float64) (float64, error), alphaLo, alphaHi float64) (bestAlpha, bestVal float64, err error) {
+// OptimizeAlphaFunc is the α search of the package: it sweeps the EBB
+// decay parameter α (the free effective-bandwidth parameter s of
+// Markov-modulated sources) over [alphaLo, alphaHi] for an objective
+// eval(ctx, α) that returns a value — typically a delay bound; NaN, +Inf
+// or an error mark α infeasible — and a payload. The sweep is a
+// log-spaced grid followed by a golden-section refinement; it returns
+// the winning α with the payload eval returned for it, so no caller
+// prices a winner twice.
+//
+// ctx is checked before every probe, and a cancelled sweep returns its
+// error. When ctx carries an active span the sweep appears as an
+// "OptimizeAlpha" span: the probes run under ctx with its span removed
+// (obs.WithoutSpan), and the refinement's final probe — the winner
+// unless the grid's best beats it — runs under the sweep's span, so a
+// trace shows one priced bound per sweep and tracing costs no extra
+// evaluation.
+func OptimizeAlphaFunc[R any](ctx context.Context, eval func(ctx context.Context, alpha float64) (float64, R, error), alphaLo, alphaHi float64) (float64, R, error) {
+	var none R
 	if alphaLo <= 0 || alphaHi <= alphaLo {
-		return 0, 0, badConfig("need 0 < alphaLo < alphaHi, got [%g, %g]", alphaLo, alphaHi)
+		return 0, none, badConfig("need 0 < alphaLo < alphaHi, got [%g, %g]", alphaLo, alphaHi)
 	}
-	// An eval error normally just marks α infeasible (+Inf objective), but
-	// a cancelled context is not an infeasibility statement — it must
-	// surface as itself, or an interrupt would masquerade as ErrUnstable.
-	//
+	sp := obs.SpanFromContext(ctx).Child("OptimizeAlpha")
+	defer sp.End()
+	probeCtx := obs.WithoutSpan(ctx)
+
 	// Each α is priced at most once: eval is typically a full γ-optimized
-	// DelayBound, and the sweep legitimately revisits α values — the
-	// golden-section bracket collapses below float spacing in its last
-	// iterations, and the post-refinement check re-prices the incumbent —
-	// so repeats are served from the memo instead of re-running the sweep.
+	// bound, and the golden-section bracket collapses below float spacing
+	// in its last iterations, so repeats are served from the memo.
 	var nProbes, nMemoHits int64
 	defer func() {
 		if p := optProbe.Load(); p != nil {
@@ -730,126 +694,124 @@ func OptimizeAlphaFunc(eval func(alpha float64) (float64, error), alphaLo, alpha
 			p.AlphaMemoHits.Add(nMemoHits)
 		}
 	}()
-	var ctxErr error
-	memo := make(map[float64]float64, 96)
-	f := func(a float64) float64 {
-		if v, ok := memo[a]; ok {
+	type probe struct {
+		v float64
+		r R
+	}
+	memo := make(map[float64]probe, 96)
+	f := func(ctx context.Context, a float64) probe {
+		if p, ok := memo[a]; ok {
 			nMemoHits++
-			return v
+			return p
+		}
+		if ctx.Err() != nil {
+			return probe{v: math.Inf(1)}
 		}
 		nProbes++
-		v, err := eval(a)
-		if err != nil {
-			if ctxErr == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-				ctxErr = err
-			}
-			v = math.Inf(1)
-		} else if math.IsNaN(v) {
+		v, r, err := eval(ctx, a)
+		if err != nil || math.IsNaN(v) {
 			v = math.Inf(1)
 		}
-		memo[a] = v
-		return v
+		p := probe{v, r}
+		memo[a] = p
+		return p
 	}
 	const gridN = 40
 	logLo, logHi := math.Log(alphaLo), math.Log(alphaHi)
-	bestA, bestD := 0.0, math.Inf(1)
+	bestA, best := 0.0, probe{v: math.Inf(1)}
 	for i := 0; i <= gridN; i++ {
 		a := math.Exp(logLo + (logHi-logLo)*float64(i)/gridN)
-		if d := f(a); d < bestD {
-			bestD, bestA = d, a
-		}
-		if ctxErr != nil {
-			return 0, 0, ctxErr
+		if p := f(probeCtx, a); p.v < best.v {
+			bestA, best = a, p
 		}
 	}
-	if math.IsInf(bestD, 1) {
-		return 0, 0, fmt.Errorf("%w: no feasible alpha in [%g, %g]", ErrUnstable, alphaLo, alphaHi)
+	if err := ctx.Err(); err != nil {
+		return 0, none, err
+	}
+	if math.IsInf(best.v, 1) {
+		return 0, none, fmt.Errorf("%w: no feasible alpha in [%g, %g]", ErrUnstable, alphaLo, alphaHi)
 	}
 	step := (logHi - logLo) / gridN
-	refined := goldenMin(func(la float64) float64 { return f(math.Exp(la)) },
+	refined := goldenMin(func(la float64) float64 { return f(probeCtx, math.Exp(la)).v },
 		math.Log(bestA)-step, math.Log(bestA)+step, 36)
 	a := math.Exp(refined)
-	v := f(a)
-	if ctxErr != nil {
-		return 0, 0, ctxErr
+	p := f(obs.ContextWithSpan(ctx, sp), a)
+	if err := ctx.Err(); err != nil {
+		return 0, none, err
 	}
-	if v <= bestD {
-		return a, v, nil
+	if !(p.v <= best.v) {
+		a, p = bestA, best
 	}
-	return bestA, bestD, nil
+	if sp != nil {
+		sp.SetAttr("alpha", a)
+		sp.SetAttr("D", p.v)
+	}
+	return a, p.r, nil
 }
 
 // OptimizeAlpha is OptimizeAlphaFunc specialized to DelayBound: build(α)
-// supplies the path description at each α and the best bound is returned.
-// The winning Result is captured during the sweep itself — the sweep
-// already priced every α, so no post-sweep build+DelayBound re-run is
-// needed — and all sweep evaluations share one Scratch, so the γ-probes
+// supplies the path description at each α and the best bound is
+// returned. All sweep evaluations share one Scratch, so the γ-probes
 // inside each DelayBound are allocation-free.
 func OptimizeAlpha(build func(alpha float64) (PathConfig, error), eps, alphaLo, alphaHi float64) (Result, error) {
-	_, r, err := optimizeAlpha(build, eps, alphaLo, alphaHi)
+	s := getScratch()
+	defer putScratch(s)
+	_, r, err := OptimizeAlphaFunc(context.Background(), func(ctx context.Context, alpha float64) (float64, Result, error) {
+		cfg, err := build(alpha)
+		if err != nil {
+			return 0, Result{}, err
+		}
+		r, err := s.DelayBound(ctx, cfg, eps)
+		r.Theta = append([]float64(nil), r.Theta...) // un-alias from the shared scratch
+		return r.D, r, err
+	}, alphaLo, alphaHi)
 	return r, err
 }
 
-// OptimizeAlphaCtx is OptimizeAlpha with span tracing: when ctx carries
-// an active span, the sweep appears as an "OptimizeAlpha" span and the
-// winning α is re-priced once under it so the trace shows the full
-// DelayBound → innerMinimize chain. The sweep's ~100 evaluations are
-// deliberately not spanned, and the re-pricing result is discarded, so
-// tracing never changes outputs. Without a span in the context it is
-// exactly OptimizeAlpha.
-func OptimizeAlphaCtx(ctx context.Context, build func(alpha float64) (PathConfig, error), eps, alphaLo, alphaHi float64) (Result, error) {
-	parent := obs.SpanFromContext(ctx)
-	if parent == nil {
-		return OptimizeAlpha(build, eps, alphaLo, alphaHi)
-	}
-	sp := parent.Child("OptimizeAlpha")
-	defer sp.End()
-	a, r, err := optimizeAlpha(build, eps, alphaLo, alphaHi)
-	if err != nil {
-		return r, err
-	}
-	sp.SetAttr("alpha", a)
-	sp.SetAttr("D", r.D)
-	if cfg, berr := build(a); berr == nil {
-		var rs Scratch
-		_, _ = rs.DelayBoundCtx(obs.ContextWithSpan(ctx, sp), cfg, eps)
-	}
-	return r, nil
-}
-
-// optimizeAlpha is OptimizeAlpha returning the winning α as well, for
-// callers (the Ctx variant) that need to rebuild the winning config.
-func optimizeAlpha(build func(alpha float64) (PathConfig, error), eps, alphaLo, alphaHi float64) (float64, Result, error) {
-	s := getScratch()
-	defer putScratch(s)
-	results := make(map[float64]Result, 96)
-	a, _, err := OptimizeAlphaFunc(func(alpha float64) (float64, error) {
-		cfg, err := build(alpha)
-		if err != nil {
-			return 0, err
+// gammaSearch is the rate-slack search behind every bound of the
+// package (Section IV's outer minimization over γ ∈ (0, gmax)): probe a
+// grid of 48 points gmax·i/49, refine the best of them by golden section
+// over iters steps on [γ* − width, γ* + width] clipped inside the open
+// interval, and price the refined γ in full, falling back to the grid's
+// best point when the refinement does not beat it. probe returns the
+// delay at one γ (+Inf or NaN when infeasible); full returns a γ's
+// payload and delay. ctx is polled before every probe, and a cancelled
+// search returns its error.
+func gammaSearch[R any](ctx context.Context, gmax, width float64, iters int,
+	probe func(gamma float64) float64, full func(gamma float64) (R, float64, error)) (R, error) {
+	var none R
+	done := ctx.Done()
+	f := func(g float64) float64 {
+		select {
+		case <-done:
+			return math.Inf(1)
+		default:
+			return probe(g)
 		}
-		r, err := s.DelayBound(cfg, eps)
-		if err != nil {
-			return 0, err
+	}
+	const gridN = 48
+	bestG, bestD := 0.0, math.Inf(1)
+	for i := 1; i <= gridN; i++ {
+		g := gmax * float64(i) / float64(gridN+1)
+		if d := f(g); d < bestD {
+			bestD, bestG = d, g
 		}
-		r.Theta = append([]float64(nil), r.Theta...) // un-alias from the shared scratch
-		results[alpha] = r
-		return r.D, nil
-	}, alphaLo, alphaHi)
-	if err != nil {
-		return 0, Result{}, err
 	}
-	if r, ok := results[a]; ok {
-		return a, r, nil
+	if err := ctx.Err(); err != nil {
+		return none, err
 	}
-	// Unreachable in practice — OptimizeAlphaFunc only returns an α it
-	// evaluated — but recompute rather than trust that invariant blindly.
-	cfg, err := build(a)
-	if err != nil {
-		return 0, Result{}, err
+	if math.IsInf(bestD, 1) {
+		return none, fmt.Errorf("%w: no feasible gamma below %g", ErrUnstable, gmax)
 	}
-	r, err := DelayBound(cfg, eps)
-	return a, r, err
+	g := goldenMin(f, math.Max(bestG-width, gmax*1e-9), math.Min(bestG+width, gmax*(1-1e-9)), iters)
+	if err := ctx.Err(); err != nil {
+		return none, err
+	}
+	r, d, err := full(g)
+	if err != nil || !(d <= bestD) {
+		r, _, err = full(bestG)
+	}
+	return r, err
 }
 
 // goldenMin minimizes f on [lo, hi] by golden-section search; f should be

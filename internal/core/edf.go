@@ -32,19 +32,21 @@ func EDFProvisioned(cfg PathConfig, eps, ratio float64) (Result, float64, error)
 	return EDFProvisionedCtx(context.Background(), cfg, eps, ratio)
 }
 
-// EDFProvisionedCtx is EDFProvisioned with span tracing: when ctx
-// carries an active span the fixed-point solve appears as an
-// "EDFProvisioned" span and the converged recomputation is traced down
-// to innerMinimize. The whole solve — the BMUX bracket, every bisection
-// step, and the final recomputation — shares one Scratch, so its ~100
-// inner DelayBound sweeps reuse the same buffers instead of allocating
-// fresh ones per step.
+// EDFProvisionedCtx is EDFProvisioned under a context: a cancelled ctx
+// stops the γ search of the DelayBound in progress and the solve returns
+// ctx's error, and when ctx carries an active span the fixed-point solve
+// appears as an "EDFProvisioned" span whose converged recomputation —
+// and only it — is traced down to innerMinimize. The whole solve — the
+// BMUX bracket, every bisection step, and the final recomputation —
+// shares one Scratch, so its ~100 inner DelayBound sweeps reuse the same
+// buffers instead of allocating fresh ones per step.
 func EDFProvisionedCtx(ctx context.Context, cfg PathConfig, eps, ratio float64) (Result, float64, error) {
 	if ratio <= 0 || math.IsNaN(ratio) {
 		return Result{}, 0, badConfig("deadline ratio must be positive, got %g", ratio)
 	}
 	sp := obs.SpanFromContext(ctx).Child("EDFProvisioned")
 	defer sp.End()
+	probeCtx := obs.WithoutSpan(ctx)
 
 	// The whole solve shares one pooled Scratch; the path pricing table
 	// is keyed on the traffic only, so every bisection step's DelayBound
@@ -53,7 +55,7 @@ func EDFProvisionedCtx(ctx context.Context, cfg PathConfig, eps, ratio float64) 
 	defer putScratch(s)
 	bmuxCfg := cfg
 	bmuxCfg.Delta0c = math.Inf(1)
-	bmux, err := s.DelayBound(bmuxCfg, eps)
+	bmux, err := s.DelayBound(probeCtx, bmuxCfg, eps)
 	if err != nil {
 		return Result{}, 0, fmt.Errorf("core: EDF provisioning bracket: %w", err)
 	}
@@ -61,7 +63,7 @@ func EDFProvisionedCtx(ctx context.Context, cfg PathConfig, eps, ratio float64) 
 	f := func(d float64) (float64, error) {
 		trial := cfg
 		trial.Delta0c = d / float64(cfg.H) * (1 - ratio)
-		r, err := s.DelayBound(trial, eps)
+		r, err := s.DelayBound(probeCtx, trial, eps)
 		if err != nil {
 			return 0, err
 		}
@@ -101,7 +103,7 @@ func EDFProvisionedCtx(ctx context.Context, cfg PathConfig, eps, ratio float64) 
 	// the package-level contract hands the caller full ownership.
 	final := cfg
 	final.Delta0c = d / float64(cfg.H) * (1 - ratio)
-	out, err := s.DelayBoundCtx(obs.ContextWithSpan(ctx, sp), final, eps)
+	out, err := s.DelayBound(obs.ContextWithSpan(ctx, sp), final, eps)
 	if err != nil {
 		return Result{}, 0, err
 	}

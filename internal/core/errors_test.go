@@ -25,7 +25,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	if err := bad.Validate(); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("Validate error %v is not ErrBadConfig", err)
 	}
-	if _, _, err := OptimizeAlphaFunc(func(float64) (float64, error) { return 0, nil }, 5, 1); !errors.Is(err, ErrBadConfig) {
+	if _, _, err := OptimizeAlphaFunc(context.Background(), func(context.Context, float64) (float64, int, error) { return 0, 0, nil }, 5, 1); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("bad alpha range error %v is not ErrBadConfig", err)
 	}
 
@@ -46,12 +46,18 @@ func TestErrorTaxonomy(t *testing.T) {
 }
 
 // TestOptimizeAlphaFuncPropagatesCancellation ensures an interrupt is
-// not misreported as "no feasible alpha".
+// not misreported as "no feasible alpha": once the sweep's context is
+// cancelled, no further probe runs and the sweep returns the context's
+// error, whatever the objective returned.
 func TestOptimizeAlphaFuncPropagatesCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	_, _, err := OptimizeAlphaFunc(func(float64) (float64, error) {
+	_, _, err := OptimizeAlphaFunc(ctx, func(context.Context, float64) (float64, int, error) {
 		calls++
-		return 0, context.Canceled
+		if calls == 2 {
+			cancel()
+		}
+		return 1, calls, nil
 	}, 1e-3, 50)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
@@ -59,8 +65,8 @@ func TestOptimizeAlphaFuncPropagatesCancellation(t *testing.T) {
 	if errors.Is(err, ErrInfeasible) {
 		t.Fatal("cancellation was classified as infeasibility")
 	}
-	if calls > 2 {
-		t.Fatalf("sweep kept evaluating %d times after cancellation", calls)
+	if calls != 2 {
+		t.Fatalf("sweep evaluated %d times, want 2: no probe may run after cancellation", calls)
 	}
 }
 

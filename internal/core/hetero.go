@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -74,30 +75,18 @@ func DelayBoundHetero(p HeteroPath, eps float64) (Result, error) {
 	if gmax <= 0 {
 		return Result{}, fmt.Errorf("%w: heterogeneous path infeasible", ErrUnstable)
 	}
-	eval := func(g float64) float64 {
-		r, err := heteroAtGamma(p, eps, g)
-		if err != nil {
-			return math.Inf(1)
-		}
-		return r.D
-	}
-	const gridN = 48
-	bestG, bestD := 0.0, math.Inf(1)
-	for i := 1; i <= gridN; i++ {
-		g := gmax * float64(i) / float64(gridN+1)
-		if d := eval(g); d < bestD {
-			bestD, bestG = d, g
-		}
-	}
-	if math.IsInf(bestD, 1) {
-		return Result{}, fmt.Errorf("%w: no feasible gamma below %g", ErrUnstable, gmax)
-	}
-	g := goldenMin(eval, math.Max(bestG-gmax/gridN, gmax*1e-9), math.Min(bestG+gmax/gridN, gmax*(1-1e-9)), 50)
-	res, err := heteroAtGamma(p, eps, g)
-	if err != nil || res.D > bestD {
-		return heteroAtGamma(p, eps, bestG)
-	}
-	return res, nil
+	return gammaSearch(context.Background(), gmax, gmax/48, 50,
+		func(g float64) float64 {
+			r, err := heteroAtGamma(p, eps, g)
+			if err != nil {
+				return math.Inf(1)
+			}
+			return r.D
+		},
+		func(g float64) (Result, float64, error) {
+			r, err := heteroAtGamma(p, eps, g)
+			return r, r.D, err
+		})
 }
 
 func heteroAtGamma(p HeteroPath, eps, gamma float64) (Result, error) {

@@ -146,30 +146,6 @@ func TestDelayBoundCtxParity(t *testing.T) {
 	}
 }
 
-func TestOptimizeAlphaCtxParity(t *testing.T) {
-	build := func(alpha float64) (PathConfig, error) {
-		cfg := paperPathConfig(2, 0)
-		cfg.Through.Alpha = alpha
-		cfg.Cross.Alpha = alpha
-		return cfg, nil
-	}
-	plain, err := OptimizeAlpha(build, 1e-9, 1e-3, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.NewTracer()
-	ctx, root := tr.Root(context.Background(), "test")
-	traced, err := OptimizeAlphaCtx(ctx, build, 1e-9, 1e-3, 50)
-	root.End()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traced.D != plain.D || traced.Bound.Alpha != plain.Bound.Alpha {
-		t.Errorf("traced D=%g α=%g != plain D=%g α=%g",
-			traced.D, traced.Bound.Alpha, plain.D, plain.Bound.Alpha)
-	}
-}
-
 func TestEDFAndAdditiveCtxParity(t *testing.T) {
 	cfg := paperPathConfig(3, 0)
 	tr := obs.NewTracer()

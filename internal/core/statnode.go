@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -73,32 +74,18 @@ func DelayBoundStatNode(c float64, through envelope.EBB, cross []StatFlow, eps f
 		return NodeResult{}, fmt.Errorf("%w: total rate %g at capacity %g", ErrUnstable, totalRho, c)
 	}
 
-	eval := func(gamma float64) (NodeResult, error) {
-		return statNodeAtGamma(c, through, active, eps, gamma)
-	}
-	const gridN = 48
-	bestG, bestD := 0.0, math.Inf(1)
-	for i := 1; i <= gridN; i++ {
-		g := gmax * float64(i) / float64(gridN+1)
-		if r, err := eval(g); err == nil && r.D < bestD {
-			bestD, bestG = r.D, g
-		}
-	}
-	if math.IsInf(bestD, 1) {
-		return NodeResult{}, fmt.Errorf("%w: no feasible gamma below %g", ErrUnstable, gmax)
-	}
-	g := goldenMin(func(g float64) float64 {
-		r, err := eval(g)
-		if err != nil {
-			return math.Inf(1)
-		}
-		return r.D
-	}, math.Max(bestG-gmax/gridN, gmax*1e-9), math.Min(bestG+gmax/gridN, gmax*(1-1e-9)), 48)
-	res, err := eval(g)
-	if err != nil || res.D > bestD {
-		return eval(bestG)
-	}
-	return res, nil
+	return gammaSearch(context.Background(), gmax, gmax/48, 48,
+		func(g float64) float64 {
+			r, err := statNodeAtGamma(c, through, active, eps, g)
+			if err != nil {
+				return math.Inf(1)
+			}
+			return r.D
+		},
+		func(g float64) (NodeResult, float64, error) {
+			r, err := statNodeAtGamma(c, through, active, eps, g)
+			return r, r.D, err
+		})
 }
 
 func statNodeAtGamma(c float64, through envelope.EBB, active []StatFlow, eps, gamma float64) (NodeResult, error) {

@@ -15,7 +15,6 @@ import (
 
 	"deltasched/internal/core"
 	"deltasched/internal/envelope"
-	"deltasched/internal/obs"
 )
 
 // Setup fixes the shared parameters of the paper's examples.
@@ -27,9 +26,10 @@ type Setup struct {
 	AlphaLo  float64       // α sweep range for the EBB decay parameter
 	AlphaHi  float64
 
-	// Ctx, when non-nil, cancels the bound computations: the optimizers
-	// abandon their α sweeps and the ctx error is returned. Nil means run
-	// to completion.
+	// Ctx, when non-nil, is the context every bound runs under. The α and
+	// γ searches check it before every probe, so a cancelled Ctx stops a
+	// bound within one γ probe and returns its error; a span in it traces
+	// each α sweep and its winning bound. Nil means Background.
 	Ctx context.Context
 }
 
@@ -164,14 +164,9 @@ func (s Setup) Bound(sched Scheduler, h int, n0, nc float64) (float64, error) {
 // Path is the one description of a homogeneous path: it maps an EBB
 // decay α to the H-node path on links of s.Capacity that carries the n0
 // through flows of model and, at every node, nc cross flows of the same
-// model, scheduled with the constant Δ_{0,c} = delta. Each call checks
-// s.Ctx first, so an α sweep over it stops at its next probe once the
-// context is cancelled.
+// model, scheduled with the constant Δ_{0,c} = delta.
 func (s Setup) Path(model TrafficModel, h int, n0, nc, delta float64) func(alpha float64) (core.PathConfig, error) {
 	return func(alpha float64) (core.PathConfig, error) {
-		if err := s.ctx().Err(); err != nil {
-			return core.PathConfig{}, err
-		}
 		through, err := model.EBBAggregate(n0, alpha)
 		if err != nil {
 			return core.PathConfig{}, err
@@ -184,15 +179,32 @@ func (s Setup) Path(model TrafficModel, h int, n0, nc, delta float64) func(alpha
 	}
 }
 
+// pathWinner is the payload of PathBound's α sweep: one α's bound and
+// the path it was priced on.
+type pathWinner struct {
+	res core.Result
+	cfg core.PathConfig
+}
+
 // PathBound is the γ- and α-optimized bound of the fixed-Δ path that
-// Path describes, swept over [s.AlphaLo, s.AlphaHi]. Inside the sweep an
-// error only marks one α infeasible, so H < 1 and a nil model are
-// rejected before it starts.
-func (s Setup) PathBound(model TrafficModel, h int, n0, nc, delta float64) (core.Result, error) {
+// Path describes, swept over [s.AlphaLo, s.AlphaHi]: the winning Result
+// and the PathConfig, at the winning α, it was priced on. Inside the
+// sweep an error only marks one α infeasible, so H < 1 and a nil model
+// are rejected before it starts.
+func (s Setup) PathBound(model TrafficModel, h int, n0, nc, delta float64) (core.Result, core.PathConfig, error) {
 	if err := checkPath(model, h); err != nil {
-		return core.Result{}, err
+		return core.Result{}, core.PathConfig{}, err
 	}
-	return core.OptimizeAlphaCtx(s.ctx(), s.Path(model, h, n0, nc, delta), s.Eps, s.AlphaLo, s.AlphaHi)
+	build := s.Path(model, h, n0, nc, delta)
+	_, w, err := core.OptimizeAlphaFunc(s.ctx(), func(ctx context.Context, alpha float64) (float64, pathWinner, error) {
+		cfg, err := build(alpha)
+		if err != nil {
+			return 0, pathWinner{}, err
+		}
+		res, err := core.DelayBoundCtx(ctx, cfg, s.Eps)
+		return res.D, pathWinner{res, cfg}, err
+	}, s.AlphaLo, s.AlphaHi)
+	return w.res, w.cfg, err
 }
 
 // checkPath rejects the inputs no α can make feasible.
@@ -207,23 +219,28 @@ func checkPath(model TrafficModel, h int) error {
 }
 
 // BoundModel is Bound for an arbitrary traffic model (extension beyond the
-// paper's two-state sources).
+// paper's two-state sources). Every scheduler is priced through one α
+// sweep that keeps only the bound value.
 func (s Setup) BoundModel(model TrafficModel, sched Scheduler, h int, n0, nc float64) (float64, error) {
 	if err := checkPath(model, h); err != nil {
 		return 0, err
 	}
-	// price is the α objective of the schedulers that are not one fixed
-	// Δ: EDF solves its provisioning fixed point at each α, the additive
-	// baseline its node-by-node γ sweep.
+	// price is the bound of the scheduler at one α: BMUX and FIFO are
+	// one fixed Δ, EDF solves its provisioning fixed point, the additive
+	// baseline runs its node-by-node γ search. The last two ignore the
+	// path's Δ.
 	var price func(ctx context.Context, cfg core.PathConfig) (float64, error)
+	delta := 0.0
 	switch sched {
 	case BMUX, FIFO:
-		delta := math.Inf(1)
-		if sched == FIFO {
-			delta = 0
+		if sched == BMUX {
+			delta = math.Inf(1)
 		}
-		res, err := s.PathBound(model, h, n0, nc, delta)
-		return res.D, err
+		var sc core.Scratch // shared by the sweep's probes, which keep only D
+		price = func(ctx context.Context, cfg core.PathConfig) (float64, error) {
+			res, err := sc.DelayBound(ctx, cfg, s.Eps)
+			return res.D, err
+		}
 	case BMUXAdditive:
 		price = func(ctx context.Context, cfg core.PathConfig) (float64, error) {
 			res, err := core.AdditiveBoundCtx(ctx, cfg, s.Eps)
@@ -239,26 +256,14 @@ func (s Setup) BoundModel(model TrafficModel, sched Scheduler, h int, n0, nc flo
 			return res.D, err
 		}
 	}
-
-	// The α sweep is not spanned — it prices ~40 configurations, and the
-	// core Ctx variants read their context only for its span, so the
-	// sweep passes Background; build still checks s.Ctx. When the context
-	// carries an active span, one representative re-evaluation of the
-	// winning α runs under it (result discarded, outputs unchanged), so a
-	// trace shows the full bound → innerMinimize chain per point without
-	// drowning in sweep spans.
-	build := s.Path(model, h, n0, nc, 0)
-	a, d, err := core.OptimizeAlphaFunc(func(alpha float64) (float64, error) {
+	build := s.Path(model, h, n0, nc, delta)
+	_, d, err := core.OptimizeAlphaFunc(s.ctx(), func(ctx context.Context, alpha float64) (float64, float64, error) {
 		cfg, err := build(alpha)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		return price(context.Background(), cfg)
+		d, err := price(ctx, cfg)
+		return d, d, err
 	}, s.AlphaLo, s.AlphaHi)
-	if err == nil && obs.SpanFromContext(s.ctx()) != nil {
-		if cfg, berr := build(a); berr == nil {
-			_, _ = price(s.ctx(), cfg)
-		}
-	}
 	return d, err
 }

@@ -87,7 +87,7 @@ func TestBoundValidation(t *testing.T) {
 			t.Errorf("%v at H=0: want core.ErrBadConfig, got %v", sched, err)
 		}
 	}
-	if _, err := s.PathBound(s.Source, 0, 100, 100, 0); !errors.Is(err, core.ErrBadConfig) {
+	if _, _, err := s.PathBound(s.Source, 0, 100, 100, 0); !errors.Is(err, core.ErrBadConfig) {
 		t.Errorf("PathBound at H=0: want core.ErrBadConfig, got %v", err)
 	}
 	if _, err := s.Bound(Scheduler(99), 2, 100, 100); !errors.Is(err, core.ErrBadConfig) {

@@ -81,7 +81,7 @@ func TestBoundModelValidation(t *testing.T) {
 	if _, err := s.BoundModel(nil, FIFO, 2, 10, 10); !errors.Is(err, core.ErrBadConfig) {
 		t.Errorf("BoundModel with a nil model: want core.ErrBadConfig, got %v", err)
 	}
-	if _, err := s.PathBound(nil, 2, 10, 10, 0); !errors.Is(err, core.ErrBadConfig) {
+	if _, _, err := s.PathBound(nil, 2, 10, 10, 0); !errors.Is(err, core.ErrBadConfig) {
 		t.Errorf("PathBound with a nil model: want core.ErrBadConfig, got %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -46,24 +47,18 @@ func (s Setup) AdmissibleRegion(spec RegionSpec, n1s []float64) ([]plot.Series, 
 			{n1, n2, delta1, spec.D1},
 			{n2, n1, delta2, spec.D2},
 		} {
-			_, d, err := core.OptimizeAlphaFunc(func(alpha float64) (float64, error) {
-				if err := s.ctx().Err(); err != nil {
-					return 0, err
-				}
+			_, d, err := core.OptimizeAlphaFunc(s.ctx(), func(_ context.Context, alpha float64) (float64, float64, error) {
 				through, err := s.Source.EBBAggregate(c.nT, alpha)
 				if err != nil {
-					return 0, err
+					return 0, 0, err
 				}
 				cross, err := s.Source.EBBAggregate(c.nX, alpha)
 				if err != nil {
-					return 0, err
+					return 0, 0, err
 				}
 				r, err := core.DelayBoundStatNode(spec.Capacity, through,
 					[]core.StatFlow{{EBB: cross, Delta: c.delta}}, s.Eps)
-				if err != nil {
-					return 0, err
-				}
-				return r.D, nil
+				return r.D, r.D, err
 			}, s.AlphaLo, s.AlphaHi)
 			if cerr := s.ctx().Err(); cerr != nil {
 				return false, cerr

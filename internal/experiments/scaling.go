@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-
-	"deltasched/internal/core"
 )
 
 // GrowthExponent fits d(H) ≈ a·H^b by least squares in log-log space and
@@ -117,5 +115,3 @@ func (s Setup) EDFGain(hs []int, util float64) (EDFGainReport, error) {
 	}
 	return rep, nil
 }
-
-var _ = core.ErrUnstable // document the error type propagated by Bound

@@ -102,25 +102,31 @@ func TestAblateRecipeNeverBeatsExact(t *testing.T) {
 
 func TestAblateGammaFixedIsWorse(t *testing.T) {
 	s := PaperSetup()
-	row, err := s.AblateGamma(5, 0.5, 0.9) // deliberately bad fixed γ
+	rows, err := s.AblateGammaAlpha(5, 0.5, []float64{0.9}) // deliberately bad fixed γ
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Penalty() < 1-1e-6 {
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want the fixed-γ row and the fixed-α row", len(rows))
+	}
+	if row := rows[0]; row.Penalty() < 1-1e-6 {
 		t.Errorf("fixed gamma %g should not beat the optimized bound %g", row.Ablated, row.Full)
 	}
-	if _, err := s.AblateGamma(5, 0.5, 0); err == nil {
+	if _, err := s.AblateGammaAlpha(5, 0.5, []float64{0.5, 0}); err == nil {
 		t.Error("fraction 0 must be rejected")
 	}
 }
 
 func TestAblateAlphaHeuristicIsWorse(t *testing.T) {
 	s := PaperSetup()
-	row, err := s.AblateAlpha(5, 0.5)
+	rows, err := s.AblateGammaAlpha(5, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(row.Ablated) && row.Penalty() < 1-1e-6 {
+	if len(rows) != 1 {
+		t.Fatalf("got %d rows, want the fixed-α row alone", len(rows))
+	}
+	if row := rows[0]; !math.IsNaN(row.Ablated) && row.Penalty() < 1-1e-6 {
 		t.Errorf("heuristic alpha %g should not beat the swept bound %g", row.Ablated, row.Full)
 	}
 }

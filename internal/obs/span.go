@@ -139,6 +139,17 @@ func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 	return context.WithValue(ctx, spanCtxKey{}, sp)
 }
 
+// WithoutSpan returns a context that carries no span, so work run under
+// it is not traced while ctx's deadline and cancellation still apply.
+// A ctx without a span is returned unchanged, so an untraced run does
+// not allocate for it.
+func WithoutSpan(ctx context.Context) context.Context {
+	if SpanFromContext(ctx) == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanCtxKey{}, (*Span)(nil))
+}
+
 // SpanFromContext returns the current span, or nil when the context
 // carries none (tracing disabled).
 func SpanFromContext(ctx context.Context) *Span {

@@ -36,6 +36,29 @@ func TestStartSpanDisabled(t *testing.T) {
 	}
 }
 
+// TestWithoutSpan: the stripped context traces nothing but keeps the
+// parent's cancellation, and a context without a span comes back as is.
+func TestWithoutSpan(t *testing.T) {
+	bg := context.Background()
+	if WithoutSpan(bg) != bg {
+		t.Error("WithoutSpan must return a span-less context unchanged")
+	}
+	ctx, cancel := context.WithCancel(bg)
+	ctx, root := NewTracer().Root(ctx, "run")
+	defer root.End()
+	bare := WithoutSpan(ctx)
+	if SpanFromContext(bare) != nil {
+		t.Fatal("WithoutSpan left a span in the context")
+	}
+	if _, sp := StartSpan(bare, "work"); sp != nil {
+		t.Error("StartSpan under WithoutSpan opened a span")
+	}
+	cancel()
+	if bare.Err() == nil {
+		t.Error("WithoutSpan dropped the parent's cancellation")
+	}
+}
+
 func TestSpanTreeAggregation(t *testing.T) {
 	tr := NewTracer()
 	ctx, root := tr.Root(context.Background(), "run")

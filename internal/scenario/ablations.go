@@ -122,19 +122,10 @@ func init() {
 	Register(ablation("gamma-alpha",
 		"ablation: fixed rate slack γ and fixed EBB decay α vs the optimized bound", ablationParams[:1],
 		func(s experiments.Setup, util float64, _ bool) (Result, error) {
-			var rows []experiments.AblationRow
-			for _, frac := range []float64{0.25, 0.5, 0.75} {
-				row, err := s.AblateGamma(5, util, frac)
-				if err != nil {
-					return Result{}, err
-				}
-				rows = append(rows, row)
-			}
-			row, err := s.AblateAlpha(5, util)
+			rows, err := s.AblateGammaAlpha(5, util, []float64{0.25, 0.5, 0.75})
 			if err != nil {
 				return Result{}, err
 			}
-			rows = append(rows, row)
 			return Result{Detail: rows}, nil
 		}))
 	Register(singleScenario{

@@ -149,7 +149,7 @@ func evalPath(ctx context.Context, cfg Config, _ Backend) (Result, error) {
 			detail.Additive, detail.AddErr = add.D, aerr
 		}
 	} else {
-		if detail.Res, err = s.PathBound(memo, h, n0, nc, delta); err != nil {
+		if detail.Res, _, err = s.PathBound(memo, h, n0, nc, delta); err != nil {
 			return Result{}, err
 		}
 		if additive {
@@ -307,53 +307,32 @@ func schedDelta(sched string, d0, dc float64, schedName, d0Name, dcName string) 
 // HeteroBound computes the α-optimized end-to-end bound for a parsed
 // configuration. A cancelled ctx aborts the α sweep.
 func HeteroBound(ctx context.Context, pf PathFile) (core.Result, error) {
-	src := pf.MMOO()
 	// All aggregates on the path share the source model; the memo prices
 	// each α once instead of once per node.
-	memo, err := envelope.NewEBMemo(src)
+	memo, err := envelope.NewEBMemo(pf.MMOO())
 	if err != nil {
 		return core.Result{}, err
 	}
-	build := func(alpha float64) (core.HeteroPath, error) {
-		if err := ctx.Err(); err != nil {
-			return core.HeteroPath{}, err
-		}
+	setup := experiments.PaperSetup()
+	_, res, err := core.OptimizeAlphaFunc(ctx, func(_ context.Context, alpha float64) (float64, core.Result, error) {
 		through, err := memo.EBBAggregate(pf.ThroughFlows, alpha)
 		if err != nil {
-			return core.HeteroPath{}, err
+			return 0, core.Result{}, err
 		}
 		nodes := make([]core.NodeSpec, len(pf.Nodes))
 		for i, n := range pf.Nodes {
 			cross, err := memo.EBBAggregate(n.CrossFlows, alpha)
 			if err != nil {
-				return core.HeteroPath{}, err
+				return 0, core.Result{}, err
 			}
 			delta, err := n.Delta()
 			if err != nil {
-				return core.HeteroPath{}, err
+				return 0, core.Result{}, err
 			}
 			nodes[i] = core.NodeSpec{C: n.C, Cross: cross, Delta: delta}
 		}
-		return core.HeteroPath{Through: through, Nodes: nodes}, nil
-	}
-	setup := experiments.PaperSetup()
-	alpha, _, err := core.OptimizeAlphaFunc(func(a float64) (float64, error) {
-		p, err := build(a)
-		if err != nil {
-			return 0, err
-		}
-		r, err := core.DelayBoundHetero(p, pf.Eps)
-		if err != nil {
-			return 0, err
-		}
-		return r.D, nil
+		r, err := core.DelayBoundHetero(core.HeteroPath{Through: through, Nodes: nodes}, pf.Eps)
+		return r.D, r, err
 	}, setup.AlphaLo, setup.AlphaHi)
-	if err != nil {
-		return core.Result{}, err
-	}
-	p, err := build(alpha)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return core.DelayBoundHetero(p, pf.Eps)
+	return res, err
 }

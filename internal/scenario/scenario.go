@@ -88,10 +88,21 @@ type Config map[string]any
 // reserved Config key for the runner-injected progress callback.
 const progressKey = "_progress"
 
-// param reads the named value as a T, or T's zero value.
+// param reads the named value as a T; a missing name reads as T's zero
+// value. A present value of another Go type panics: Resolve fails such a
+// Config before any scenario reads it, so only a getter of the wrong
+// type for its Param gets here.
 func param[T any](c Config, name string) T {
-	v, _ := c[name].(T)
-	return v
+	v, ok := c[name]
+	if !ok {
+		var zero T
+		return zero
+	}
+	t, ok := v.(T)
+	if !ok {
+		panic(fmt.Sprintf("scenario: parameter %q holds a %T, read as a %T", name, v, t))
+	}
+	return t
 }
 
 // Float returns the named float64 parameter.

@@ -88,6 +88,14 @@ func TestConfigGetters(t *testing.T) {
 	if cfg.Str("s") != "x" || cfg.Str("missing") != "" {
 		t.Fatal("Str getter")
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Float read the int parameter i instead of panicking")
+			}
+		}()
+		cfg.Float("i")
+	}()
 	if cfg.Progress() != nil {
 		t.Fatal("Progress must be nil when not injected")
 	}

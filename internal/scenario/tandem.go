@@ -170,7 +170,7 @@ func (tandemScenario) Evaluate(ctx context.Context, cfg Config, _ Point, be Back
 		if err != nil {
 			return Result{}, err
 		}
-		res, err := pathSetup(ctx, c, eps).PathBound(memo, h, float64(n0), float64(nc), delta)
+		res, _, err := pathSetup(ctx, c, eps).PathBound(memo, h, float64(n0), float64(nc), delta)
 		if err != nil {
 			return Result{}, fmt.Errorf("computing the bound: %w", err)
 		}
