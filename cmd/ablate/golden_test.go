@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,13 +10,16 @@ import (
 
 // TestGoldenOutput pins ablate's stdout byte for byte: every number it
 // prints comes from the shared path builder and bound sweep of
-// internal/experiments, and rewiring them must not move one digit.
+// internal/experiments, and rewiring them must not move one digit. The
+// run also writes its report, which must parse, with the region's
+// infeasible points (NaN on stdout) as null.
 func TestGoldenOutput(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "ablate_quick_region.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	args := []string{"-quick", "-region"}
+	report := filepath.Join(t.TempDir(), "r.json")
+	args := []string{"-quick", "-region", "-report", report}
 	got := captureStdout(t, func() {
 		if err := run(args); err != nil {
 			t.Errorf("run(%v): %v", args, err)
@@ -23,6 +27,30 @@ func TestGoldenOutput(t *testing.T) {
 	})
 	if !bytes.Equal(got, want) {
 		t.Fatalf("stdout drifted from the golden\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	raw, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Extra struct {
+			Region []struct{ Y []*float64 }
+		}
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("report does not parse: %v", err)
+	}
+	nulls := 0
+	for _, s := range rep.Extra.Region {
+		for _, y := range s.Y {
+			if y == nil {
+				nulls++
+			}
+		}
+	}
+	if nan := bytes.Count(got, []byte("NaN")); len(rep.Extra.Region) != 3 || nulls != nan {
+		t.Fatalf("report region: %d series with %d null points, want 3 series with the %d infeasible points null",
+			len(rep.Extra.Region), nulls, nan)
 	}
 }
 

@@ -21,31 +21,21 @@ type AdditiveResult struct {
 // recursion: the output characterization changes only the prefactor and
 // rate from node to node, so the decay chain α_1, α_2, ... and the
 // per-node two-bound merge weights are fixed per configuration and
-// priced once (see envelope.PairPricer). Cached in the Scratch and
-// keyed like the path kernel.
+// priced once per AdditiveBound call (see envelope.PairPricer).
 type addTable struct {
-	valid          bool
-	h              int
-	through, cross envelope.EBB
-	alphas         []float64             // through-chain decay entering node k (0-based)
-	pairs          []envelope.PairPricer // Merge(bg, bs) structure at node k
+	alphas []float64             // through-chain decay entering node k (0-based)
+	pairs  []envelope.PairPricer // Merge(bg, bs) structure at node k
 }
 
-// ensureAddTable (re)builds the additive pricing chain when the
-// configuration changed since the last call.
-func (s *Scratch) ensureAddTable(cfg PathConfig) *addTable {
+// buildAddTable prices the additive chain of cfg into the Scratch's
+// table buffers.
+func (s *Scratch) buildAddTable(cfg PathConfig) *addTable {
 	t := &s.addTab
-	if t.valid && t.h == cfg.H && t.through == cfg.Through && t.cross == cfg.Cross {
-		return t
-	}
-	t.h, t.through, t.cross = cfg.H, cfg.Through, cfg.Cross
-	if cap(t.alphas) < cfg.H {
-		t.alphas = make([]float64, cfg.H)
+	t.alphas = growTo(t.alphas, cfg.H)
+	if cap(t.pairs) < cfg.H {
 		t.pairs = make([]envelope.PairPricer, cfg.H)
-	} else {
-		t.alphas = t.alphas[:cfg.H]
-		t.pairs = t.pairs[:cfg.H]
 	}
+	t.pairs = t.pairs[:cfg.H]
 	a := cfg.Through.Alpha
 	for k := 0; k < cfg.H; k++ {
 		p := envelope.NewPairPricer(a, cfg.Cross.Alpha)
@@ -55,7 +45,6 @@ func (s *Scratch) ensureAddTable(cfg PathConfig) *addTable {
 		// the same 1/(1/α + 1/α_c) float64 Merge would assign.
 		a = p.Alpha()
 	}
-	t.valid = true
 	return t
 }
 
@@ -91,10 +80,9 @@ func AdditiveBound(cfg PathConfig, eps float64) (AdditiveResult, error) {
 // AdditiveBoundCtx is AdditiveBound under a context: a cancelled ctx
 // stops the γ search at its next probe and returns ctx's error, and with
 // an active span in ctx the solve appears as an "AdditiveBound" span. The
-// γ search prices probes through a D-only evaluation over the
-// γ-independent decay-chain table (ensureAddTable) — the per-node delay
-// vector is materialized only for the winning γ, and the table amortizes
-// the merge-weight pricing across the whole search.
+// γ-independent decay-chain table is built once per call, every γ probe
+// is a D-only evaluation over it, and the per-node delay vector is
+// materialized only for the winning γ.
 func AdditiveBoundCtx(ctx context.Context, cfg PathConfig, eps float64) (AdditiveResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return AdditiveResult{}, err
@@ -121,36 +109,20 @@ func AdditiveBoundCtx(ctx context.Context, cfg PathConfig, eps float64) (Additiv
 
 	s := getScratch()
 	defer putScratch(s)
-	s.ensureAddTable(cfg)
-
-	// D-only probes behind a small γ ring cache: the golden-section
-	// bracket collapses below float spacing in its last iterations, so
-	// the only repeats are among the most recent probes.
-	var ringG, ringD [gammaRingSize]float64
-	ringLen, ringPos := 0, 0
-	evalD := func(g float64) float64 {
-		for i := 0; i < ringLen; i++ {
-			if ringG[i] == g {
-				return ringD[i]
+	tab := s.buildAddTable(cfg)
+	res, err := gammaSearch(ctx, gmax, gmax/48, 50,
+		func(g float64) float64 {
+			nProbes++
+			r, err := tab.atGamma(cfg, eps, g, false)
+			if err != nil {
+				return math.Inf(1)
 			}
-		}
-		nProbes++
-		d := math.Inf(1)
-		if r, err := s.additiveAtGamma(cfg, eps, g, false); err == nil {
-			d = r.D
-		}
-		ringG[ringPos] = g
-		ringD[ringPos] = d
-		ringPos = (ringPos + 1) % gammaRingSize
-		if ringLen < gammaRingSize {
-			ringLen++
-		}
-		return d
-	}
-	res, err := gammaSearch(ctx, gmax, gmax/48, 50, evalD, func(g float64) (AdditiveResult, float64, error) {
-		r, err := s.additiveAtGamma(cfg, eps, g, true)
-		return r, r.D, err
-	})
+			return r.D
+		},
+		func(g float64) (AdditiveResult, float64, error) {
+			r, err := tab.atGamma(cfg, eps, g, true)
+			return r, r.D, err
+		})
 	if err == nil && sp != nil {
 		sp.SetAttr("gamma", res.Gamma)
 		sp.SetAttr("D", res.D)
@@ -158,20 +130,19 @@ func AdditiveBoundCtx(ctx context.Context, cfg PathConfig, eps float64) (Additiv
 	return res, err
 }
 
-// additiveAtGamma runs the per-node recursion at a fixed γ over the
-// Scratch's decay-chain table. With collectPerNode false only the total
-// D is computed (no per-node slice allocation) — the arithmetic is
-// identical either way, so probe and final evaluations agree
-// bit-for-bit. The per-node loop replays the SamplePath + Merge +
-// SigmaFor arithmetic of the untabled recursion expression for
-// expression (the chain's decays and merge weights are the same
-// float64s Merge would recompute), which batch_test.go pins against a
-// verbatim copy of the old code.
-func (s *Scratch) additiveAtGamma(cfg PathConfig, eps, gamma float64, collectPerNode bool) (AdditiveResult, error) {
+// atGamma runs the additive per-node recursion of cfg, the
+// configuration the table was built for, at a fixed γ. With
+// collectPerNode false only the total D is computed (no per-node slice
+// allocation) — the arithmetic is identical either way, so probe and
+// final evaluations agree bit-for-bit. The per-node loop replays the
+// SamplePath + Merge + SigmaFor arithmetic of the untabled recursion
+// expression for expression (the chain's decays and merge weights are
+// the same float64s Merge would recompute), which batch_test.go pins
+// against a verbatim copy of the old code.
+func (tab *addTable) atGamma(cfg PathConfig, eps, gamma float64, collectPerNode bool) (AdditiveResult, error) {
 	if gamma <= 0 {
 		return AdditiveResult{}, badConfig("gamma must be positive, got %g", gamma)
 	}
-	tab := s.ensureAddTable(cfg)
 	perNodeEps := eps / float64(cfg.H)
 	left := cfg.C - cfg.Cross.Rho - gamma // BMUX leftover service rate
 	if left <= 0 {

@@ -7,14 +7,14 @@ import (
 	"deltasched/internal/envelope"
 )
 
-// This file holds the table-driven γ kernel (ISSUE 9): the γ-independent
-// structure of the path bound — the merged decay w = Σ 1/α_j and the
-// per-term log weights — is priced once per (H, through, cross) into an
+// This file holds the table-driven γ kernel: the γ-independent structure
+// of the path bound — the merged decay w = Σ 1/α_j and the per-term log
+// weights — is priced once per (H, through, cross) into an
 // envelope.PathPricer held in the Scratch, and every γ probe then pays
 // only the γ-dependent exponentials. A D-only probe variant skips the
-// θ-vector fill the sweeps never read, and a fixed-size ring replaces
-// the per-sweep γ→D memo map (the only repeats are the golden-section
-// bracket's last few collapsed probes, which sit within ring reach).
+// θ-vector fill the sweeps never read. The searches never revisit a γ
+// (TestSearchesPriceEachProbeOnce), so each probe is priced once, by
+// dOnlyAtGamma, with no cache in front of it.
 //
 // Every kernel replays the scalar arithmetic expression for expression,
 // so results stay bit-identical to the pre-table implementation; see
@@ -35,9 +35,12 @@ type pathKernel struct {
 // ensurePricer (re)builds the path pricing table when the configuration
 // changed since the last call; the common case — every probe of a γ
 // sweep, every bisection step of an EDF solve — is a key compare.
+// Rebuilds are counted (core_path_pricer_builds_total), so a traced run
+// shows how many solves share one table.
 func (s *Scratch) ensurePricer(cfg PathConfig) *envelope.PathPricer {
 	k := &s.kern
 	if !k.valid || k.h != cfg.H || k.through != cfg.Through || k.cross != cfg.Cross {
+		s.stats.pricerBuilds++
 		k.h, k.through, k.cross = cfg.H, cfg.Through, cfg.Cross
 		k.pricer = envelope.NewPathPricer(
 			envelope.ExpBound{M: cfg.Through.M, Alpha: cfg.Through.Alpha},
@@ -50,55 +53,18 @@ func (s *Scratch) ensurePricer(cfg PathConfig) *envelope.PathPricer {
 }
 
 // dOnlyAtGamma is the sweep probe: delayBoundAtGamma reduced to the
-// delay value. It prices the bound through the kernel table and runs
-// the inner solve without materializing θ — the γ sweeps only compare
-// D values, and only the winning γ is priced in full afterwards.
-// Infeasible γ maps to +Inf exactly as the old sweep's error handling
-// did.
+// delay value. It prices the bound through pathBound and runs the inner
+// solve without materializing θ — the γ sweeps only compare D values,
+// and only the winning γ is priced in full afterwards. Infeasible γ
+// maps to +Inf.
 func (s *Scratch) dOnlyAtGamma(cfg PathConfig, eps, gamma float64) float64 {
 	s.stats.gammaProbes++
 	s.stats.gammaBatchProbes++
 	if gamma <= 0 || gamma >= cfg.GammaMax() {
 		return math.Inf(1)
 	}
-	p := s.ensurePricer(cfg)
-	var bound envelope.ExpBound
-	if math.IsInf(cfg.Delta0c, -1) {
-		s.stats.envSegs++
-		bound = p.ThroughBoundAt(gamma)
-	} else {
-		s.stats.envSegs += int64(p.Segments())
-		bound = p.BoundAt(gamma)
-	}
-	sigma := bound.SigmaFor(eps)
+	sigma := s.pathBound(cfg, gamma).SigmaFor(eps)
 	d, _ := s.innerSolve(cfg.H, cfg.C, gamma, cfg.Cross.Rho, cfg.Delta0c, sigma)
-	return d
-}
-
-// gammaRingSize is the capacity of the per-sweep γ→D ring cache. The
-// only systematic re-probes are the golden-section bracket's final
-// iterations, whose bracket has collapsed below float spacing — those
-// repeats are always among the most recent handful of probes, so a
-// small ring catches what the old unbounded map did without its
-// per-probe hashing or its clear() cost.
-const gammaRingSize = 8
-
-// evalGammaCached returns dOnlyAtGamma through the ring cache,
-// counting hits as the map memo did.
-func (s *Scratch) evalGammaCached(cfg PathConfig, eps, gamma float64) float64 {
-	for i := 0; i < s.gringLen; i++ {
-		if s.gringG[i] == gamma {
-			s.stats.gammaMemoHits++
-			return s.gringD[i]
-		}
-	}
-	d := s.dOnlyAtGamma(cfg, eps, gamma)
-	s.gringG[s.gringPos] = gamma
-	s.gringD[s.gringPos] = d
-	s.gringPos = (s.gringPos + 1) % gammaRingSize
-	if s.gringLen < gammaRingSize {
-		s.gringLen++
-	}
 	return d
 }
 
@@ -112,7 +78,6 @@ func (s *Scratch) DelayBoundAtGammas(cfg PathConfig, eps float64, gammas []float
 		return nil, err
 	}
 	defer s.flushOptStats()
-	s.stats.gammaBatchProbes += int64(len(gammas))
 	out := dst[:0]
 	for _, g := range gammas {
 		r, err := s.delayBoundAtGamma(nil, cfg, eps, g)

@@ -254,7 +254,7 @@ func TestAdditiveAtGammaMatchesReference(t *testing.T) {
 			gamma := rng.Float64() * gmax * 1.4
 			for _, collect := range []bool{false, true} {
 				want, wantErr := refAdditiveAtGamma(cfg, 1e-9, gamma, collect)
-				got, gotErr := s.additiveAtGamma(cfg, 1e-9, gamma, collect)
+				got, gotErr := s.buildAddTable(cfg).atGamma(cfg, 1e-9, gamma, collect)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("error mismatch at h=%d gamma=%g collect=%v: ref=%v got=%v",
 						h, gamma, collect, wantErr, gotErr)

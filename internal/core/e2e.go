@@ -60,9 +60,16 @@ func (cfg PathConfig) Validate() error {
 	return nil
 }
 
-// GammaMax returns the stability limit on the rate slack (Eq. 32):
-// (H+1)·γ < C − ρ_c − ρ.
+// GammaMax returns the stability limit on the rate slack (Eq. 32): the
+// last hop must serve the through traffic faster than its sample-path
+// rate, C − (H−1)γ − (ρ_c+γ) > ρ + γ, i.e. (H+1)·γ < C − ρ_c − ρ. Under
+// strict priority for the through traffic (Δ_{0,c} = −∞) Theorem 1 drops
+// the cross traffic, and the condition C − (H−1)γ > ρ + γ reads
+// H·γ < C − ρ.
 func (cfg PathConfig) GammaMax() float64 {
+	if math.IsInf(cfg.Delta0c, -1) {
+		return (cfg.C - cfg.Through.Rho) / float64(cfg.H)
+	}
 	return (cfg.C - cfg.Cross.Rho - cfg.Through.Rho) / float64(cfg.H+1)
 }
 
@@ -95,13 +102,9 @@ type Scratch struct {
 	// σ/(ch_i − β) that every candidate breakpoint sweeps.
 	chs, soch, chmb, socmb []float64
 
-	// γ→D ring cache of one DelayBound sweep (see evalGammaCached).
-	gringG, gringD [gammaRingSize]float64
-	gringLen       int
-	gringPos       int
-
-	// addTab is the additive analysis' γ-independent per-node decay
-	// chain and pair-merge tables (see additive.go).
+	// addTab holds the buffers of the additive analysis' per-node decay
+	// chain and pair-merge tables, rebuilt by every AdditiveBound call
+	// (see additive.go).
 	addTab addTable
 
 	// stats are plain-integer introspection counts, batch-flushed to the
@@ -150,16 +153,11 @@ func (s *Scratch) DelayBound(ctx context.Context, cfg PathConfig, eps float64) (
 	sp := obs.SpanFromContext(ctx).Child("DelayBound")
 	defer sp.End()
 
-	// The γ→D ring cache catches re-probes of the same slack: the
-	// golden-section bracket collapses below float spacing in its last
-	// iterations, so repeats are always among the most recent probes.
-	s.gringLen, s.gringPos = 0, 0
-
 	// The search's ~100 probes go through the D-only table-driven kernel
 	// (batch.go) and are not traced; only the winning γ is priced in
 	// full, with θ, under the span.
 	res, err := gammaSearch(ctx, gmax, gmax/49, 60,
-		func(g float64) float64 { return s.evalGammaCached(cfg, eps, g) },
+		func(g float64) float64 { return s.dOnlyAtGamma(cfg, eps, g) },
 		func(g float64) (Result, float64, error) {
 			r, err := s.delayBoundAtGamma(sp, cfg, eps, g)
 			return r, r.D, err
@@ -665,7 +663,10 @@ func PaperRecipe(h int, c, gamma, rhoc, delta, sigma float64) float64 {
 // or an error mark α infeasible — and a payload. The sweep is a
 // log-spaced grid followed by a golden-section refinement; it returns
 // the winning α with the payload eval returned for it, so no caller
-// prices a winner twice.
+// prices a winner twice. No α is priced twice either: the 41 grid
+// points, the 38 golden-section points and the final probe are
+// distinct (TestSearchesPriceEachProbeOnce), so the sweep keeps only the
+// grid's best probe and the final one, and caches nothing.
 //
 // ctx is checked before every probe, and a cancelled sweep returns its
 // error. When ctx carries an active span the sweep appears as an
@@ -683,27 +684,18 @@ func OptimizeAlphaFunc[R any](ctx context.Context, eval func(ctx context.Context
 	defer sp.End()
 	probeCtx := obs.WithoutSpan(ctx)
 
-	// Each α is priced at most once: eval is typically a full γ-optimized
-	// bound, and the golden-section bracket collapses below float spacing
-	// in its last iterations, so repeats are served from the memo.
-	var nProbes, nMemoHits int64
+	var nProbes int64
 	defer func() {
 		if p := optProbe.Load(); p != nil {
 			p.AlphaSweeps.Add(1)
 			p.AlphaProbes.Add(nProbes)
-			p.AlphaMemoHits.Add(nMemoHits)
 		}
 	}()
 	type probe struct {
 		v float64
 		r R
 	}
-	memo := make(map[float64]probe, 96)
 	f := func(ctx context.Context, a float64) probe {
-		if p, ok := memo[a]; ok {
-			nMemoHits++
-			return p
-		}
 		if ctx.Err() != nil {
 			return probe{v: math.Inf(1)}
 		}
@@ -712,9 +704,7 @@ func OptimizeAlphaFunc[R any](ctx context.Context, eval func(ctx context.Context
 		if err != nil || math.IsNaN(v) {
 			v = math.Inf(1)
 		}
-		p := probe{v, r}
-		memo[a] = p
-		return p
+		return probe{v, r}
 	}
 	const gridN = 40
 	logLo, logHi := math.Log(alphaLo), math.Log(alphaHi)

@@ -245,6 +245,49 @@ func TestDelayBoundSchedulerOrdering(t *testing.T) {
 	}
 }
 
+// TestSPBoundIgnoresCrossTraffic: under strict priority for the through
+// traffic Theorem 1 removes the cross traffic from the analysis, so the
+// bound — its γ range included — is the same float64 whatever the cross
+// aggregate, even one the link could not carry on its own.
+func TestSPBoundIgnoresCrossTraffic(t *testing.T) {
+	crosses := []envelope.EBB{
+		{M: 1, Rho: 0, Alpha: 0.5},
+		{M: 1, Rho: 35, Alpha: 0.5},
+		{M: 3, Rho: 80, Alpha: 0.1},
+		{M: 1, Rho: 150, Alpha: 2},
+	}
+	for _, h := range []int{1, 5, 10} {
+		var hom, het []Result
+		for _, cross := range crosses {
+			cfg := paperPathConfig(h, math.Inf(-1))
+			cfg.Cross = cross
+			r, err := DelayBound(cfg, 1e-9)
+			if err != nil {
+				t.Fatalf("H=%d cross %+v: %v", h, cross, err)
+			}
+			hom = append(hom, r)
+			nodes := make([]NodeSpec, h)
+			for i := range nodes {
+				nodes[i] = NodeSpec{C: cfg.C, Cross: cross, Delta: cfg.Delta0c}
+			}
+			r, err = DelayBoundHetero(HeteroPath{Through: cfg.Through, Nodes: nodes}, 1e-9)
+			if err != nil {
+				t.Fatalf("hetero H=%d cross %+v: %v", h, cross, err)
+			}
+			het = append(het, r)
+		}
+		for i := 1; i < len(crosses); i++ {
+			for _, rs := range [][]Result{hom, het} {
+				sameBits(t, "D", rs[i].D, rs[0].D)
+				sameBits(t, "Gamma", rs[i].Gamma, rs[0].Gamma)
+			}
+			if t.Failed() {
+				t.Fatalf("H=%d: SP bound moved with cross %+v", h, crosses[i])
+			}
+		}
+	}
+}
+
 func TestDelayBoundGrowsWithH(t *testing.T) {
 	prev := 0.0
 	for _, h := range []int{1, 2, 4, 8, 16} {

@@ -48,11 +48,16 @@ func (p HeteroPath) Validate() error {
 
 // GammaMax returns the stability limit on the rate slack for the
 // heterogeneous path: every node h must satisfy
-// C_h − (h−1)γ − (ρ_c^h + γ) > ρ + γ, i.e. (h+1)γ < C_h − ρ_c^h − ρ.
+// C_h − (h−1)γ − (ρ_c^h + γ) > ρ + γ, i.e. (h+1)γ < C_h − ρ_c^h − ρ, and
+// at a strict-priority node (Δ_{0,h} = −∞), where Theorem 1 drops the
+// cross traffic, C_h − (h−1)γ > ρ + γ, i.e. hγ < C_h − ρ.
 func (p HeteroPath) GammaMax() float64 {
 	gmax := math.Inf(1)
 	for i, n := range p.Nodes {
 		g := (n.C - n.Cross.Rho - p.Through.Rho) / float64(i+2)
+		if math.IsInf(n.Delta, -1) {
+			g = (n.C - p.Through.Rho) / float64(i+1)
+		}
 		if g < gmax {
 			gmax = g
 		}

@@ -7,8 +7,10 @@ import (
 )
 
 // OptProbe receives the optimizer's introspection counters: how many γ
-// and α probes a bound cost, how often the memos saved a re-evaluation,
-// how much inner-minimization and envelope work ran underneath. The
+// and α probes a bound cost, how often the path pricing table was
+// rebuilt, how much inner-minimization and envelope work ran underneath.
+// Every probe is priced once — the searches never revisit a γ or an α
+// (TestSearchesPriceEachProbeOnce) — so no count is of cache hits. The
 // runner installs one probe per process (backed by obs.Registry
 // counters, so a -metrics-addr endpoint serves them live); nil fields
 // discard their counts.
@@ -22,15 +24,21 @@ type OptProbe struct {
 	DelayBoundCalls  *obs.Counter // top-level γ-optimized DelayBound solves
 	GammaProbes      *obs.Counter // delayBoundAtGamma evaluations (grid + golden + final)
 	GammaBatchProbes *obs.Counter // γ probes priced through the batched table-driven kernels
-	GammaMemoHits    *obs.Counter // γ re-probes served from the Scratch memo
 	InnerMinCalls    *obs.Counter // innerMinimize solves
 	InnerCandidates  *obs.Counter // candidate breakpoints priced by innerMinimize
 	EnvelopeSegs     *obs.Counter // envelope segments assembled and merged by pathBound
 	AlphaSweeps      *obs.Counter // OptimizeAlphaFunc sweeps
-	AlphaProbes      *obs.Counter // α evaluations priced (memo misses)
-	AlphaMemoHits    *obs.Counter // α re-probes served from the sweep memo
+	AlphaProbes      *obs.Counter // α evaluations priced
 	EDFBisections    *obs.Counter // EDF fixed-point bisection iterations
 	AdditiveProbes   *obs.Counter // additive-analysis γ evaluations
+	PricerBuilds     *obs.Counter // path pricing tables built (pathKernel rebuilds)
+
+	// GammaMemoHits and AlphaMemoHits are never incremented: the γ and α
+	// memos they counted never hit and are deleted. The fields stay only
+	// because perfbench names them; ROADMAP's perf-gate item retires them
+	// together with BENCHMARK.json's two memo-hit ratios.
+	GammaMemoHits *obs.Counter
+	AlphaMemoHits *obs.Counter
 }
 
 // optProbe is the process-wide probe seam. An atomic pointer rather than
@@ -49,10 +57,10 @@ type optStats struct {
 	delayBoundCalls  int64
 	gammaProbes      int64
 	gammaBatchProbes int64
-	gammaMemoHits    int64
 	innerCalls       int64
 	innerCands       int64
 	envSegs          int64
+	pricerBuilds     int64
 }
 
 // flushOptStats batches the accumulated counts into the installed probe
@@ -67,8 +75,8 @@ func (s *Scratch) flushOptStats() {
 	p.DelayBoundCalls.Add(st.delayBoundCalls)
 	p.GammaProbes.Add(st.gammaProbes)
 	p.GammaBatchProbes.Add(st.gammaBatchProbes)
-	p.GammaMemoHits.Add(st.gammaMemoHits)
 	p.InnerMinCalls.Add(st.innerCalls)
 	p.InnerCandidates.Add(st.innerCands)
 	p.EnvelopeSegs.Add(st.envSegs)
+	p.PricerBuilds.Add(st.pricerBuilds)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"deltasched/internal/envelope"
 	"deltasched/internal/obs"
 )
 
@@ -18,15 +19,14 @@ func testProbe(t *testing.T) *OptProbe {
 		DelayBoundCalls:  r.Counter("delaybound_calls", "", nil),
 		GammaProbes:      r.Counter("gamma_probes", "", nil),
 		GammaBatchProbes: r.Counter("gamma_batch_probes", "", nil),
-		GammaMemoHits:    r.Counter("gamma_memo_hits", "", nil),
 		InnerMinCalls:    r.Counter("innermin_calls", "", nil),
 		InnerCandidates:  r.Counter("innermin_candidates", "", nil),
 		EnvelopeSegs:     r.Counter("envelope_segments", "", nil),
 		AlphaSweeps:      r.Counter("alpha_sweeps", "", nil),
 		AlphaProbes:      r.Counter("alpha_probes", "", nil),
-		AlphaMemoHits:    r.Counter("alpha_memo_hits", "", nil),
 		EDFBisections:    r.Counter("edf_bisections", "", nil),
 		AdditiveProbes:   r.Counter("additive_probes", "", nil),
+		PricerBuilds:     r.Counter("path_pricer_builds", "", nil),
 	}
 	SetOptProbe(p)
 	t.Cleanup(func() { SetOptProbe(nil) })
@@ -61,10 +61,133 @@ func TestOptProbeCountsDelayBound(t *testing.T) {
 	if b, g := p.GammaBatchProbes.Load(), p.GammaProbes.Load(); b < g {
 		t.Errorf("gamma_batch_probes = %d < gamma_probes = %d: scalar path must price through the tables", b, g)
 	}
-	// Memo hits depend on whether the refinement lands back on probed
-	// gammas; only the invariant is asserted, not a workload count.
-	if got := p.GammaMemoHits.Load(); got < 0 {
-		t.Errorf("gamma_memo_hits = %d, want >= 0", got)
+	// A Scratch builds the path table once per traffic description and
+	// keeps it across Δ, which is what an EDF fixed point relies on.
+	// (The pooled scratch above may arrive with the table already built,
+	// so its build count is not asserted.)
+	before := p.PricerBuilds.Load()
+	var s Scratch
+	for _, delta := range []float64{0, 5, math.Inf(1)} {
+		cfg.Delta0c = delta
+		if _, err := s.DelayBound(context.Background(), cfg, 1e-9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.PricerBuilds.Load() - before; got != 1 {
+		t.Errorf("path_pricer_builds = %d over three Δ of one traffic, want 1", got)
+	}
+}
+
+// TestSearchesPriceEachProbeOnce pins the cost model that lets the
+// analytic core run without memos: neither search revisits a point, so
+// every γ and every α is priced once. DelayBound's γ search probes 48
+// grid points and 2 + 60 golden-section points, then prices the refined
+// γ in full, and the grid's best again when the refinement does not beat
+// it; the additive baseline's search probes 48 + 2 + 50. The α sweep
+// probes 41 grid points, 2 + 36 golden-section points and the refined
+// α. Each recorded search is checked against the probe counters of the
+// entry point that runs it, so the test follows their parameters.
+func TestSearchesPriceEachProbeOnce(t *testing.T) {
+	p := testProbe(t)
+	ctx := context.Background()
+	const eps = 1e-9
+	distinct := func(what string, seen map[float64]int, want int) {
+		t.Helper()
+		for x, n := range seen {
+			if n > 1 {
+				t.Errorf("%s %g priced %d times", what, x, n)
+			}
+		}
+		if len(seen) != want {
+			t.Errorf("%d distinct %s probes, want %d", len(seen), what, want)
+		}
+	}
+
+	for _, delta := range schedulerDeltas {
+		for _, h := range []int{1, 4, 20} {
+			cfg := paperPathConfig(h, delta)
+			var rec Scratch
+			probed := map[float64]int{}
+			var full []float64
+			gmax := cfg.GammaMax()
+			_, err := gammaSearch(ctx, gmax, gmax/49, 60,
+				func(g float64) float64 { probed[g]++; return rec.dOnlyAtGamma(cfg, eps, g) },
+				func(g float64) (Result, float64, error) {
+					full = append(full, g)
+					r, err := rec.delayBoundAtGamma(nil, cfg, eps, g)
+					return r, r.D, err
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			distinct("γ", probed, 48+62)
+			if len(full) == 2 && probed[full[1]] == 0 {
+				t.Errorf("fallback priced γ %g, which is not a grid point", full[1])
+			}
+			if len(full) < 1 || len(full) > 2 {
+				t.Errorf("full pricings = %d, want 1 or 2", len(full))
+			}
+			before := p.GammaProbes.Load()
+			if _, err := new(Scratch).DelayBound(ctx, cfg, eps); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := p.GammaProbes.Load()-before, int64(len(probed)+len(full)); got != want {
+				t.Errorf("h=%d Δ=%g: DelayBound priced %d γ, the recorded search %d", h, delta, got, want)
+			}
+		}
+	}
+
+	cfg := paperPathConfig(10, math.Inf(1))
+	tab := new(Scratch).buildAddTable(cfg)
+	probed := map[float64]int{}
+	gmax := (cfg.C - cfg.Through.Rho - cfg.Cross.Rho) / float64(cfg.H)
+	if _, err := gammaSearch(ctx, gmax, gmax/48, 50,
+		func(g float64) float64 {
+			probed[g]++
+			if r, err := tab.atGamma(cfg, eps, g, false); err == nil {
+				return r.D
+			}
+			return math.Inf(1)
+		},
+		func(g float64) (AdditiveResult, float64, error) {
+			r, err := tab.atGamma(cfg, eps, g, true)
+			return r, r.D, err
+		}); err != nil {
+		t.Fatal(err)
+	}
+	distinct("additive γ", probed, 48+52)
+	before := p.AdditiveProbes.Load()
+	if _, err := AdditiveBound(cfg, eps); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.AdditiveProbes.Load() - before; got != int64(len(probed)) {
+		t.Errorf("AdditiveBound priced %d γ, the recorded search %d", got, len(probed))
+	}
+
+	m := envelope.PaperSource()
+	for _, delta := range []float64{0, math.Inf(1), -40} {
+		alphas := map[float64]int{}
+		before := p.AlphaProbes.Load()
+		_, _, err := OptimizeAlphaFunc(ctx, func(ctx context.Context, a float64) (float64, struct{}, error) {
+			alphas[a]++
+			through, err := m.EBBAggregate(50, a)
+			if err != nil {
+				return 0, struct{}{}, err
+			}
+			cross, err := m.EBBAggregate(100, a)
+			if err != nil {
+				return 0, struct{}{}, err
+			}
+			r, err := DelayBoundCtx(ctx, PathConfig{H: 4, C: 100, Through: through, Cross: cross, Delta0c: delta}, eps)
+			return r.D, struct{}{}, err
+		}, 1e-3, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct("α", alphas, 41+38+1)
+		if got := p.AlphaProbes.Load() - before; got != int64(len(alphas)) {
+			t.Errorf("alpha_probes = %d, the recorded sweep priced %d", got, len(alphas))
+		}
 	}
 }
 

@@ -178,7 +178,8 @@ func TestQuickHeteroMatchesHomogeneousRandomized(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		cfg := randPath(r)
-		cfg.Delta0c = []float64{math.Inf(1), 0, 12, -12}[r.Intn(4)]
+		deltas := []float64{math.Inf(1), 0, 12, -12, math.Inf(-1)}
+		cfg.Delta0c = deltas[r.Intn(len(deltas))]
 		hom, err := DelayBound(cfg, 1e-9)
 		if err != nil {
 			return false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,19 +37,22 @@ func TestStatNodeBMUXClosedForm(t *testing.T) {
 
 func TestStatNodeMatchesE2EAtH1(t *testing.T) {
 	// With a single cross aggregate the multi-flow node analysis must agree
-	// with the H=1 end-to-end machinery for every Δ.
-	for _, delta := range []float64{math.Inf(-1), -8, 0, 8, math.Inf(1)} {
-		through := envelope.EBB{M: 1, Rho: 15, Alpha: 0.2}
-		crossEBB := envelope.EBB{M: 1, Rho: 35, Alpha: 0.2}
-		node, err := DelayBoundStatNode(100, through, []StatFlow{{EBB: crossEBB, Delta: delta}}, 1e-9)
-		if err != nil {
-			t.Fatal(err)
+	// with the H=1 end-to-end machinery for every Δ, also under a cross
+	// load that strict priority must not charge the through traffic for.
+	for _, rhoc := range []float64{35, 80} {
+		for _, delta := range []float64{math.Inf(-1), -8, 0, 8, math.Inf(1)} {
+			through := envelope.EBB{M: 1, Rho: 15, Alpha: 0.2}
+			crossEBB := envelope.EBB{M: 1, Rho: rhoc, Alpha: 0.2}
+			node, err := DelayBoundStatNode(100, through, []StatFlow{{EBB: crossEBB, Delta: delta}}, 1e-9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path, err := DelayBound(PathConfig{H: 1, C: 100, Through: through, Cross: crossEBB, Delta0c: delta}, 1e-9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			almost(t, node.D, path.D, 2e-3*path.D, fmt.Sprintf("single node vs H=1 path, ρ_c=%g Δ=%g", rhoc, delta))
 		}
-		path, err := DelayBound(PathConfig{H: 1, C: 100, Through: through, Cross: crossEBB, Delta0c: delta}, 1e-9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		almost(t, node.D, path.D, 2e-3*path.D, "single node vs H=1 path")
 	}
 }
 

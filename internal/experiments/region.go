@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"deltasched/internal/core"
 	"deltasched/internal/plot"
 )
 
@@ -26,9 +24,9 @@ type RegionSpec struct {
 //   - SP — class 1 (the tighter deadline) strictly prioritized.
 //
 // This is the statistical counterpart of the deterministic admission
-// example (examples/admission), built on the multi-flow single-node
-// analysis. It also exposes an instructive single-node fact of the
-// paper's framework: with the *linear* statistical envelopes of Eq. (2),
+// example (examples/admission), built on the path solver at H = 1
+// (Setup.PathBound). It also exposes an instructive single-node fact of
+// the paper's framework: with the *linear* statistical envelopes of Eq. (2),
 // a finite negative Δ does not improve the favoured class's bound at one
 // node (it stays σ/C, same as FIFO — compare the paper's Fig. 4, where
 // EDF and FIFO coincide at H=1); only full exclusion (Δ=−∞, strict
@@ -40,30 +38,21 @@ func (s Setup) AdmissibleRegion(spec RegionSpec, n1s []float64) ([]plot.Series, 
 	}
 	// feasible reports whether (n1, n2) meets both requirements when
 	// class 1 sees class 2 under Δ = delta1 and class 2 sees class 1 under
-	// delta2, each bound α-swept on the single link. A failed sweep means
-	// infeasible; a cancelled context is returned as its error.
+	// delta2, each class priced as the through traffic of a one-hop path
+	// on the link. A failed sweep means infeasible; a cancelled context is
+	// returned as its error.
+	link := s
+	link.Capacity = spec.Capacity
 	feasible := func(n1, n2, delta1, delta2 float64) (bool, error) {
 		for _, c := range [2]struct{ nT, nX, delta, req float64 }{
 			{n1, n2, delta1, spec.D1},
 			{n2, n1, delta2, spec.D2},
 		} {
-			_, d, err := core.OptimizeAlphaFunc(s.ctx(), func(_ context.Context, alpha float64) (float64, float64, error) {
-				through, err := s.Source.EBBAggregate(c.nT, alpha)
-				if err != nil {
-					return 0, 0, err
-				}
-				cross, err := s.Source.EBBAggregate(c.nX, alpha)
-				if err != nil {
-					return 0, 0, err
-				}
-				r, err := core.DelayBoundStatNode(spec.Capacity, through,
-					[]core.StatFlow{{EBB: cross, Delta: c.delta}}, s.Eps)
-				return r.D, r.D, err
-			}, s.AlphaLo, s.AlphaHi)
+			r, _, err := link.PathBound(s.Source, 1, c.nT, c.nX, c.delta)
 			if cerr := s.ctx().Err(); cerr != nil {
 				return false, cerr
 			}
-			if err != nil || !(d <= c.req) {
+			if err != nil || !(r.D <= c.req) {
 				return false, nil
 			}
 		}

@@ -4,6 +4,7 @@
 package plot
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,6 +18,24 @@ type Series struct {
 	Label string
 	X     []float64
 	Y     []float64
+}
+
+// MarshalJSON encodes the series under its field names, writing a
+// non-finite Y value — an infeasible point, an unbounded bound — as
+// null: JSON has no NaN or ±Inf, and one such value would otherwise fail
+// the whole document it is part of.
+func (s Series) MarshalJSON() ([]byte, error) {
+	y := make([]*float64, len(s.Y))
+	for i, v := range s.Y {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			y[i] = &s.Y[i]
+		}
+	}
+	return json.Marshal(struct {
+		Label string
+		X     []float64
+		Y     []*float64
+	}{s.Label, s.X, y})
 }
 
 // Validate checks the series shape.

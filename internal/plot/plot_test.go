@@ -2,6 +2,7 @@ package plot
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -59,6 +60,17 @@ func TestCSVFormat(t *testing.T) {
 	want := "series,x,y\n\"fifo, H=2\",1,3.5\n\"fifo, H=2\",2,4\n"
 	if got != want {
 		t.Fatalf("CSV output:\n%q\nwant:\n%q", got, want)
+	}
+}
+
+func TestSeriesJSONWritesNonFiniteAsNull(t *testing.T) {
+	s := Series{Label: "sp", X: []float64{1, 2, 3, 4}, Y: []float64{0.5, math.NaN(), math.Inf(1), math.Inf(-1)}}
+	got, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"Label":"sp","X":[1,2,3,4],"Y":[0.5,null,null,null]}`; string(got) != want {
+		t.Fatalf("json = %s, want %s", got, want)
 	}
 }
 

@@ -29,15 +29,14 @@ func optimizerProbe() *core.OptProbe {
 		DelayBoundCalls:  r.Counter("core_delaybound_calls_total", "top-level gamma-optimized DelayBound solves", nil),
 		GammaProbes:      r.Counter("core_gamma_probes_total", "delay evaluations at fixed gamma (grid + golden + final)", nil),
 		GammaBatchProbes: r.Counter("core_gamma_batch_probes_total", "gamma probes priced through the batched table-driven kernels", nil),
-		GammaMemoHits:    r.Counter("core_gamma_memo_hits_total", "gamma re-probes served from the per-sweep memo", nil),
 		InnerMinCalls:    r.Counter("core_innermin_calls_total", "inner minimization solves (Eq. 38)", nil),
 		InnerCandidates:  r.Counter("core_innermin_candidates_total", "candidate breakpoints priced by the inner minimization", nil),
 		EnvelopeSegs:     r.Counter("core_envelope_segments_total", "envelope segments assembled and merged by the path bound", nil),
 		AlphaSweeps:      r.Counter("core_alpha_sweeps_total", "alpha (EBB decay) optimization sweeps", nil),
-		AlphaProbes:      r.Counter("core_alpha_probes_total", "alpha evaluations priced (memo misses)", nil),
-		AlphaMemoHits:    r.Counter("core_alpha_memo_hits_total", "alpha re-probes served from the sweep memo", nil),
+		AlphaProbes:      r.Counter("core_alpha_probes_total", "alpha evaluations priced", nil),
 		EDFBisections:    r.Counter("core_edf_bisections_total", "EDF fixed-point bisection iterations", nil),
 		AdditiveProbes:   r.Counter("core_additive_probes_total", "additive-analysis gamma evaluations", nil),
+		PricerBuilds:     r.Counter("core_path_pricer_builds_total", "path-bound pricing tables built (one serves every gamma probe and EDF deadline of a traffic description)", nil),
 	}
 }
 
