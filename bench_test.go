@@ -38,6 +38,25 @@ func BenchmarkDelayBound(b *testing.B) {
 	}
 }
 
+// BenchmarkDelayBoundH240 measures one FIFO bound on a long path, where
+// each γ probe's O(H²) breakpoint sweep dominates: the long-path regime
+// that delaybound -H 480 runs.
+func BenchmarkDelayBoundH240(b *testing.B) {
+	cfg := core.PathConfig{
+		H:       240,
+		C:       100,
+		Through: envelope.EBB{M: 1, Rho: 15, Alpha: 0.1},
+		Cross:   envelope.EBB{M: 1, Rho: 35, Alpha: 0.1},
+		Delta0c: 0,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.DelayBound(cfg, 1e-9); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDelayBoundBatched measures the batch γ-grid API: a 48-point
 // grid priced in one Scratch.DelayBoundAtGammas call with the result
 // slice round-tripped as dst, the allocation-free steady state of a
@@ -330,6 +349,24 @@ func BenchmarkNetworkRunSampledProbe(b *testing.B) {
 func BenchmarkEDFProvisioning(b *testing.B) {
 	cfg := core.PathConfig{
 		H:       5,
+		C:       100,
+		Through: envelope.EBB{M: 1, Rho: 15, Alpha: 0.1},
+		Cross:   envelope.EBB{M: 1, Rho: 35, Alpha: 0.1},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.EDFProvisioned(cfg, 1e-9, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEDFProvisioningH30 is BenchmarkEDFProvisioning at the
+// H = 30 end of the paper's Figs. 2–4, whose ~30 bisection steps
+// re-solve one traffic description at different Δ_{0,c}.
+func BenchmarkEDFProvisioningH30(b *testing.B) {
+	cfg := core.PathConfig{
+		H:       30,
 		C:       100,
 		Through: envelope.EBB{M: 1, Rho: 15, Alpha: 0.1},
 		Cross:   envelope.EBB{M: 1, Rho: 35, Alpha: 0.1},

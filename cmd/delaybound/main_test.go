@@ -51,6 +51,10 @@ func TestRunFlagValidation(t *testing.T) {
 		{"infinite edf through deadline", []string{"-sched", "edf", "-edf-d0", "Inf", "-edf-dc", "5"}, true},
 		{"infinite edf cross deadline", []string{"-sched", "edf", "-edf-d0", "5", "-edf-dc", "Inf"}, true},
 		{"NaN edf through deadline", []string{"-sched", "edf", "-edf-d0", "NaN", "-edf-dc", "5"}, true},
+		// A scheduler parameter the scheduler ignores is still checked.
+		{"NaN edf deadline under fifo", []string{"-H", "3", "-edf-d0", "NaN"}, true},
+		{"infinite edf deadline under bmux", []string{"-H", "3", "-sched", "bmux", "-edf-dc", "Inf"}, true},
+		{"negative edf deadline under sp", []string{"-H", "3", "-sched", "sp", "-edf-d0", "-1"}, true},
 		{"unknown scheduler", []string{"-sched", "unknown"}, true},
 		{"invalid source", []string{"-p11", "1.4"}, true},
 		{"missing config file", []string{"-config", "/nonexistent.json"}, false},

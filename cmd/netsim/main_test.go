@@ -75,6 +75,12 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-backend", "sim", "-C", "-5"},
 		{"-sched", "edf", "-edf-d0", "Inf"},
 		{"-backend", "analytic", "-sched", "edf", "-edf-d0", "Inf"},
+		// Scheduler parameters the scheduler ignores are still checked.
+		{"-backend", "analytic", "-gps-w0", "NaN"},
+		{"-backend", "analytic", "-gps-wc", "-Inf"},
+		{"-backend", "analytic", "-sched", "gps", "-edf-d0", "-2"},
+		{"-backend", "sim", "-sched", "edf", "-gps-wc", "-1"},
+		{"-backend", "analytic", "-sched", "sp", "-edf-dc", "Inf"},
 		{"-checkpoint", filepath.Join(t.TempDir(), "check.frag")},
 		{"-probe-every", "-1"},
 		{"-reps", "0"},

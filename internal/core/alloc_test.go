@@ -73,8 +73,12 @@ func TestDelayBoundAtGammaAllocFreeAcrossSchedulers(t *testing.T) {
 // the pooled Scratch (ISSUE 9; down from 16 allocations before the
 // batched kernels). The pooled Scratch may be dropped by a background GC
 // mid-measurement, so the pin allows a small amortized slack above 1
-// rather than exact equality.
+// rather than exact equality. Under the race detector sync.Pool drops
+// items on purpose, so the pin is skipped there.
 func TestDelayBoundAllocFloor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
 	cfg := PathConfig{
 		H:       10,
 		C:       100,
@@ -117,6 +121,65 @@ func TestScratchDelayBoundAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Scratch.DelayBound allocates %g times per solve at steady state, want 0", allocs)
+	}
+}
+
+// TestScratchDelayBoundAllocFreeAcrossDelta pins the reuse state of a
+// warm Scratch — the σ log of the last γ search and the candidates' hop
+// hints — at zero allocations per solve while Δ changes between solves,
+// as it does along an EDF fixed point.
+func TestScratchDelayBoundAllocFreeAcrossDelta(t *testing.T) {
+	cfg := PathConfig{
+		H:       10,
+		C:       100,
+		Through: envelope.EBB{M: 1, Rho: 15, Alpha: 0.1},
+		Cross:   envelope.EBB{M: 1, Rho: 35, Alpha: 0.1},
+	}
+	deltas := []float64{-3, 0, 2.5, math.Inf(1), -0.7}
+	var s Scratch
+	for _, d := range deltas { // warm every regime's buffers
+		cfg.Delta0c = d
+		if _, err := s.DelayBound(context.Background(), cfg, 1e-9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		cfg.Delta0c = deltas[n%len(deltas)]
+		n++
+		if _, err := s.DelayBound(context.Background(), cfg, 1e-9); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Scratch.DelayBound allocates %g times per solve as Δ changes, want 0", allocs)
+	}
+}
+
+// TestEDFProvisionedAllocs pins the package-level EDF fixed point — a
+// BMUX bracket, ~30 bisection steps and the final pricing on one pooled
+// Scratch — at 3 allocations per solve: the σ log and the hop hints
+// add none. Skipped under the race detector, as TestDelayBoundAllocFloor.
+func TestEDFProvisionedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	cfg := PathConfig{
+		H:       10,
+		C:       100,
+		Through: envelope.EBB{M: 1, Rho: 15, Alpha: 0.1},
+		Cross:   envelope.EBB{M: 1, Rho: 35, Alpha: 0.1},
+	}
+	if _, _, err := EDFProvisioned(cfg, 1e-9, 10); err != nil { // warm the pool
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := EDFProvisioned(cfg, 1e-9, 10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("EDFProvisioned allocates %g times per solve at steady state, want <= 3", allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -171,11 +172,28 @@ var schedulerDeltas = []float64{math.Inf(-1), math.Inf(1), 0, -0.7, -3, 1e-3, 0.
 
 func TestInnerSolveMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
+	plateau := rand.New(rand.NewSource(910))
 	var s Scratch
 	n := 0
-	for _, h := range []int{1, 2, 3, 5, 10, 20, 33} {
+	check := func(h int, c, gamma, rhoc, delta, sigma float64) {
+		t.Helper()
+		refD, refX := refInnerMinimize(h, c, gamma, rhoc, delta, sigma)
+		gotD, gotX := s.innerSolve(h, c, gamma, rhoc, delta, sigma)
+		sameBits(t, "d", gotD, refD)
+		sameBits(t, "xOpt", gotX, refX)
+		if t.Failed() {
+			t.Fatalf("diverged at h=%d c=%g gamma=%g rhoc=%g delta=%g sigma=%g",
+				h, c, gamma, rhoc, delta, sigma)
+		}
+		n++
+	}
+	for _, h := range []int{1, 2, 3, 5, 10, 20, 33, 64, 128, 480} {
+		trials := 40
+		if h > 128 {
+			trials = 8 // the O(H²) reference dominates the test's time
+		}
 		for _, delta := range schedulerDeltas {
-			for trial := 0; trial < 40; trial++ {
+			for trial := 0; trial < trials; trial++ {
 				c := 50 + 100*rng.Float64()
 				rhoc := 60 * rng.Float64()
 				// Keep every hop's leftover rate positive: γ below
@@ -188,20 +206,98 @@ func TestInnerSolveMatchesReference(t *testing.T) {
 				if trial%7 == 0 {
 					sigma = 0 // degenerate: empty backlog budget
 				}
-				refD, refX := refInnerMinimize(h, c, gamma, rhoc, delta, sigma)
-				gotD, gotX := s.innerSolve(h, c, gamma, rhoc, delta, sigma)
-				sameBits(t, "d", gotD, refD)
-				sameBits(t, "xOpt", gotX, refX)
-				if t.Failed() {
-					t.Fatalf("diverged at h=%d c=%g gamma=%g rhoc=%g delta=%g sigma=%g",
-						h, c, gamma, rhoc, delta, sigma)
+				check(h, c, gamma, rhoc, delta, sigma)
+			}
+			// Plateaus: at C = 100 the rates ch_i = C − float64(i)·γ
+			// round equal over runs of adjacent hops (~14 at γ = 1e-15,
+			// ~3 at 5e-15), so candidates repeat and the screens'
+			// boundaries meet runs of equal predicates.
+			for _, gamma := range []float64{1e-15, 5e-15} {
+				for trial := 0; trial < 4; trial++ {
+					sigma := 500 * plateau.Float64() * plateau.Float64()
+					if trial == 0 {
+						sigma = 0
+					}
+					check(h, 100, gamma, 60*plateau.Float64(), delta, sigma)
 				}
-				n++
 			}
 		}
 	}
 	if n < 1000 {
 		t.Fatalf("sweep degenerated: only %d comparisons ran", n)
+	}
+}
+
+// TestSigmaLogReplaysExactly runs one Scratch through DelayBound calls
+// that each change one part of the σ log's key — Δ only, C only, ε, the
+// scheduler class (Δ = −∞ or not), H, the traffic's α — and requires
+// every Result to match a fresh Scratch's bit for bit. It also pins
+// when the log replays: on a Δ-only change (the EDF fixed point's
+// steps) and never across a change of ε, scheduler class, H or traffic.
+func TestSigmaLogReplaysExactly(t *testing.T) {
+	p := testProbe(t)
+	through := envelope.EBB{M: 1, Rho: 10, Alpha: 0.1}
+	cross := envelope.EBB{M: 1, Rho: 20, Alpha: 0.1}
+	const (
+		unasserted = iota
+		replays    // some σ replayed
+		none       // no σ replayed
+	)
+	steps := []struct {
+		name  string
+		cfg   PathConfig
+		eps   float64
+		reuse int
+	}{
+		{"start", PathConfig{H: 4, C: 140, Through: through, Cross: cross, Delta0c: 0}, 1e-9, none},
+		{"Δ only", PathConfig{H: 4, C: 140, Through: through, Cross: cross, Delta0c: -2.5}, 1e-9, replays},
+		{"Δ only, Δ > 0", PathConfig{H: 4, C: 140, Through: through, Cross: cross, Delta0c: 3}, 1e-9, replays},
+		{"C only", PathConfig{H: 4, C: 130, Through: through, Cross: cross, Delta0c: 3}, 1e-9, unasserted},
+		{"ε", PathConfig{H: 4, C: 130, Through: through, Cross: cross, Delta0c: 3}, 1e-6, none},
+		// γmax is (C − ρ_c − ρ)/(H+1) = 20 above and (C − ρ)/H = 20
+		// under strict priority at C = 90, so both searches probe the
+		// same γ, bit for bit, and only the scheduler class can refuse
+		// the replay.
+		{"Δ → −∞", PathConfig{H: 4, C: 90, Through: through, Cross: cross, Delta0c: math.Inf(-1)}, 1e-6, none},
+		{"−∞ → Δ", PathConfig{H: 4, C: 130, Through: through, Cross: cross, Delta0c: 3}, 1e-6, none},
+		{"H", PathConfig{H: 5, C: 130, Through: through, Cross: cross, Delta0c: 3}, 1e-6, none},
+		{"α", PathConfig{H: 5, C: 130, Through: envelope.EBB{M: 1, Rho: 10, Alpha: 0.2}, Cross: cross, Delta0c: 3}, 1e-6, none},
+		{"Δ only after α", PathConfig{H: 5, C: 130, Through: envelope.EBB{M: 1, Rho: 10, Alpha: 0.2}, Cross: cross, Delta0c: math.Inf(1)}, 1e-6, replays},
+	}
+	if g1, g2 := steps[4].cfg.GammaMax(), steps[5].cfg.GammaMax(); g1 != g2 {
+		t.Fatalf("γmax %v before strict priority, %v under it: the step no longer isolates the scheduler class", g1, g2)
+	}
+	ctx := context.Background()
+	var s Scratch
+	for _, st := range steps {
+		before := p.SigmaReuses.Load()
+		got, err := s.DelayBound(ctx, st.cfg, st.eps)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		reused := p.SigmaReuses.Load() - before
+		switch {
+		case st.reuse == replays && reused == 0:
+			t.Errorf("%s: no σ replayed, want the shared γ grid's", st.name)
+		case st.reuse == none && reused != 0:
+			t.Errorf("%s: %d σ replayed across a key change, want 0", st.name, reused)
+		}
+		want, err := new(Scratch).DelayBound(ctx, st.cfg, st.eps)
+		if err != nil {
+			t.Fatalf("%s (fresh): %v", st.name, err)
+		}
+		sameBits(t, st.name+" D", got.D, want.D)
+		sameBits(t, st.name+" Sigma", got.Sigma, want.Sigma)
+		sameBits(t, st.name+" Gamma", got.Gamma, want.Gamma)
+		sameBits(t, st.name+" X", got.X, want.X)
+		sameBits(t, st.name+" Bound.M", got.Bound.M, want.Bound.M)
+		sameBits(t, st.name+" Bound.Alpha", got.Bound.Alpha, want.Bound.Alpha)
+		if len(got.Theta) != len(want.Theta) {
+			t.Fatalf("%s: Theta length %d, want %d", st.name, len(got.Theta), len(want.Theta))
+		}
+		for k := range want.Theta {
+			sameBits(t, st.name+" Theta", got.Theta[k], want.Theta[k])
+		}
 	}
 }
 

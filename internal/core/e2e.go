@@ -94,13 +94,15 @@ type Scratch struct {
 	// kern is the γ-independent envelope pricing table (see batch.go):
 	// built once per (H, through, cross) and reused by every γ probe,
 	// including across the Delta0c variations of an EDF fixed-point
-	// solve.
+	// solve, together with the σ log those solves replay.
 	kern pathKernel
 
 	// SoA tables of the inner solve, sized h: per-hop service rates
 	// ch_i = C − (i−1)γ and the closed-form ratios σ/ch_i, ch_i − β,
-	// σ/(ch_i − β) that every candidate breakpoint sweeps.
+	// σ/(ch_i − β) that every candidate breakpoint sweeps, and each
+	// candidate's generating hop, where its sweep starts.
 	chs, soch, chmb, socmb []float64
+	hints                  []int32
 
 	// addTab holds the buffers of the additive analysis' per-node decay
 	// chain and pair-merge tables, rebuilt by every AdditiveBound call
@@ -153,10 +155,13 @@ func (s *Scratch) DelayBound(ctx context.Context, cfg PathConfig, eps float64) (
 	sp := obs.SpanFromContext(ctx).Child("DelayBound")
 	defer sp.End()
 
-	// The search's ~100 probes go through the D-only table-driven kernel
+	// The search's 110 probes go through the D-only table-driven kernel
 	// (batch.go) and are not traced; only the winning γ is priced in
-	// full, with θ, under the span.
-	res, err := gammaSearch(ctx, gmax, gmax/49, 60,
+	// full, with θ, under the span. Probe numbers restart at 0, so probe
+	// n replays the σ that the last search's probe n logged when both
+	// probed the same γ.
+	s.kern.next = 0
+	res, err := gammaSearch(ctx, gmax, gmax/(gammaGridN+1), delayBoundGoldenIters,
 		func(g float64) float64 { return s.dOnlyAtGamma(cfg, eps, g) },
 		func(g float64) (Result, float64, error) {
 			r, err := s.delayBoundAtGamma(sp, cfg, eps, g)
@@ -357,12 +362,16 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 
 	// Candidate breakpoints of d(X), enumerated from the tables in the
 	// same order (and with the same arithmetic) as the formula-per-hop
-	// enumeration.
+	// enumeration. hints[k] is the hop whose closed form produced
+	// cands[k] (0 for X = 0); the sweep starts that candidate's
+	// inactive-prefix screen there.
 	cands := append(s.cands[:0], 0)
+	hints := append(s.hints[:0], 0)
 	switch {
 	case spCase:
 		for i := 0; i < h; i++ {
 			cands = append(cands, s.soch[i])
+			hints = append(hints, int32(i))
 		}
 	case delta <= 0:
 		md := -delta
@@ -370,30 +379,43 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 		for i := 0; i < h; i++ {
 			if x := s.soch[i]; x <= md {
 				cands = append(cands, x)
+				hints = append(hints, int32(i))
 			}
 			if x := numB / s.chmb[i]; x >= md {
 				cands = append(cands, x)
+				hints = append(hints, int32(i))
 			}
 			cands = append(cands, md)
+			hints = append(hints, int32(i))
 		}
 	default: // delta >= 0, possibly +Inf
 		finite := !math.IsInf(delta, 1)
 		for i := 0; i < h; i++ {
 			cands = append(cands, s.socmb[i])
+			hints = append(hints, int32(i))
 			if finite {
 				if x := s.socmb[i] - delta; x > 0 {
 					cands = append(cands, x)
+					hints = append(hints, int32(i))
 				}
 			}
 		}
 	}
-	s.cands = cands
+	s.cands, s.hints = cands, hints
 	s.stats.innerCands += int64(len(cands))
 
 	// Breakpoint sweep. Two value slots memoize the systematically
 	// repeated candidates — X = 0 and X = −Δ (appended once per hop) —
 	// so each distinct breakpoint is priced once. d(X) is a pure
 	// function of X given the tables, so replaying a slot is exact.
+	//
+	// Each regime's hops whose θ term is zero form a prefix, and the
+	// sweep skips it: it starts at the candidate's hint, walks left while
+	// hop i−1 is active and right while hop i is inactive. Every screen
+	// predicate is monotone in i — ch_i = C − float64(i)·γ is
+	// non-increasing under monotone rounding and X >= 0 — so the walk
+	// stops at the hop a scan from 0 stops at, and the sum adds the same
+	// terms in the same order (DESIGN.md §16, "Hop hints").
 	//
 	// The θ-sum loops carry an early bail: once the partial sum exceeds
 	// bailAt := best + 5e-12·(1+best), the candidate can neither win nor
@@ -410,8 +432,8 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 	soch, chmb, socmb := s.soch, s.chmb, s.socmb
 	var zeroTot, mdTot float64
 	zeroSet, mdSet := false, false
-	md := -delta // only consulted in the delta <= 0 regime
-	for _, x := range cands {
+	md := -delta // +Inf under strict priority; only consulted when delta <= 0
+	for k, x := range cands {
 		if x < 0 {
 			continue // fast-path tables are NaN-free, so x < 0 is the only skip
 		}
@@ -424,42 +446,43 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 		default:
 			total = x
 			bailed := false
+			i := int(hints[k])
 			switch {
-			case spCase:
-				for i := 0; i < h; i++ {
+			case delta <= 0 && x <= md: // strict priority always lands here
+				// θ^i = σ/ch_i − X where positive: hops with
+				// σ/ch_i − X <= 0 form the prefix.
+				for i > 0 && soch[i-1]-x > 0 {
+					i--
+				}
+				for i < h && !(soch[i]-x > 0) {
+					i++
+				}
+				for ; i < h; i++ {
 					if v := soch[i] - x; v > 0 {
 						total += v
 					}
 				}
 			case delta <= 0:
-				if x <= md {
-					for i := 0; i < h; i++ {
-						if v := soch[i] - x; v > 0 {
-							total += v
-						}
-					}
-				} else {
-					num := sigma + beta*(x+delta)
-					// Active hops form a suffix: num/chs[i] grows as
-					// chs[i] falls, so hops whose division test fails
-					// form a prefix. Screen it with a multiply —
-					// x·chs[i] >= num·(1+1e-15) guarantees the exact
-					// test num/chs[i] − x > 0 fails, the margin
-					// absorbing both roundings — and divide only from
-					// the first ambiguous hop, where the exact test
-					// still decides.
-					numHi := num * (1 + 1e-15)
-					i := 0
-					for i < h && x*chs[i] >= numHi {
-						i++
-					}
-					for ; i < h; i++ {
-						if v := num/chs[i] - x; v > 0 {
-							total += v
-							if total > bailAt {
-								bailed = true
-								break
-							}
+				num := sigma + beta*(x+delta)
+				// Active hops form a suffix: num/chs[i] grows as chs[i]
+				// falls. The prefix screen is a multiply —
+				// x·chs[i] >= num·(1+1e-15) guarantees the exact test
+				// num/chs[i] − x > 0 fails, the margin absorbing both
+				// roundings — and the division runs only from the first
+				// ambiguous hop, where the exact test still decides.
+				numHi := num * (1 + 1e-15)
+				for i > 0 && !(x*chs[i-1] >= numHi) {
+					i--
+				}
+				for i < h && x*chs[i] >= numHi {
+					i++
+				}
+				for ; i < h; i++ {
+					if v := num/chs[i] - x; v > 0 {
+						total += v
+						if total > bailAt {
+							bailed = true
+							break
 						}
 					}
 				}
@@ -469,7 +492,9 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 				// saturated hops (θ_A > Δ) a suffix, with the linear
 				// θ_A = σ/(ch−β) − X region in between. Each phase adds
 				// exactly the term thetaAt would return for that hop.
-				i := 0
+				for i > 0 && !(chmb[i-1]*x >= sigma) {
+					i--
+				}
 				for i < h && chmb[i]*x >= sigma {
 					i++
 				}
@@ -758,9 +783,18 @@ func OptimizeAlpha(build func(alpha float64) (PathConfig, error), eps, alphaLo, 
 	return r, err
 }
 
+// gammaGridN is the number of grid points of every γ search, and
+// delayBoundGoldenIters the golden-section steps of DelayBound's: its
+// search probes gammaGridN + 2 + delayBoundGoldenIters γ (the size of
+// the σ log, batch.go) before pricing its winner.
+const (
+	gammaGridN            = 48
+	delayBoundGoldenIters = 60
+)
+
 // gammaSearch is the rate-slack search behind every bound of the
 // package (Section IV's outer minimization over γ ∈ (0, gmax)): probe a
-// grid of 48 points gmax·i/49, refine the best of them by golden section
+// grid of gammaGridN points gmax·i/(gammaGridN+1), refine the best of them by golden section
 // over iters steps on [γ* − width, γ* + width] clipped inside the open
 // interval, and price the refined γ in full, falling back to the grid's
 // best point when the refinement does not beat it. probe returns the
@@ -779,10 +813,9 @@ func gammaSearch[R any](ctx context.Context, gmax, width float64, iters int,
 			return probe(g)
 		}
 	}
-	const gridN = 48
 	bestG, bestD := 0.0, math.Inf(1)
-	for i := 1; i <= gridN; i++ {
-		g := gmax * float64(i) / float64(gridN+1)
+	for i := 1; i <= gammaGridN; i++ {
+		g := gmax * float64(i) / float64(gammaGridN+1)
 		if d := f(g); d < bestD {
 			bestD, bestG = d, g
 		}

@@ -6,15 +6,16 @@ import (
 )
 
 // FuzzInnerMinimize checks, for arbitrary parameters, that the exact
-// solver's reported optimum is feasible and consistent, and that it never
-// loses to the simple candidate X = σ/(C−ρ_c−Hγ) (the BMUX corner, always
-// feasible for Δ=+∞-like regimes) where applicable.
+// solver's reported optimum is feasible and consistent, and that the
+// table-driven sweep (innerSolve, with its hop-hinted prefix screens and
+// early bail) reproduces the formula-per-hop reference refInnerMinimize
+// bit for bit.
 func FuzzInnerMinimize(f *testing.F) {
 	f.Add(3, 100.0, 1.0, 40.0, 0.0, 250.0)
 	f.Add(1, 80.0, 2.0, 10.0, math.Inf(1), 100.0)
 	f.Add(8, 120.0, 0.5, 60.0, -25.0, 500.0)
 	f.Fuzz(func(t *testing.T, h int, c, gamma, rhoc, delta, sigma float64) {
-		if h < 1 || h > 32 {
+		if h < 1 || h > 512 {
 			t.Skip()
 		}
 		bad := func(x float64) bool { return math.IsNaN(x) }
@@ -31,6 +32,12 @@ func FuzzInnerMinimize(f *testing.F) {
 		d, x, thetas := innerMinimize(h, c, gamma, rhoc, delta, sigma)
 		if math.IsNaN(d) || d < 0 {
 			t.Fatalf("invalid optimum %g", d)
+		}
+		refD, refX := refInnerMinimize(h, c, gamma, rhoc, delta, sigma)
+		sameBits(t, "d", d, refD)
+		sameBits(t, "xOpt", x, refX)
+		if t.Failed() {
+			t.FailNow()
 		}
 		beta := rhoc + gamma
 		sum := x

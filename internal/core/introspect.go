@@ -9,11 +9,14 @@ import (
 // OptProbe receives the optimizer's introspection counters: how many γ
 // and α probes a bound cost, how often the path pricing table was
 // rebuilt, how much inner-minimization and envelope work ran underneath.
-// Every probe is priced once — the searches never revisit a γ or an α
-// (TestSearchesPriceEachProbeOnce) — so no count is of cache hits. The
-// runner installs one probe per process (backed by obs.Registry
-// counters, so a -metrics-addr endpoint serves them live); nil fields
-// discard their counts.
+// Within one search every probe is priced once — the searches never
+// revisit a γ or an α (TestSearchesPriceEachProbeOnce). The one count
+// of cache hits is SigmaReuses: the γ probes whose σ was replayed from
+// the previous search at the same traffic, ε and scheduler class (the
+// σ log, batch.go), as along an EDF fixed point. The runner installs
+// one probe per process (backed by obs.Registry counters, so a
+// -metrics-addr endpoint serves them live); nil fields discard their
+// counts.
 //
 // The hot paths never touch the probe directly: they bump plain integer
 // fields on their Scratch (or a local), and a single flush per top-level
@@ -32,6 +35,7 @@ type OptProbe struct {
 	EDFBisections    *obs.Counter // EDF fixed-point bisection iterations
 	AdditiveProbes   *obs.Counter // additive-analysis γ evaluations
 	PricerBuilds     *obs.Counter // path pricing tables built (pathKernel rebuilds)
+	SigmaReuses      *obs.Counter // γ probes whose σ was replayed from the last search's log
 
 	// GammaMemoHits and AlphaMemoHits are never incremented: the γ and α
 	// memos they counted never hit and are deleted. The fields stay only
@@ -61,6 +65,7 @@ type optStats struct {
 	innerCands       int64
 	envSegs          int64
 	pricerBuilds     int64
+	sigmaReuses      int64
 }
 
 // flushOptStats batches the accumulated counts into the installed probe
@@ -79,4 +84,5 @@ func (s *Scratch) flushOptStats() {
 	p.InnerCandidates.Add(st.innerCands)
 	p.EnvelopeSegs.Add(st.envSegs)
 	p.PricerBuilds.Add(st.pricerBuilds)
+	p.SigmaReuses.Add(st.sigmaReuses)
 }

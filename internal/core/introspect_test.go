@@ -27,6 +27,7 @@ func testProbe(t *testing.T) *OptProbe {
 		EDFBisections:    r.Counter("edf_bisections", "", nil),
 		AdditiveProbes:   r.Counter("additive_probes", "", nil),
 		PricerBuilds:     r.Counter("path_pricer_builds", "", nil),
+		SigmaReuses:      r.Counter("sigma_reuses", "", nil),
 	}
 	SetOptProbe(p)
 	t.Cleanup(func() { SetOptProbe(nil) })

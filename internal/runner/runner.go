@@ -37,6 +37,7 @@ func optimizerProbe() *core.OptProbe {
 		EDFBisections:    r.Counter("core_edf_bisections_total", "EDF fixed-point bisection iterations", nil),
 		AdditiveProbes:   r.Counter("core_additive_probes_total", "additive-analysis gamma evaluations", nil),
 		PricerBuilds:     r.Counter("core_path_pricer_builds_total", "path-bound pricing tables built (one serves every gamma probe and EDF deadline of a traffic description)", nil),
+		SigmaReuses:      r.Counter("core_sigma_reuses_total", "gamma probes whose sigma was replayed from the previous gamma search of the same traffic", nil),
 	}
 }
 

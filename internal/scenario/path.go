@@ -106,6 +106,9 @@ func evalPath(ctx context.Context, cfg Config, _ Backend) (Result, error) {
 	if err := src.Validate(); err != nil {
 		return Result{}, fmt.Errorf("%w: %w", core.ErrBadConfig, err)
 	}
+	if err := checkSchedParams(cfg, "edf-d0", "edf-dc"); err != nil {
+		return Result{}, err
+	}
 	delta, err := schedDelta(cfg.Str("sched"), cfg.Float("edf-d0"), cfg.Float("edf-dc"), "-sched", "-edf-d0", "-edf-dc")
 	if err != nil {
 		return Result{}, fmt.Errorf("%w: %w", core.ErrBadConfig, err)
@@ -276,6 +279,20 @@ func (pf PathFile) MMOO() envelope.MMOO {
 // start with the JSON name of the offending field (sched, edfD0, edfDc).
 func (n PathNode) Delta() (float64, error) {
 	return schedDelta(n.Sched, n.EDFD0, n.EDFDc, "sched", "edfD0", "edfDc")
+}
+
+// checkSchedParams rejects a NaN, infinite or negative value of the
+// named scheduler parameters (deadlines, weights) whatever the
+// scheduler, so a mistyped parameter fails even when the chosen
+// scheduler ignores it. The scheduler that uses a parameter adds its own
+// rule (EDF deadlines and GPS/DRR weights must be positive).
+func checkSchedParams(cfg Config, names ...string) error {
+	for _, name := range names {
+		if v := cfg.Float(name); !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("%w: -%s must be finite and >= 0, got %g", core.ErrBadConfig, name, v)
+		}
+	}
+	return nil
 }
 
 // schedDelta is the one table from scheduler name to Δ_{0,c} behind both

@@ -131,6 +131,9 @@ func (tandemScenario) Evaluate(ctx context.Context, cfg Config, _ Point, be Back
 		return Result{}, fmt.Errorf("%w: %v", core.ErrBadConfig, err)
 	}
 
+	if err := checkSchedParams(cfg, "edf-d0", "edf-dc", "gps-w0", "gps-wc"); err != nil {
+		return Result{}, err
+	}
 	src := envelope.PaperSource()
 	mkSched, delta, err := SchedulerFor(sched,
 		cfg.Float("edf-d0"), cfg.Float("edf-dc"),
