@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race stress cover bench bench-json bench-diff bench-smoke metrics-smoke examples-smoke chaos figs figs-quick ablate scenarios fmt vet perfbench-build check fuzz-smoke profile clean
+.PHONY: all build test test-short race stress cover bench bench-smoke metrics-smoke examples-smoke chaos figs figs-quick ablate scenarios fmt vet perfbench-build check fuzz-smoke profile clean
 
 all: build test
 
@@ -28,34 +28,11 @@ stress:
 cover:
 	$(GO) test -cover ./internal/...
 
+# The go test micro-benchmarks, timed, for local profiling. End-to-end
+# time and allocation of the shipped commands are measured by perfbench
+# (bash perfbench/run.sh; BENCHMARK.json lists its workloads).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Record a benchmark trajectory point: run the suite and write the scratch
-# file bench_new.json with ns/op, B/op, allocs/op, custom metrics, and the
-# git SHA, diffed against the newest committed BENCH_PR*.json (-before).
-# Three repetitions per benchmark, recording the fastest — min-of-runs is
-# the noise-robust estimator on a shared box. To commit a new point,
-# rename bench_new.json to the next BENCH_PR<n>.json; `make clean`
-# removes the scratch file. See DESIGN.md's Performance section for how
-# to read the trajectory files.
-bench-json:
-	$(GO) run ./cmd/benchjson -out bench_new.json -before $$(ls BENCH_PR*.json | sort -V | tail -1) -count 3
-
-# Regression gate over the committed trajectory: fail when the newest
-# BENCH_PR*.json regressed past 15% in ns/op or allocs/op against its
-# predecessor. A committed CALIB_<newest>.json — the OLD code re-run in
-# the new recording's environment (git worktree at the baseline commit,
-# same machine) — calibrates the ns/op gate for shared-machine drift;
-# see benchjson -calibrate.
-bench-diff:
-	@files=$$(ls BENCH_PR*.json | sort -V | tail -2); \
-	set -- $$files; \
-	if [ $$# -lt 2 ]; then echo "bench-diff: need two BENCH_PR*.json files, have: $$files"; exit 0; fi; \
-	calib=""; \
-	if [ -f CALIB_$$2 ]; then calib="-calibrate CALIB_$$2"; fi; \
-	echo "benchjson -diff $$1 $$2 -threshold 15 $$calib"; \
-	$(GO) run ./cmd/benchjson -diff $$1 $$2 -threshold 15 $$calib
 
 # One-iteration pass over every benchmark: catches benchmarks that
 # panic or fail without paying for a timed run.
@@ -141,9 +118,9 @@ fuzz-smoke:
 # carries the replication worker-count parity tests, the obs tier the
 # tracer/registry concurrency tests, the shard tier the lease/claim
 # races), the chaos suite (fault-injected sharded sweeps must merge
-# byte-identical), the bench regression gate over the committed
-# trajectory, a live probe of the /metrics endpoint, a run of every
-# example program, and a fuzz smoke test of the numeric kernels.
+# byte-identical), one pass over every benchmark, a live probe of the
+# /metrics endpoint, a run of every example program, and a fuzz smoke
+# test of the numeric kernels.
 check:
 	@unformatted=$$(gofmt -l cmd internal examples bench_test.go exports_test.go); \
 	if [ -n "$$unformatted" ]; then \
@@ -156,7 +133,6 @@ check:
 	$(MAKE) race
 	$(MAKE) chaos
 	$(MAKE) bench-smoke
-	$(MAKE) bench-diff
 	$(MAKE) metrics-smoke
 	$(MAKE) examples-smoke
 	$(MAKE) fuzz-smoke
@@ -166,8 +142,6 @@ profile:
 	$(GO) run ./cmd/netsim -slots 200000 -cpuprofile cpu.prof -report netsim-report.json
 	$(GO) tool pprof -top -nodecount=10 cpu.prof
 
-# Scratch bench JSONs (bench_*.json, BENCH_*.json.tmp) are removed; the
-# committed BENCH_PR*.json trajectories are kept.
 clean:
-	rm -f test_output.txt bench_output.txt bench_*.txt bench_*.json BENCH_*.json.tmp \
+	rm -f test_output.txt bench_output.txt bench_*.txt \
 		cpu.prof mem.prof *.prof *.pprof trace.out netsim-report.json

@@ -73,6 +73,10 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-C", "Inf"},
 		{"-H", "0"},
 		{"-backend", "sim", "-C", "-5"},
+		{"-n0", "-5"},
+		{"-backend", "analytic", "-nc", "-1"},
+		{"-backend", "sim", "-n0", "-5"},
+		{"-backend", "sim", "-nc", "-1"},
 		{"-sched", "edf", "-edf-d0", "Inf"},
 		{"-backend", "analytic", "-sched", "edf", "-edf-d0", "Inf"},
 		// Scheduler parameters the scheduler ignores are still checked.

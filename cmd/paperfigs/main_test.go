@@ -60,6 +60,11 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-backend", "sim", "-reps", "0"},
 		{"-backend", "sim", "-reps", "-3"},
 		{"-simworkers", "-1"},
+		// -simeps is checked before any point runs, on every backend.
+		{"-fig", "1", "-backend", "sim", "-slots", "1000", "-simeps", "2"},
+		{"-fig", "2", "-backend", "both", "-slots", "1000", "-simeps", "2"},
+		{"-fig", "2", "-backend", "sim", "-slots", "1000", "-simeps", "NaN"},
+		{"-fig", "3", "-simeps", "0"},
 		{"-fig", "3", "-outdir", t.TempDir(), "extra", "-fig", "9"},
 	} {
 		if err := run(append([]string{"-quick"}, args...)); !errors.Is(err, core.ErrBadConfig) {

@@ -228,6 +228,21 @@ func TestInnerSolveMatchesReference(t *testing.T) {
 	}
 }
 
+// TestInnerSolveOverflowIsNaN pins innerSolve's domain at its float64
+// end: at C = 1e-300 with σ = 1e9 every θ ratio σ/ch overflows, and
+// innerSolve returns (NaN, NaN) under every Δ regime, as for its other
+// unsafe inputs; the reference meets Inf − Inf there. A validated
+// configuration reaches this region (delaybound -C 1e-300 -alpha 1e-300
+// -n0 0 -nc 0), where NaN marks each γ probe infeasible.
+func TestInnerSolveOverflowIsNaN(t *testing.T) {
+	var s Scratch
+	for _, delta := range schedulerDeltas {
+		if d, x := s.innerSolve(3, 1e-300, 1e-303, 0, delta, 1e9); !math.IsNaN(d) || !math.IsNaN(x) {
+			t.Errorf("Δ = %g: got (%g, %g), want (NaN, NaN)", delta, d, x)
+		}
+	}
+}
+
 // TestSigmaLogReplaysExactly runs one Scratch through DelayBound calls
 // that each change one part of the σ log's key — Δ only, C only, ε, the
 // scheduler class (Δ = −∞ or not), H, the traffic's α — and requires

@@ -302,10 +302,12 @@ func growTo(buf []float64, n int) []float64 {
 // summation sequence, so d and xOpt are bit-identical to calling thetaAt
 // per hop (pinned by batch_test.go against a verbatim copy of the old
 // loop). Inputs the closed forms are not safe for — NaN parameters,
-// non-positive service rates, infinite σ — return NaN: no validated
-// configuration reaches them (PathConfig.Validate with γ in (0, γmax)
-// keeps every leftover rate positive), and PaperRecipe rejects them at
-// its entry.
+// non-positive service rates, infinite σ, a θ ratio σ/ch that overflows
+// — return NaN. PathConfig.Validate with γ in (0, γmax) keeps every
+// leftover rate positive, so a validated configuration reaches only the
+// overflow, at a capacity near the float64 floor (C = 1e-300), where NaN
+// marks the γ probe infeasible; PaperRecipe rejects the others at its
+// entry.
 func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xOpt float64) {
 	s.stats.innerCalls++
 	beta := rhoc + gamma // rate of the cross sample-path envelope
@@ -358,6 +360,17 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 			s.chmb[i] = chs[i] - beta
 			s.socmb[i] = sigma / s.chmb[i]
 		}
+	}
+	// A θ ratio that overflows leaves the domain too: the breakpoints
+	// and θ terms built on it go infinite, where the closed forms meet
+	// Inf − Inf. ch_i and ch_i − β fall with i, so a table's largest
+	// ratio is its last, and one test per solve covers every hop.
+	ratios := s.soch
+	if delta > 0 {
+		ratios = s.socmb
+	}
+	if math.IsInf(ratios[h-1], 1) {
+		return math.NaN(), math.NaN()
 	}
 
 	// Candidate breakpoints of d(X), enumerated from the tables in the
@@ -622,7 +635,8 @@ func FIFOClosedForm(h int, c, gamma, rhoc, sigma float64) float64 {
 func PaperRecipe(h int, c, gamma, rhoc, delta, sigma float64) float64 {
 	beta := rhoc + gamma
 	// The last hop's leftover rate is formed as innerSolve forms it, so
-	// every input that passes here is inside the exact solver's domain.
+	// every input that passes here meets the exact solver's entry
+	// conditions; only a θ ratio that overflows still leaves its domain.
 	if h < 1 || !(c > 0) || math.IsInf(c, 1) || !(gamma > 0) || !(rhoc >= 0) ||
 		math.IsNaN(delta) || !(sigma >= 0) || math.IsInf(sigma, 1) ||
 		!(c-float64(h-1)*gamma-beta > 0) {

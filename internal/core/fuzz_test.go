@@ -29,6 +29,16 @@ func FuzzInnerMinimize(f *testing.F) {
 		if c-rhoc-float64(h)*gamma <= 1e-6*c {
 			t.Skip()
 		}
+		// innerSolve's domain ends where a θ ratio overflows (it returns
+		// NaN there; TestInnerSolveOverflowIsNaN), and its agreement with
+		// the reference ends where a candidate's X + Σθ overflows: an
+		// infinite total makes the reference's tie tolerance infinite.
+		// Every ratio, X and θ is at most σ/(C − ρc − Hγ), so below this
+		// bound each total of H+1 terms stays finite, with room for
+		// rounding.
+		if !(2*float64(h+1)*(sigma/(c-rhoc-float64(h)*gamma)) < math.MaxFloat64) {
+			t.Skip()
+		}
 		d, x, thetas := innerMinimize(h, c, gamma, rhoc, delta, sigma)
 		if math.IsNaN(d) || d < 0 {
 			t.Fatalf("invalid optimum %g", d)

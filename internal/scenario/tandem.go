@@ -108,6 +108,9 @@ func (tandemScenario) Evaluate(ctx context.Context, cfg Config, _ Point, be Back
 	if err := checkPath(h, c); err != nil {
 		return Result{}, err
 	}
+	if n0 < 0 || nc < 0 {
+		return Result{}, fmt.Errorf("%w: -n0 and -nc must be flow counts >= 0, got %d and %d", core.ErrBadConfig, n0, nc)
+	}
 	if agg != "per-source" && agg != "count" {
 		return Result{}, fmt.Errorf("%w: -agg must be per-source or count, got %q", core.ErrBadConfig, agg)
 	}

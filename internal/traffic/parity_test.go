@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -31,8 +32,8 @@ func TestFastRNGStreamParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fastThrough.mm == nil {
-			t.Fatal("aggregate on *randx.Rand did not take the devirtualized bank path")
+		if !fastThrough.uniform {
+			t.Fatal("aggregate on *randx.Rand did not take the uniform bank path")
 		}
 		legacySingle, err := NewMMOO(m, legacyRNG)
 		if err != nil {
@@ -77,6 +78,44 @@ func TestFastRNGStreamParity(t *testing.T) {
 					t.Fatalf("seed %d slot %d: tandem bank %d %x != %x", seed, i, b, w, g)
 				}
 			}
+		}
+	}
+}
+
+// TestMixedBankSumsMemberNext: a bank of fast MMOOs on two randx.Rand
+// streams is not uniform, so Next sums its members' own Next, and each
+// slot's total is bit for bit the sum of what an identically seeded copy
+// of the members returns, in member order.
+func TestMixedBankSumsMemberNext(t *testing.T) {
+	m := envelope.PaperSource()
+	members := func() []Source {
+		r1, r2 := randx.NewRand(5), randx.NewRand(6)
+		var srcs []Source
+		for i := 0; i < 12; i++ {
+			r := r1
+			if i%3 == 2 {
+				r = r2
+			}
+			s, err := NewMMOO(m, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcs = append(srcs, s)
+		}
+		return srcs
+	}
+	agg := NewAggregate(members()...)
+	if agg.uniform {
+		t.Fatal("a bank on two RNGs took the uniform bank path")
+	}
+	twin := members()
+	for slot := 0; slot < 20_000; slot++ {
+		want := 0.0
+		for _, s := range twin {
+			want += s.Next()
+		}
+		if got := agg.Next(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("slot %d: aggregate %x != member sum %x", slot, got, want)
 		}
 	}
 }

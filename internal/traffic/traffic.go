@@ -99,18 +99,15 @@ func (s CBR) Next() float64 { return s.Rate }
 // the through- or cross-traffic aggregates of the paper's Fig. 1).
 type Aggregate struct {
 	sources []Source
-	// mm is the devirtualized member bank, non-nil when every member is
-	// an *MMOO on the concrete fast RNG: the common simulator wiring,
-	// where the per-slot sum can skip both the Source dispatch and the
-	// Uniform dispatch entirely.
-	mm []*MMOO
-	// uniform marks a bank whose members all share one RNG and one model
-	// (NewMMOOAggregate's wiring). The per-slot step then works on
-	// integers only (see nextUniform): one Fill of the shared RNG, the
-	// packed `on` flags stepped against the model's integer thresholds,
-	// and the emission read from a table. The member structs are not
-	// advanced on this path, so a source handed to NewAggregate must
-	// afterwards be driven only through the aggregate.
+	// uniform marks a bank of *MMOO members that all share one concrete
+	// *randx.Rand and one model (NewMMOOAggregate's wiring on the RNG
+	// every scenario uses). The per-slot step then works on integers
+	// only (see nextUniform): one Fill of the shared RNG, the packed `on`
+	// flags stepped against the model's integer thresholds, and the
+	// emission read from a table. The member structs are not advanced on
+	// this path, so a source handed to NewAggregate must afterwards be
+	// driven only through the aggregate. Any other bank sums its
+	// members' Next.
 	uniform bool
 	bankR   *randx.Rand
 	on      []uint8   // per-flow ON flags, 0 or 1
@@ -127,44 +124,30 @@ type Aggregate struct {
 // NewAggregate bundles the given sources.
 func NewAggregate(sources ...Source) *Aggregate {
 	a := &Aggregate{sources: sources}
-	if len(sources) > 0 {
-		mm := make([]*MMOO, len(sources))
-		for i, s := range sources {
-			m, ok := s.(*MMOO)
-			if !ok || m.fast == nil {
-				mm = nil
-				break
-			}
-			mm[i] = m
+	if len(sources) == 0 {
+		return a
+	}
+	m0, _ := sources[0].(*MMOO)
+	on := make([]uint8, len(sources))
+	for i, s := range sources {
+		m, ok := s.(*MMOO)
+		if !ok || m.fast == nil || m.fast != m0.fast || m.model != m0.model {
+			return a
 		}
-		a.mm = mm
-		if mm != nil {
-			a.uniform = true
-			a.bankR = mm[0].fast
-			model := mm[0].model
-			for _, m := range mm {
-				if m.fast != a.bankR || m.model != model {
-					a.uniform = false
-					break
-				}
-			}
-			if a.uniform {
-				a.on = make([]uint8, len(mm))
-				for i, m := range mm {
-					if m.on {
-						a.on[i] = 1
-					}
-				}
-				a.draws = make([]uint64, len(mm))
-				a.sums = make([]float64, len(mm)+1)
-				for k := 1; k < len(a.sums); k++ {
-					a.sums[k] = a.sums[k-1] + model.Peak
-				}
-				a.thr = [2]uint64{randx.Float64Threshold(model.P11), randx.Float64Threshold(model.P22)}
-				a.t1 = randx.Float64Threshold(1)
-			}
+		if m.on {
+			on[i] = 1
 		}
 	}
+	a.uniform = true
+	a.bankR = m0.fast
+	a.on = on
+	a.draws = make([]uint64, len(on))
+	a.sums = make([]float64, len(on)+1)
+	for k := 1; k < len(a.sums); k++ {
+		a.sums[k] = a.sums[k-1] + m0.model.Peak
+	}
+	a.thr = [2]uint64{randx.Float64Threshold(m0.model.P11), randx.Float64Threshold(m0.model.P22)}
+	a.t1 = randx.Float64Threshold(1)
 	return a
 }
 
@@ -186,8 +169,8 @@ func NewMMOOAggregate(m envelope.MMOO, n int, rng randx.Uniform) (*Aggregate, er
 
 // Next implements Source.
 func (a *Aggregate) Next() float64 {
-	if a.mm != nil {
-		return a.nextBank()
+	if a.uniform {
+		return a.nextUniform()
 	}
 	total := 0.0
 	for _, s := range a.sources {
@@ -196,28 +179,7 @@ func (a *Aggregate) Next() float64 {
 	return total
 }
 
-// nextBank sums the all-MMOO member bank with concrete calls only. The
-// members' draws happen in the same order as the generic loop, and
-// skipping the += for OFF members does not change the float sum (adding
-// +0.0 is an identity on every non-negative accumulator).
-func (a *Aggregate) nextBank() float64 {
-	if a.uniform {
-		return a.nextUniform()
-	}
-	total := 0.0
-	for _, m := range a.mm {
-		r := m.fast
-		if m.on {
-			total += m.model.Peak
-			m.on = r.Float64() < m.model.P22
-		} else {
-			m.on = r.Float64() >= m.model.P11
-		}
-	}
-	return total
-}
-
-// nextUniform is nextBank on a uniform bank, in the integer domain. It
+// nextUniform is Next on a uniform bank, in the integer domain. It
 // takes the slot's len(on) draws in one Fill and compares each Int63
 // draw x with the integer thresholds, which decides exactly what the
 // per-flow loop's Float64 compares decide (randx.Float64Threshold). The
