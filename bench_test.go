@@ -57,6 +57,25 @@ func BenchmarkDelayBoundH240(b *testing.B) {
 	}
 }
 
+// BenchmarkDelayBoundH960 is BenchmarkDelayBoundH240 at H = 960, where
+// the inner solve's screen, not its exact sweep, sets the cost of each
+// γ probe.
+func BenchmarkDelayBoundH960(b *testing.B) {
+	cfg := core.PathConfig{
+		H:       960,
+		C:       100,
+		Through: envelope.EBB{M: 1, Rho: 15, Alpha: 0.1},
+		Cross:   envelope.EBB{M: 1, Rho: 35, Alpha: 0.1},
+		Delta0c: 0,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.DelayBound(cfg, 1e-9); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDelayBoundBatched measures the batch γ-grid API: a 48-point
 // grid priced in one Scratch.DelayBoundAtGammas call with the result
 // slice round-tripped as dst, the allocation-free steady state of a

@@ -65,6 +65,9 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-fig", "2", "-backend", "both", "-slots", "1000", "-simeps", "2"},
 		{"-fig", "2", "-backend", "sim", "-slots", "1000", "-simeps", "NaN"},
 		{"-fig", "3", "-simeps", "0"},
+		// So is -slots, which only a simulation reads.
+		{"-fig", "2", "-backend", "analytic", "-slots", "-5"},
+		{"-fig", "2", "-backend", "analytic", "-slots", "0"},
 		{"-fig", "3", "-outdir", t.TempDir(), "extra", "-fig", "9"},
 	} {
 		if err := run(append([]string{"-quick"}, args...)); !errors.Is(err, core.ErrBadConfig) {

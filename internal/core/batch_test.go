@@ -42,8 +42,27 @@ func refThetaAt(ch, beta, delta, sigma, x float64) float64 {
 
 // refInnerMinimize is the original formula-per-hop breakpoint sweep.
 func refInnerMinimize(h int, c, gamma, rhoc, delta, sigma float64) (d, xOpt float64) {
-	beta := rhoc + gamma
+	best := math.Inf(1)
+	for _, x := range refCandidates(h, c, gamma, rhoc, delta, sigma) {
+		if x < 0 || math.IsNaN(x) {
+			continue
+		}
+		total := refTotal(h, c, gamma, rhoc, delta, sigma, x)
+		switch tol := 1e-12 * (1 + math.Abs(total)); {
+		case math.IsInf(best, 1):
+			best, xOpt = total, x
+		case total < best-tol:
+			best, xOpt = total, x
+		case total <= best+tol && x > xOpt:
+			xOpt = x
+		}
+	}
+	return best, xOpt
+}
 
+// refCandidates is refInnerMinimize's breakpoint enumeration.
+func refCandidates(h int, c, gamma, rhoc, delta, sigma float64) []float64 {
+	beta := rhoc + gamma
 	cands := []float64{0}
 	for i := 1; i <= h; i++ {
 		ch := c - float64(i-1)*gamma
@@ -67,26 +86,17 @@ func refInnerMinimize(h int, c, gamma, rhoc, delta, sigma float64) (d, xOpt floa
 			}
 		}
 	}
+	return cands
+}
 
-	best := math.Inf(1)
-	for _, x := range cands {
-		if x < 0 || math.IsNaN(x) {
-			continue
-		}
-		total := x
-		for i := 1; i <= h; i++ {
-			total += refThetaAt(c-float64(i-1)*gamma, beta, delta, sigma, x)
-		}
-		switch tol := 1e-12 * (1 + math.Abs(total)); {
-		case math.IsInf(best, 1):
-			best, xOpt = total, x
-		case total < best-tol:
-			best, xOpt = total, x
-		case total <= best+tol && x > xOpt:
-			xOpt = x
-		}
+// refTotal is refInnerMinimize's objective d = X + Σθ^h at one X.
+func refTotal(h int, c, gamma, rhoc, delta, sigma, x float64) float64 {
+	beta := rhoc + gamma
+	total := x
+	for i := 1; i <= h; i++ {
+		total += refThetaAt(c-float64(i-1)*gamma, beta, delta, sigma, x)
 	}
-	return best, xOpt
+	return total
 }
 
 // refPathBound is the original materialize-and-Merge path bound.
@@ -170,27 +180,27 @@ func sameBits(t *testing.T, name string, got, want float64) {
 // priority, FIFO, BMUX, and finite EDF offsets of both signs.
 var schedulerDeltas = []float64{math.Inf(-1), math.Inf(1), 0, -0.7, -3, 1e-3, 0.4, 2.5, -1e-3}
 
-func TestInnerSolveMatchesReference(t *testing.T) {
+// innerSolveDraws calls f on the inner solves the screen's tests share:
+// random (C, γ, ρ_c, σ) at every Δ regime for H from 1 to 4096 (fewer
+// trials where the O(H²) reference dominates; H = 4096 only without
+// -short), and at each H the C = 100 plateaus, where the rates
+// ch_i = C − float64(i)·γ round equal over runs of adjacent hops (~14
+// at γ = 1e-15, ~3 at 5e-15), so candidates repeat and the boundary
+// searches meet runs of equal predicates.
+func innerSolveDraws(t *testing.T, f func(h int, c, gamma, rhoc, delta, sigma float64)) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(909))
 	plateau := rand.New(rand.NewSource(910))
-	var s Scratch
-	n := 0
-	check := func(h int, c, gamma, rhoc, delta, sigma float64) {
-		t.Helper()
-		refD, refX := refInnerMinimize(h, c, gamma, rhoc, delta, sigma)
-		gotD, gotX := s.innerSolve(h, c, gamma, rhoc, delta, sigma)
-		sameBits(t, "d", gotD, refD)
-		sameBits(t, "xOpt", gotX, refX)
-		if t.Failed() {
-			t.Fatalf("diverged at h=%d c=%g gamma=%g rhoc=%g delta=%g sigma=%g",
-				h, c, gamma, rhoc, delta, sigma)
+	for _, h := range []int{1, 2, 3, 5, 10, 20, 33, 64, 128, 480, 960, 4096} {
+		if h > 960 && testing.Short() {
+			continue
 		}
-		n++
-	}
-	for _, h := range []int{1, 2, 3, 5, 10, 20, 33, 64, 128, 480} {
-		trials := 40
-		if h > 128 {
-			trials = 8 // the O(H²) reference dominates the test's time
+		trials, plateaus := 40, 4
+		switch {
+		case h > 480:
+			trials, plateaus = 2, 2
+		case h > 128:
+			trials = 8
 		}
 		for _, delta := range schedulerDeltas {
 			for trial := 0; trial < trials; trial++ {
@@ -206,25 +216,90 @@ func TestInnerSolveMatchesReference(t *testing.T) {
 				if trial%7 == 0 {
 					sigma = 0 // degenerate: empty backlog budget
 				}
-				check(h, c, gamma, rhoc, delta, sigma)
+				f(h, c, gamma, rhoc, delta, sigma)
 			}
-			// Plateaus: at C = 100 the rates ch_i = C − float64(i)·γ
-			// round equal over runs of adjacent hops (~14 at γ = 1e-15,
-			// ~3 at 5e-15), so candidates repeat and the screens'
-			// boundaries meet runs of equal predicates.
 			for _, gamma := range []float64{1e-15, 5e-15} {
-				for trial := 0; trial < 4; trial++ {
+				for trial := 0; trial < plateaus; trial++ {
 					sigma := 500 * plateau.Float64() * plateau.Float64()
 					if trial == 0 {
 						sigma = 0
 					}
-					check(h, 100, gamma, 60*plateau.Float64(), delta, sigma)
+					f(h, 100, gamma, 60*plateau.Float64(), delta, sigma)
 				}
 			}
 		}
 	}
+}
+
+func TestInnerSolveMatchesReference(t *testing.T) {
+	var s Scratch
+	n := 0
+	innerSolveDraws(t, func(h int, c, gamma, rhoc, delta, sigma float64) {
+		refD, refX := refInnerMinimize(h, c, gamma, rhoc, delta, sigma)
+		gotD, gotX := s.innerSolve(h, c, gamma, rhoc, delta, sigma)
+		sameBits(t, "d", gotD, refD)
+		sameBits(t, "xOpt", gotX, refX)
+		if t.Failed() {
+			t.Fatalf("diverged at h=%d c=%g gamma=%g rhoc=%g delta=%g sigma=%g",
+				h, c, gamma, rhoc, delta, sigma)
+		}
+		n++
+	})
 	if n < 1000 {
 		t.Fatalf("sweep degenerated: only %d comparisons ran", n)
+	}
+}
+
+// TestScreenDropsOnlyFarCandidates pins the invariant the screen's
+// exactness rests on (DESIGN.md §16, "Screened candidates"): every
+// candidate it drops has an exact total, summed hop by hop with
+// refThetaAt, above the exact minimum m by more than (n+1)·τ with
+// τ = 2e-12·(1+|m|). (D, X) can agree with the reference by luck where
+// the band is too narrow; this fails wherever a drop breaks the
+// invariant, for instance under an Eₖ that underestimates the rounding.
+func TestScreenDropsOnlyFarCandidates(t *testing.T) {
+	var s Scratch
+	solves, drops := 0, 0
+	innerSolveDraws(t, func(h int, c, gamma, rhoc, delta, sigma float64) {
+		cands := refCandidates(h, c, gamma, rhoc, delta, sigma)
+		totals := make([]float64, len(cands))
+		m := math.Inf(1)
+		for k, x := range cands {
+			if x < 0 {
+				continue // the sweep skips it
+			}
+			totals[k] = refTotal(h, c, gamma, rhoc, delta, sigma, x)
+			m = math.Min(m, totals[k])
+		}
+		before := s.stats.innerReplays
+		s.innerSolve(h, c, gamma, rhoc, delta, sigma)
+		kept := s.cands[:s.stats.innerReplays-before]
+		if len(s.cands) != len(cands) {
+			t.Fatalf("h=%d Δ=%g: innerSolve enumerated %d candidates, the reference %d", h, delta, len(s.cands), len(cands))
+		}
+		// The survivors are a subsequence of the candidates, in order,
+		// and equal candidates share one fate, so a greedy match finds
+		// the dropped ones.
+		band := float64(len(cands)+1) * 2e-12 * (1 + math.Abs(m))
+		j := 0
+		for k, x := range cands {
+			if j < len(kept) && math.Float64bits(x) == math.Float64bits(kept[j]) {
+				j++
+				continue
+			}
+			drops++
+			if x >= 0 && !(totals[k]-m > band) {
+				t.Fatalf("h=%d c=%g γ=%g ρc=%g Δ=%g σ=%g: dropped X=%g with total %v, %g above the minimum %v; the band is %g",
+					h, c, gamma, rhoc, delta, sigma, x, totals[k], totals[k]-m, m, band)
+			}
+		}
+		if j != len(kept) {
+			t.Fatalf("h=%d Δ=%g: the %d survivors are not a subsequence of the candidates", h, delta, len(kept))
+		}
+		solves++
+	})
+	if solves < 1000 || drops == 0 {
+		t.Fatalf("screen test degenerated: %d solves, %d drops", solves, drops)
 	}
 }
 

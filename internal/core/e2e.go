@@ -104,6 +104,11 @@ type Scratch struct {
 	chs, soch, chmb, socmb []float64
 	hints                  []int32
 
+	// sums backs the screen's tables (see screen): prefix sums of the
+	// regime's θ ratio table and of 1/ch_i, sized h+1 each, followed by
+	// one lower bound per candidate (at most 3h+1).
+	sums []float64
+
 	// addTab holds the buffers of the additive analysis' per-node decay
 	// chain and pair-merge tables, rebuilt by every AdditiveBound call
 	// (see additive.go).
@@ -293,9 +298,10 @@ func growTo(buf []float64, n int) []float64 {
 }
 
 // innerSolve is innerMinimize without the θ-vector fill: the candidate
-// enumeration and breakpoint sweep over the Scratch's SoA tables. The γ
-// sweeps run ~100 of these per DelayBound and never read θ, so the fill
-// is paid only by the winning evaluation (innerMinimize).
+// enumeration, the candidate screen (screen.go) and the breakpoint sweep
+// over the Scratch's SoA tables. The γ sweeps run ~100 of these per
+// DelayBound and never read θ, so the fill is paid only by the winning
+// evaluation (innerMinimize).
 //
 // The evaluation loop is a regime-specialized replay of thetaAt over
 // precomputed per-hop tables: same expressions, same operand order, same
@@ -339,26 +345,42 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 
 	// SoA ratio tables per Δ regime. soch[i] = σ/ch_i is the β-free
 	// θ intercept; chmb[i] = ch_i − β and socmb[i] = σ/(ch_i − β) are the
-	// pre-saturation pieces of the Δ >= 0 regime.
+	// pre-saturation pieces of the Δ >= 0 regime. The screen's prefix
+	// sums of the regime's ratio table, pre[i] = Σ_{j<i} ratio_j, are
+	// summed alongside (see screen).
+	s.sums = growTo(s.sums, 5*h+3)
+	pre := s.sums[: h+1 : h+1]
+	pre[0] = 0
+	sum := 0.0 // the running sum in a register, not reloaded from pre
 	switch {
 	case spCase:
 		s.soch = growTo(s.soch, h)
 		for i := 0; i < h; i++ {
-			s.soch[i] = sigma / chs[i]
+			r := sigma / chs[i]
+			s.soch[i] = r
+			sum += r
+			pre[i+1] = sum
 		}
 	case delta <= 0:
 		s.soch = growTo(s.soch, h)
 		s.chmb = growTo(s.chmb, h)
 		for i := 0; i < h; i++ {
-			s.soch[i] = sigma / chs[i]
+			r := sigma / chs[i]
+			s.soch[i] = r
 			s.chmb[i] = chs[i] - beta
+			sum += r
+			pre[i+1] = sum
 		}
 	default:
 		s.chmb = growTo(s.chmb, h)
 		s.socmb = growTo(s.socmb, h)
 		for i := 0; i < h; i++ {
-			s.chmb[i] = chs[i] - beta
-			s.socmb[i] = sigma / s.chmb[i]
+			cmb := chs[i] - beta
+			r := sigma / cmb
+			s.chmb[i] = cmb
+			s.socmb[i] = r
+			sum += r
+			pre[i+1] = sum
 		}
 	}
 	// A θ ratio that overflows leaves the domain too: the breakpoints
@@ -416,11 +438,14 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 	}
 	s.cands, s.hints = cands, hints
 	s.stats.innerCands += int64(len(cands))
+	cands, hints = s.screen(h, beta, delta, sigma)
+	s.stats.innerReplays += int64(len(cands))
 
-	// Breakpoint sweep. Two value slots memoize the systematically
-	// repeated candidates — X = 0 and X = −Δ (appended once per hop) —
-	// so each distinct breakpoint is priced once. d(X) is a pure
-	// function of X given the tables, so replaying a slot is exact.
+	// Breakpoint sweep over the screen's survivors. Two value slots
+	// memoize the systematically repeated candidates — X = 0 and X = −Δ
+	// (appended once per hop) — so each distinct breakpoint is priced
+	// once. d(X) is a pure function of X given the tables, so replaying
+	// a slot is exact.
 	//
 	// Each regime's hops whose θ term is zero form a prefix, and the
 	// sweep skips it: it starts at the candidate's hint, walks left while

@@ -7,13 +7,16 @@ import (
 
 // FuzzInnerMinimize checks, for arbitrary parameters, that the exact
 // solver's reported optimum is feasible and consistent, and that the
-// table-driven sweep (innerSolve, with its hop-hinted prefix screens and
-// early bail) reproduces the formula-per-hop reference refInnerMinimize
-// bit for bit.
+// table-driven sweep (innerSolve, with its candidate screen, hop-hinted
+// prefix screens and early bail) reproduces the formula-per-hop
+// reference refInnerMinimize bit for bit.
 func FuzzInnerMinimize(f *testing.F) {
 	f.Add(3, 100.0, 1.0, 40.0, 0.0, 250.0)
 	f.Add(1, 80.0, 2.0, 10.0, math.Inf(1), 100.0)
 	f.Add(8, 120.0, 0.5, 60.0, -25.0, 500.0)
+	// A long path, and a plateau of equal rates ch_i (C = 100, γ = 1e-15).
+	f.Add(480, 100.0, 0.05, 35.0, -3.0, 250.0)
+	f.Add(30, 100.0, 1e-15, 35.0, 0.0, 250.0)
 	f.Fuzz(func(t *testing.T, h int, c, gamma, rhoc, delta, sigma float64) {
 		if h < 1 || h > 512 {
 			t.Skip()

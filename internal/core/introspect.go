@@ -28,7 +28,8 @@ type OptProbe struct {
 	GammaProbes      *obs.Counter // delayBoundAtGamma evaluations (grid + golden + final)
 	GammaBatchProbes *obs.Counter // γ probes priced through the batched table-driven kernels
 	InnerMinCalls    *obs.Counter // innerMinimize solves
-	InnerCandidates  *obs.Counter // candidate breakpoints priced by innerMinimize
+	InnerCandidates  *obs.Counter // candidate breakpoints enumerated by innerMinimize
+	InnerReplays     *obs.Counter // candidates the screen kept, priced exactly by the sweep
 	EnvelopeSegs     *obs.Counter // envelope segments assembled and merged by pathBound
 	AlphaSweeps      *obs.Counter // OptimizeAlphaFunc sweeps
 	AlphaProbes      *obs.Counter // α evaluations priced
@@ -63,6 +64,7 @@ type optStats struct {
 	gammaBatchProbes int64
 	innerCalls       int64
 	innerCands       int64
+	innerReplays     int64
 	envSegs          int64
 	pricerBuilds     int64
 	sigmaReuses      int64
@@ -82,6 +84,7 @@ func (s *Scratch) flushOptStats() {
 	p.GammaBatchProbes.Add(st.gammaBatchProbes)
 	p.InnerMinCalls.Add(st.innerCalls)
 	p.InnerCandidates.Add(st.innerCands)
+	p.InnerReplays.Add(st.innerReplays)
 	p.EnvelopeSegs.Add(st.envSegs)
 	p.PricerBuilds.Add(st.pricerBuilds)
 	p.SigmaReuses.Add(st.sigmaReuses)

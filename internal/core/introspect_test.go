@@ -21,6 +21,7 @@ func testProbe(t *testing.T) *OptProbe {
 		GammaBatchProbes: r.Counter("gamma_batch_probes", "", nil),
 		InnerMinCalls:    r.Counter("innermin_calls", "", nil),
 		InnerCandidates:  r.Counter("innermin_candidates", "", nil),
+		InnerReplays:     r.Counter("innermin_replays", "", nil),
 		EnvelopeSegs:     r.Counter("envelope_segments", "", nil),
 		AlphaSweeps:      r.Counter("alpha_sweeps", "", nil),
 		AlphaProbes:      r.Counter("alpha_probes", "", nil),
@@ -56,6 +57,11 @@ func TestOptProbeCountsDelayBound(t *testing.T) {
 	if p.InnerCandidates.Load() == 0 || p.EnvelopeSegs.Load() == 0 {
 		t.Errorf("candidates = %d, segments = %d, want both > 0",
 			p.InnerCandidates.Load(), p.EnvelopeSegs.Load())
+	}
+	// The screen keeps at least each solve's minimum for the exact
+	// sweep, and at most every candidate.
+	if r, n, c := p.InnerReplays.Load(), p.InnerCandidates.Load(), p.InnerMinCalls.Load(); r < c || r > n {
+		t.Errorf("innermin_replays = %d, want between innermin_calls = %d and innermin_candidates = %d", r, c, n)
 	}
 	// The scalar entry point runs on the batched table-driven kernel, so
 	// every γ probe is also a batch probe.

@@ -77,6 +77,68 @@ func TestEDFGainPersistsOnLongPaths(t *testing.T) {
 	}
 }
 
+// TestFIFOMeetsBMUXPastH30 asks the paper's title question past the
+// H = 30 of its figures: at U = 50% (N0 = Nc = 166.67 MMOO flows) and
+// ε = 1e-9, FIFO's bound stays within 1% of blind multiplexing's from
+// H = 30 to 480, and both grow as Θ(H log H): the per-hop delay D/H
+// rises with every doubling of H, the fitted growth exponent lies just
+// above 1, and D/H = a + b·ln H fits within 1%.
+func TestFIFOMeetsBMUXPastH30(t *testing.T) {
+	s := PaperSetup()
+	const n = 166.67
+	hs := []int{30, 60, 120, 240, 480}
+	bounds := map[Scheduler][]float64{}
+	for _, sched := range []Scheduler{FIFO, BMUX} {
+		for _, h := range hs {
+			d, err := s.Bound(sched, h, n, n)
+			if err != nil {
+				t.Fatalf("%v at H=%d: %v", sched, h, err)
+			}
+			bounds[sched] = append(bounds[sched], d)
+		}
+	}
+	for i, h := range hs {
+		if r := bounds[FIFO][i] / bounds[BMUX][i]; r < 0.99 {
+			t.Errorf("H=%d: FIFO/BMUX = %.4f, want >= 0.99", h, r)
+		}
+	}
+	for sched, ds := range bounds {
+		perHop := make([]float64, len(hs))
+		for i, h := range hs {
+			perHop[i] = ds[i] / float64(h)
+			if i > 0 && !(perHop[i] > perHop[i-1]) {
+				t.Errorf("%v: D/H %.3f at H=%d does not exceed %.3f at H=%d", sched, perHop[i], h, perHop[i-1], hs[i-1])
+			}
+		}
+		b, err := GrowthExponent(hs, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(b > 1 && b < 1.15) {
+			t.Errorf("%v: growth exponent %.4f, want in (1, 1.15)", sched, b)
+		}
+		// Least squares of D/H on ln H.
+		var sx, sy, sxx, sxy float64
+		for i, h := range hs {
+			x := math.Log(float64(h))
+			sx += x
+			sy += perHop[i]
+			sxx += x * x
+			sxy += x * perHop[i]
+		}
+		m := float64(len(hs))
+		slope := (m*sxy - sx*sy) / (m*sxx - sx*sx)
+		icept := (sy - slope*sx) / m
+		for i, h := range hs {
+			fit := icept + slope*math.Log(float64(h))
+			if r := math.Abs(perHop[i]-fit) / perHop[i]; r >= 0.01 {
+				t.Errorf("%v: D/H = %.3f at H=%d is %.2f%% off the fit %.3f + %.3f·ln H", sched, perHop[i], h, 100*r, icept, slope)
+			}
+		}
+		t.Logf("%v: D/H = %.2f, exponent %.3f, D/H ≈ %.2f + %.3f·ln H", sched, perHop, b, icept, slope)
+	}
+}
+
 func TestAblateRecipeNeverBeatsExact(t *testing.T) {
 	s := PaperSetup()
 	rows, err := s.AblateRecipe([]int{2, 5}, 0.5)

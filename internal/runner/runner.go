@@ -30,7 +30,8 @@ func optimizerProbe() *core.OptProbe {
 		GammaProbes:      r.Counter("core_gamma_probes_total", "delay evaluations at fixed gamma (grid + golden + final)", nil),
 		GammaBatchProbes: r.Counter("core_gamma_batch_probes_total", "gamma probes priced through the batched table-driven kernels", nil),
 		InnerMinCalls:    r.Counter("core_innermin_calls_total", "inner minimization solves (Eq. 38)", nil),
-		InnerCandidates:  r.Counter("core_innermin_candidates_total", "candidate breakpoints priced by the inner minimization", nil),
+		InnerCandidates:  r.Counter("core_innermin_candidates_total", "candidate breakpoints enumerated by the inner minimization", nil),
+		InnerReplays:     r.Counter("core_innermin_replays_total", "candidate breakpoints kept by the inner minimization's screen and priced exactly", nil),
 		EnvelopeSegs:     r.Counter("core_envelope_segments_total", "envelope segments assembled and merged by the path bound", nil),
 		AlphaSweeps:      r.Counter("core_alpha_sweeps_total", "alpha (EBB decay) optimization sweeps", nil),
 		AlphaProbes:      r.Counter("core_alpha_probes_total", "alpha evaluations priced", nil),

@@ -95,10 +95,14 @@ func (f figScenario) Info() Info {
 }
 
 func (f figScenario) Points(cfg Config) ([]Point, error) {
-	// Only the sim backend reads -simeps, after a point's simulation; a
-	// bad value fails here, on every backend, before any point runs.
+	// Only the sim backend reads -simeps and -slots, inside a point's
+	// simulation; a bad value fails here, on every backend, before any
+	// point runs.
 	if simeps := cfg.Float("simeps"); !(simeps > 0 && simeps < 1) {
 		return nil, fmt.Errorf("%w: -simeps must be in (0,1), got %g", core.ErrBadConfig, simeps)
+	}
+	if slots := cfg.Int("slots"); slots <= 0 {
+		return nil, fmt.Errorf("%w: -slots must be positive, got %d", core.ErrBadConfig, slots)
 	}
 	sps, err := f.enumerate(experiments.PaperSetup(), cfg.Bool("quick"))
 	if err != nil {
