@@ -110,6 +110,7 @@ perfbench-build:
 # invocation is a Go toolchain restriction).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzInnerMinimize -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzInnerSolveMonotoneInDelta -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzCurveOps -fuzztime=10s ./internal/minplus/
 	$(GO) test -run='^$$' -fuzz=FuzzPseudoInverse -fuzztime=10s ./internal/minplus/
 

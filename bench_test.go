@@ -398,6 +398,25 @@ func BenchmarkEDFProvisioningH30(b *testing.B) {
 	}
 }
 
+// BenchmarkEDFProvisioningRatioHalf is BenchmarkEDFProvisioning with
+// Example 2's d*_c = d*_0/2: Δ_{0,c} > 0, which rises with the bound,
+// so the fixed point's grid floor sits at the bracket's lower end, where
+// the ratio-10 benchmarks keep it at the upper end.
+func BenchmarkEDFProvisioningRatioHalf(b *testing.B) {
+	cfg := core.PathConfig{
+		H:       5,
+		C:       100,
+		Through: envelope.EBB{M: 1, Rho: 15, Alpha: 0.1},
+		Cross:   envelope.EBB{M: 1, Rho: 35, Alpha: 0.1},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.EDFProvisioned(cfg, 1e-9, 0.5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAdditiveBound measures the node-by-node baseline of Fig. 4.
 func BenchmarkAdditiveBound(b *testing.B) {
 	cfg := core.PathConfig{

@@ -87,8 +87,8 @@ func AdditiveBoundCtx(ctx context.Context, cfg PathConfig, eps float64) (Additiv
 	if err := cfg.Validate(); err != nil {
 		return AdditiveResult{}, err
 	}
-	if eps <= 0 || eps >= 1 {
-		return AdditiveResult{}, badConfig("violation probability must be in (0,1), got %g", eps)
+	if err := checkEps(eps); err != nil {
+		return AdditiveResult{}, err
 	}
 	sp := obs.SpanFromContext(ctx).Child("AdditiveBound")
 	defer sp.End()
@@ -110,8 +110,8 @@ func AdditiveBoundCtx(ctx context.Context, cfg PathConfig, eps float64) (Additiv
 	s := getScratch()
 	defer putScratch(s)
 	tab := s.buildAddTable(cfg)
-	res, err := gammaSearch(ctx, gmax, gmax/48, 50,
-		func(g float64) float64 {
+	res, err := gammaSearch(ctx, gmax, gmax/48, 50, nil,
+		func(_ int, g float64) float64 {
 			nProbes++
 			r, err := tab.atGamma(cfg, eps, g, false)
 			if err != nil {

@@ -21,8 +21,8 @@ import (
 // finite Δ_{0,c}, so the ~32 DelayBound solves of one EDF fixed point
 // probe the same γ grid and, as the bisection converges, the same
 // golden-section sequence. The kernel therefore logs σ per
-// probe number of the last search (pathKernel.log, sigmaAt) and replays
-// it when the probe at the same number has the same γ, bit for bit; the
+// probe number (pathKernel.log, sigmaAt) and replays it when the
+// logged probe at the same number has the same γ, bit for bit; the
 // inner solve still runs at every probe. The replays are counted
 // (core_sigma_reuses_total).
 //
@@ -37,36 +37,42 @@ import (
 const sigmaLogSize = gammaGridN + 2 + delayBoundGoldenIters
 
 // sigmaProbe is one logged probe: σ(γ) at the log's ε and scheduler
-// class.
-type sigmaProbe struct{ gamma, sigma float64 }
+// class, written under log generation gen.
+type sigmaProbe struct {
+	gamma, sigma float64
+	gen          uint64
+}
 
 // pathKernel caches the priced path-bound structure of one
 // configuration. Delta0c and C are deliberately not part of the key:
 // the EDF fixed point re-solves the same traffic at ~30 different
 // Delta0c values and reuses the table across all of them.
 //
-// Beside the table it keeps the σ log of the last γ search: log[:logN]
-// holds the (γ, σ) of probes 0..logN−1, valid for the table's traffic,
-// the violation probability logEps and the scheduler class logSP
-// (Δ_{0,c} = −∞ or not, the one way Δ enters σ). next is the probe
-// number of the running search, reset by Scratch.DelayBound.
+// Beside the table it keeps the σ log: log[n] holds the (γ, σ) of the
+// last probe numbered n, valid while its gen equals the kernel's. The
+// generation names one key — the table's traffic, the violation
+// probability logEps and the scheduler class logSP (Δ_{0,c} = −∞ or
+// not, the one way Δ enters σ) — and moves on whenever the key does,
+// which retires every slot at once. Slots are stamped one by one, so a
+// search that skips probes (the EDF fixed point's grid floor, edf.go)
+// leaves the other slots valid.
 type pathKernel struct {
 	valid          bool
 	h              int
 	through, cross envelope.EBB
 	pricer         envelope.PathPricer
 
-	logEps     float64
-	logSP      bool
-	logN, next int
-	log        [sigmaLogSize]sigmaProbe
+	logEps float64
+	logSP  bool
+	gen    uint64
+	log    [sigmaLogSize]sigmaProbe
 }
 
 // ensurePricer (re)builds the path pricing table when the configuration
 // changed since the last call; the common case — every probe of a γ
 // sweep, every bisection step of an EDF solve — is a key compare.
 // Rebuilds are counted (core_path_pricer_builds_total), so a traced run
-// shows how many solves share one table. A rebuild empties the σ log.
+// shows how many solves share one table. A rebuild retires the σ log.
 func (s *Scratch) ensurePricer(cfg PathConfig) *envelope.PathPricer {
 	k := &s.kern
 	if !k.valid || k.h != cfg.H || k.through != cfg.Through || k.cross != cfg.Cross {
@@ -78,53 +84,47 @@ func (s *Scratch) ensurePricer(cfg PathConfig) *envelope.PathPricer {
 			cfg.H,
 		)
 		k.valid = true
-		k.logN = 0
+		k.gen++
 	}
 	return &k.pricer
 }
 
-// dOnlyAtGamma is the sweep probe: delayBoundAtGamma reduced to the
-// delay value. It prices σ through sigmaAt and runs the inner solve
-// without materializing θ — the γ sweeps only compare D values, and
-// only the winning γ is priced in full afterwards. Infeasible γ maps to
-// +Inf.
-func (s *Scratch) dOnlyAtGamma(cfg PathConfig, eps, gamma float64) float64 {
+// dOnlyAtGamma is the sweep probe numbered n (gammaSearch numbers its
+// probes): delayBoundAtGamma reduced to the delay value. It prices σ
+// through sigmaAt and runs the inner solve without materializing θ —
+// the γ sweeps only compare D values, and only the winning γ is priced
+// in full afterwards. Infeasible γ maps to +Inf.
+func (s *Scratch) dOnlyAtGamma(cfg PathConfig, eps float64, n int, gamma float64) float64 {
 	s.stats.gammaProbes++
 	s.stats.gammaBatchProbes++
 	if gamma <= 0 || gamma >= cfg.GammaMax() {
 		return math.Inf(1)
 	}
-	sigma := s.sigmaAt(cfg, eps, gamma)
+	sigma := s.sigmaAt(cfg, eps, n, gamma)
 	d, _ := s.innerSolve(cfg.H, cfg.C, gamma, cfg.Cross.Rho, cfg.Delta0c, sigma)
 	return d
 }
 
-// sigmaAt returns pathBound(cfg, γ).SigmaFor(eps) for the running
-// search's next probe n: replayed from the σ log when the last search's
-// probe n had the same γ, bit for bit (a γ past dOnlyAtGamma's range
+// sigmaAt returns pathBound(cfg, γ).SigmaFor(eps) for probe number n:
+// replayed from the σ log when the logged probe n of the current
+// generation had the same γ, bit for bit (a γ past dOnlyAtGamma's range
 // check is positive or NaN, so == holds only for equal bits), and
-// priced and logged otherwise. The log stays a prefix — probe n is
-// logged only when probes 0..n−1 are — so a slot written under an older
-// key is never read.
-func (s *Scratch) sigmaAt(cfg PathConfig, eps, gamma float64) float64 {
+// priced and logged otherwise. A slot stamped under an older key is
+// never read.
+func (s *Scratch) sigmaAt(cfg PathConfig, eps float64, n int, gamma float64) float64 {
 	s.ensurePricer(cfg)
 	k := &s.kern
-	n := k.next
-	k.next++
 	if sp := math.IsInf(cfg.Delta0c, -1); k.logEps != eps || k.logSP != sp {
-		k.logEps, k.logSP, k.logN = eps, sp, 0
+		k.logEps, k.logSP = eps, sp
+		k.gen++
 	}
-	if n < k.logN && k.log[n].gamma == gamma {
+	e := &k.log[n]
+	if e.gen == k.gen && e.gamma == gamma {
 		s.stats.sigmaReuses++
-		return k.log[n].sigma
+		return e.sigma
 	}
 	sigma := s.pathBound(cfg, gamma).SigmaFor(eps)
-	if n <= k.logN && n < len(k.log) {
-		k.log[n] = sigmaProbe{gamma, sigma}
-		if n == k.logN {
-			k.logN++
-		}
-	}
+	*e = sigmaProbe{gamma, sigma, k.gen}
 	return sigma
 }
 
@@ -135,6 +135,9 @@ func (s *Scratch) sigmaAt(cfg PathConfig, eps, gamma float64) float64 {
 // once and the envelope pricing table is built once for the whole grid.
 func (s *Scratch) DelayBoundAtGammas(cfg PathConfig, eps float64, gammas []float64, dst []Result) ([]Result, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkEps(eps); err != nil {
 		return nil, err
 	}
 	defer s.flushOptStats()

@@ -109,6 +109,10 @@ type Scratch struct {
 	// one lower bound per candidate (at most 3h+1).
 	sums []float64
 
+	// floor is the grid floor of the EDF fixed point running on this
+	// Scratch (edf.go); reset by each EDFProvisioned solve.
+	floor gridFloor
+
 	// addTab holds the buffers of the additive analysis' per-node decay
 	// chain and pair-merge tables, rebuilt by every AdditiveBound call
 	// (see additive.go).
@@ -145,11 +149,19 @@ func DelayBoundCtx(ctx context.Context, cfg PathConfig, eps float64) (Result, er
 // DelayBound is the scratch-reusing form of the package-level
 // DelayBoundCtx; see the Scratch ownership rules.
 func (s *Scratch) DelayBound(ctx context.Context, cfg PathConfig, eps float64) (Result, error) {
+	return s.delayBound(ctx, cfg, eps, nil)
+}
+
+// delayBound is Scratch.DelayBound with the EDF fixed point's grid floor
+// (edf.go), or nil for the plain search. A floor may skip grid probes it
+// proves cannot win and may end the search early; a search it ended
+// returns a zero Result with fl.decided set.
+func (s *Scratch) delayBound(ctx context.Context, cfg PathConfig, eps float64, fl *gridFloor) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if eps <= 0 || eps >= 1 {
-		return Result{}, badConfig("violation probability must be in (0,1), got %g", eps)
+	if err := checkEps(eps); err != nil {
+		return Result{}, err
 	}
 	gmax := cfg.GammaMax()
 	if gmax <= 0 {
@@ -162,12 +174,10 @@ func (s *Scratch) DelayBound(ctx context.Context, cfg PathConfig, eps float64) (
 
 	// The search's 110 probes go through the D-only table-driven kernel
 	// (batch.go) and are not traced; only the winning γ is priced in
-	// full, with θ, under the span. Probe numbers restart at 0, so probe
-	// n replays the σ that the last search's probe n logged when both
-	// probed the same γ.
-	s.kern.next = 0
-	res, err := gammaSearch(ctx, gmax, gmax/(gammaGridN+1), delayBoundGoldenIters,
-		func(g float64) float64 { return s.dOnlyAtGamma(cfg, eps, g) },
+	// full, with θ, under the span. Probe n replays the σ that the last
+	// probe numbered n logged when both probed the same γ.
+	res, err := gammaSearch(ctx, gmax, gmax/(gammaGridN+1), delayBoundGoldenIters, fl,
+		func(n int, g float64) float64 { return s.dOnlyAtGamma(cfg, eps, n, g) },
 		func(g float64) (Result, float64, error) {
 			r, err := s.delayBoundAtGamma(sp, cfg, eps, g)
 			return r, r.D, err
@@ -193,6 +203,9 @@ func DelayBoundAtGamma(cfg PathConfig, eps, gamma float64) (Result, error) {
 // (buffers warmed up) it performs no heap allocations.
 func (s *Scratch) DelayBoundAtGamma(cfg PathConfig, eps, gamma float64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	if err := checkEps(eps); err != nil {
 		return Result{}, err
 	}
 	defer s.flushOptStats()
@@ -833,39 +846,67 @@ const (
 
 // gammaSearch is the rate-slack search behind every bound of the
 // package (Section IV's outer minimization over γ ∈ (0, gmax)): probe a
-// grid of gammaGridN points gmax·i/(gammaGridN+1), refine the best of them by golden section
-// over iters steps on [γ* − width, γ* + width] clipped inside the open
-// interval, and price the refined γ in full, falling back to the grid's
-// best point when the refinement does not beat it. probe returns the
-// delay at one γ (+Inf or NaN when infeasible); full returns a γ's
+// grid of gammaGridN points gmax·i/(gammaGridN+1), refine the best of
+// them by golden section over iters steps on [γ* − width, γ* + width]
+// clipped inside the open interval, and price the refined γ in full,
+// falling back to the grid's best point when the refinement does not
+// beat it. probe returns the delay at one γ (+Inf or NaN when
+// infeasible) for probe number n: grid point i is probe i−1, and the
+// golden section's probes follow from gammaGridN on. full returns a γ's
 // payload and delay. ctx is polled before every probe, and a cancelled
 // search returns its error.
-func gammaSearch[R any](ctx context.Context, gmax, width float64, iters int,
-	probe func(gamma float64) float64, full func(gamma float64) (R, float64, error)) (R, error) {
+//
+// fl, the EDF fixed point's grid floor (edf.go), is nil for every other
+// search. With a floor the grid starts at the point that won the last
+// search, skips the points the floor proves cannot be the grid's first
+// minimum, and ends the search, with fl.decided set, once its minimum
+// is at most fl.stop. The grid's minimum and first argmin, and so the
+// result, are those of the full grid (DESIGN.md §16, "Grid floors
+// along the EDF bracket").
+func gammaSearch[R any](ctx context.Context, gmax, width float64, iters int, fl *gridFloor,
+	probe func(n int, gamma float64) float64, full func(gamma float64) (R, float64, error)) (R, error) {
 	var none R
 	done := ctx.Done()
-	f := func(g float64) float64 {
+	f := func(n int, g float64) float64 {
 		select {
 		case <-done:
 			return math.Inf(1)
 		default:
-			return probe(g)
+			return probe(n, g)
 		}
 	}
-	bestG, bestD := 0.0, math.Inf(1)
-	for i := 1; i <= gammaGridN; i++ {
-		g := gmax * float64(i) / float64(gammaGridN+1)
-		if d := f(g); d < bestD {
-			bestD, bestG = d, g
+	first := fl.begin()
+	bestI, bestD := 0, math.Inf(1)
+	for k := 0; k <= gammaGridN; k++ {
+		i := k
+		if k == 0 {
+			i = first
+		} else if k == first {
+			continue
+		}
+		if i == 0 || fl.skip(i, bestI, bestD) {
+			continue
+		}
+		d := f(i-1, gridGamma(gmax, i))
+		fl.note(i, d)
+		if d < bestD || d == bestD && i < bestI {
+			bestD, bestI = d, i
+		}
+		if fl.decides(bestI, bestD) {
+			return none, nil
 		}
 	}
+	fl.end(bestI)
 	if err := ctx.Err(); err != nil {
 		return none, err
 	}
 	if math.IsInf(bestD, 1) {
 		return none, fmt.Errorf("%w: no feasible gamma below %g", ErrUnstable, gmax)
 	}
-	g := goldenMin(f, math.Max(bestG-width, gmax*1e-9), math.Min(bestG+width, gmax*(1-1e-9)), iters)
+	bestG := gridGamma(gmax, bestI)
+	n := gammaGridN
+	g := goldenMin(func(g float64) float64 { n++; return f(n-1, g) },
+		math.Max(bestG-width, gmax*1e-9), math.Min(bestG+width, gmax*(1-1e-9)), iters)
 	if err := ctx.Err(); err != nil {
 		return none, err
 	}
@@ -874,6 +915,11 @@ func gammaSearch[R any](ctx context.Context, gmax, width float64, iters int,
 		r, _, err = full(bestG)
 	}
 	return r, err
+}
+
+// gridGamma is grid point i of a γ search below gmax.
+func gridGamma(gmax float64, i int) float64 {
+	return gmax * float64(i) / float64(gammaGridN+1)
 }
 
 // goldenMin minimizes f on [lo, hi] by golden-section search; f should be

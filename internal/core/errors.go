@@ -47,3 +47,12 @@ var ErrUnknownFlow = fmt.Errorf("%w: flow has no envelope", ErrBadConfig)
 func badConfig(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadConfig, fmt.Sprintf(format, args...))
 }
+
+// checkEps is every entry point's check of a violation probability: it
+// must lie in (0, 1), which NaN does not.
+func checkEps(eps float64) error {
+	if !(eps > 0 && eps < 1) {
+		return badConfig("violation probability must be in (0,1), got %g", eps)
+	}
+	return nil
+}

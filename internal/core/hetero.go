@@ -73,15 +73,15 @@ func DelayBoundHetero(p HeteroPath, eps float64) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	if eps <= 0 || eps >= 1 {
-		return Result{}, badConfig("violation probability must be in (0,1), got %g", eps)
+	if err := checkEps(eps); err != nil {
+		return Result{}, err
 	}
 	gmax := p.GammaMax()
 	if gmax <= 0 {
 		return Result{}, fmt.Errorf("%w: heterogeneous path infeasible", ErrUnstable)
 	}
-	return gammaSearch(context.Background(), gmax, gmax/48, 50,
-		func(g float64) float64 {
+	return gammaSearch(context.Background(), gmax, gmax/48, 50, nil,
+		func(_ int, g float64) float64 {
 			r, err := heteroAtGamma(p, eps, g)
 			if err != nil {
 				return math.Inf(1)

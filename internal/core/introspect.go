@@ -37,6 +37,7 @@ type OptProbe struct {
 	AdditiveProbes   *obs.Counter // additive-analysis γ evaluations
 	PricerBuilds     *obs.Counter // path pricing tables built (pathKernel rebuilds)
 	SigmaReuses      *obs.Counter // γ probes whose σ was replayed from the last search's log
+	GammaSkips       *obs.Counter // EDF γ-grid probes skipped: a grid floor proved they cannot win
 
 	// GammaMemoHits and AlphaMemoHits are never incremented: the γ and α
 	// memos they counted never hit and are deleted. The fields stay only

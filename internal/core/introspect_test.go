@@ -29,6 +29,7 @@ func testProbe(t *testing.T) *OptProbe {
 		AdditiveProbes:   r.Counter("additive_probes", "", nil),
 		PricerBuilds:     r.Counter("path_pricer_builds", "", nil),
 		SigmaReuses:      r.Counter("sigma_reuses", "", nil),
+		GammaSkips:       r.Counter("gamma_probes_skipped", "", nil),
 	}
 	SetOptProbe(p)
 	t.Cleanup(func() { SetOptProbe(nil) })
@@ -117,8 +118,8 @@ func TestSearchesPriceEachProbeOnce(t *testing.T) {
 			probed := map[float64]int{}
 			var full []float64
 			gmax := cfg.GammaMax()
-			_, err := gammaSearch(ctx, gmax, gmax/49, 60,
-				func(g float64) float64 { probed[g]++; return rec.dOnlyAtGamma(cfg, eps, g) },
+			_, err := gammaSearch(ctx, gmax, gmax/49, 60, nil,
+				func(n int, g float64) float64 { probed[g]++; return rec.dOnlyAtGamma(cfg, eps, n, g) },
 				func(g float64) (Result, float64, error) {
 					full = append(full, g)
 					r, err := rec.delayBoundAtGamma(nil, cfg, eps, g)
@@ -148,8 +149,8 @@ func TestSearchesPriceEachProbeOnce(t *testing.T) {
 	tab := new(Scratch).buildAddTable(cfg)
 	probed := map[float64]int{}
 	gmax := (cfg.C - cfg.Through.Rho - cfg.Cross.Rho) / float64(cfg.H)
-	if _, err := gammaSearch(ctx, gmax, gmax/48, 50,
-		func(g float64) float64 {
+	if _, err := gammaSearch(ctx, gmax, gmax/48, 50, nil,
+		func(_ int, g float64) float64 {
 			probed[g]++
 			if r, err := tab.atGamma(cfg, eps, g, false); err == nil {
 				return r.D

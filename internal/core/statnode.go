@@ -46,8 +46,8 @@ func DelayBoundStatNode(c float64, through envelope.EBB, cross []StatFlow, eps f
 	if c <= 0 || math.IsNaN(c) {
 		return NodeResult{}, badConfig("link rate must be positive, got %g", c)
 	}
-	if eps <= 0 || eps >= 1 {
-		return NodeResult{}, badConfig("violation probability must be in (0,1), got %g", eps)
+	if err := checkEps(eps); err != nil {
+		return NodeResult{}, err
 	}
 	if err := through.Validate(); err != nil {
 		return NodeResult{}, fmt.Errorf("%w: tagged flow: %w", ErrBadConfig, err)
@@ -74,8 +74,8 @@ func DelayBoundStatNode(c float64, through envelope.EBB, cross []StatFlow, eps f
 		return NodeResult{}, fmt.Errorf("%w: total rate %g at capacity %g", ErrUnstable, totalRho, c)
 	}
 
-	return gammaSearch(context.Background(), gmax, gmax/48, 48,
-		func(g float64) float64 {
+	return gammaSearch(context.Background(), gmax, gmax/48, 48, nil,
+		func(_ int, g float64) float64 {
 			r, err := statNodeAtGamma(c, through, active, eps, g)
 			if err != nil {
 				return math.Inf(1)

@@ -39,6 +39,7 @@ func optimizerProbe() *core.OptProbe {
 		AdditiveProbes:   r.Counter("core_additive_probes_total", "additive-analysis gamma evaluations", nil),
 		PricerBuilds:     r.Counter("core_path_pricer_builds_total", "path-bound pricing tables built (one serves every gamma probe and EDF deadline of a traffic description)", nil),
 		SigmaReuses:      r.Counter("core_sigma_reuses_total", "gamma probes whose sigma was replayed from the previous gamma search of the same traffic", nil),
+		GammaSkips:       r.Counter("core_gamma_probes_skipped_total", "EDF fixed-point gamma-grid probes skipped because a grid floor proved they cannot win", nil),
 	}
 }
 
