@@ -3,9 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+
+	"deltasched/internal/obs"
 )
 
 // TestGoldenCSVs pins the -quick CSV artifacts byte for byte against
@@ -70,6 +76,50 @@ func TestGoldenCSVs(t *testing.T) {
 
 // quietRun executes run with stdout swallowed: the goldens under test
 // are the CSV artifacts, not the tables and charts.
+// TestCoreCountsIndependentOfGOMAXPROCS: a traced -quick run of figure 2
+// reports the same optimizer counts (every core_* counter) at GOMAXPROCS
+// 1 and 2. No search reads state an earlier one left on a pooled
+// Scratch, so the counts cannot depend on which Scratch a solve draws
+// or on how the points spread over workers.
+func TestCoreCountsIndependentOfGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two -quick sweeps")
+	}
+	dir := t.TempDir()
+	counts := func(procs int) map[string]float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		before, _ := obs.Default.Snapshot()
+		report := filepath.Join(dir, fmt.Sprintf("report%d.json", procs))
+		quietRun(t, []string{"-quick", "-fig", "2", "-outdir", dir, "-report", report})
+		raw, err := os.ReadFile(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r struct {
+			Metrics map[string]float64 `json:"metrics"`
+		}
+		if err := json.Unmarshal(raw, &r); err != nil {
+			t.Fatal(err)
+		}
+		run := map[string]float64{}
+		for k, v := range r.Metrics {
+			if strings.HasPrefix(k, "core_") {
+				run[k] = v - before[k] // the registry counts the whole process
+			}
+		}
+		return run
+	}
+	one, two := counts(1), counts(2)
+	for _, k := range []string{"core_path_pricer_builds_total", "core_sigma_reuses_total", "core_edf_bisections_total"} {
+		if one[k] <= 0 {
+			t.Errorf("%s = %g at GOMAXPROCS 1, want > 0", k, one[k])
+		}
+	}
+	if !reflect.DeepEqual(one, two) {
+		t.Errorf("core_* counts differ with GOMAXPROCS:\n 1: %v\n 2: %v", one, two)
+	}
+}
+
 func quietRun(t *testing.T, args []string) {
 	t.Helper()
 	old := os.Stdout

@@ -124,10 +124,10 @@ func TestScratchDelayBoundAllocFree(t *testing.T) {
 	}
 }
 
-// TestScratchDelayBoundAllocFreeAcrossDelta pins the reuse state of a
-// warm Scratch — the σ log of the last γ search and the candidates' hop
-// hints — at zero allocations per solve while Δ changes between solves,
-// as it does along an EDF fixed point.
+// TestScratchDelayBoundAllocFreeAcrossDelta pins the buffers of a warm
+// Scratch — the pricing table each search rebuilds and the candidates'
+// hop hints — at zero allocations per solve while Δ changes between
+// solves, as it does along an EDF fixed point.
 func TestScratchDelayBoundAllocFreeAcrossDelta(t *testing.T) {
 	cfg := PathConfig{
 		H:       10,

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -318,76 +319,83 @@ func TestInnerSolveOverflowIsNaN(t *testing.T) {
 	}
 }
 
-// TestSigmaLogReplaysExactly runs one Scratch through DelayBound calls
-// that each change one part of the σ log's key — Δ only, C only, ε, the
-// scheduler class (Δ = −∞ or not), H, the traffic's α — and requires
-// every Result to match a fresh Scratch's bit for bit. It also pins
-// when the log replays: on a Δ-only change (the EDF fixed point's
-// steps) and never across a change of ε, scheduler class, H or traffic.
+// TestSigmaLogReplaysExactly pins who owns the σ log: the EDF fixed
+// point, and nothing else. Plain DelayBound calls on one Scratch that
+// differ only in Δ — the searches a fixed point makes — replay no σ,
+// build one pricing table each and match a fresh Scratch bit for bit.
+// An EDF fixed point run on the Scratch of a finished fixed point, whose
+// traffic differs only in its decay and prefactor (so both probe the
+// same γ grid with other σ), matches one on a fresh Scratch bit for bit
+// in D, σ, γ, X, θ and d*₀, and replays as many σ: nothing of the first
+// fixed point's log or grid floor carries over.
 func TestSigmaLogReplaysExactly(t *testing.T) {
 	p := testProbe(t)
+	ctx := context.Background()
 	through := envelope.EBB{M: 1, Rho: 10, Alpha: 0.1}
 	cross := envelope.EBB{M: 1, Rho: 20, Alpha: 0.1}
-	const (
-		unasserted = iota
-		replays    // some σ replayed
-		none       // no σ replayed
-	)
-	steps := []struct {
-		name  string
-		cfg   PathConfig
-		eps   float64
-		reuse int
-	}{
-		{"start", PathConfig{H: 4, C: 140, Through: through, Cross: cross, Delta0c: 0}, 1e-9, none},
-		{"Δ only", PathConfig{H: 4, C: 140, Through: through, Cross: cross, Delta0c: -2.5}, 1e-9, replays},
-		{"Δ only, Δ > 0", PathConfig{H: 4, C: 140, Through: through, Cross: cross, Delta0c: 3}, 1e-9, replays},
-		{"C only", PathConfig{H: 4, C: 130, Through: through, Cross: cross, Delta0c: 3}, 1e-9, unasserted},
-		{"ε", PathConfig{H: 4, C: 130, Through: through, Cross: cross, Delta0c: 3}, 1e-6, none},
-		// γmax is (C − ρ_c − ρ)/(H+1) = 20 above and (C − ρ)/H = 20
-		// under strict priority at C = 90, so both searches probe the
-		// same γ, bit for bit, and only the scheduler class can refuse
-		// the replay.
-		{"Δ → −∞", PathConfig{H: 4, C: 90, Through: through, Cross: cross, Delta0c: math.Inf(-1)}, 1e-6, none},
-		{"−∞ → Δ", PathConfig{H: 4, C: 130, Through: through, Cross: cross, Delta0c: 3}, 1e-6, none},
-		{"H", PathConfig{H: 5, C: 130, Through: through, Cross: cross, Delta0c: 3}, 1e-6, none},
-		{"α", PathConfig{H: 5, C: 130, Through: envelope.EBB{M: 1, Rho: 10, Alpha: 0.2}, Cross: cross, Delta0c: 3}, 1e-6, none},
-		{"Δ only after α", PathConfig{H: 5, C: 130, Through: envelope.EBB{M: 1, Rho: 10, Alpha: 0.2}, Cross: cross, Delta0c: math.Inf(1)}, 1e-6, replays},
-	}
-	if g1, g2 := steps[4].cfg.GammaMax(), steps[5].cfg.GammaMax(); g1 != g2 {
-		t.Fatalf("γmax %v before strict priority, %v under it: the step no longer isolates the scheduler class", g1, g2)
-	}
-	ctx := context.Background()
+	cfg := PathConfig{H: 4, C: 140, Through: through, Cross: cross}
 	var s Scratch
-	for _, st := range steps {
+	for _, delta := range []float64{0, -2.5, 3, math.Inf(1), math.Inf(-1), 0} {
+		cfg.Delta0c = delta
+		name := fmt.Sprintf("DelayBound at Δ = %g", delta)
+		reuses, builds := p.SigmaReuses.Load(), p.PricerBuilds.Load()
+		got, err := s.DelayBound(ctx, cfg, 1e-9)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := p.SigmaReuses.Load() - reuses; n != 0 {
+			t.Errorf("%s: %d σ replayed outside a fixed point, want 0", name, n)
+		}
+		if n := p.PricerBuilds.Load() - builds; n != 1 {
+			t.Errorf("%s: %d pricing tables built, want 1", name, n)
+		}
+		want, err := new(Scratch).DelayBound(ctx, cfg, 1e-9)
+		if err != nil {
+			t.Fatalf("%s (fresh): %v", name, err)
+		}
+		sameResult(t, name, got, want)
+	}
+
+	other := cfg
+	other.Through = envelope.EBB{M: 1.5, Rho: through.Rho, Alpha: 0.2}
+	if other.GammaMax() != cfg.GammaMax() {
+		t.Fatal("the two traffics no longer share a γ grid")
+	}
+	if _, _, err := s.edfProvisioned(ctx, other, 1e-9, 10); err != nil {
+		t.Fatal(err)
+	}
+	edf := func(sc *Scratch) (Result, float64, int64) {
 		before := p.SigmaReuses.Load()
-		got, err := s.DelayBound(ctx, st.cfg, st.eps)
+		r, d0, err := sc.edfProvisioned(ctx, cfg, 1e-9, 10)
 		if err != nil {
-			t.Fatalf("%s: %v", st.name, err)
+			t.Fatal(err)
 		}
-		reused := p.SigmaReuses.Load() - before
-		switch {
-		case st.reuse == replays && reused == 0:
-			t.Errorf("%s: no σ replayed, want the shared γ grid's", st.name)
-		case st.reuse == none && reused != 0:
-			t.Errorf("%s: %d σ replayed across a key change, want 0", st.name, reused)
-		}
-		want, err := new(Scratch).DelayBound(ctx, st.cfg, st.eps)
-		if err != nil {
-			t.Fatalf("%s (fresh): %v", st.name, err)
-		}
-		sameBits(t, st.name+" D", got.D, want.D)
-		sameBits(t, st.name+" Sigma", got.Sigma, want.Sigma)
-		sameBits(t, st.name+" Gamma", got.Gamma, want.Gamma)
-		sameBits(t, st.name+" X", got.X, want.X)
-		sameBits(t, st.name+" Bound.M", got.Bound.M, want.Bound.M)
-		sameBits(t, st.name+" Bound.Alpha", got.Bound.Alpha, want.Bound.Alpha)
-		if len(got.Theta) != len(want.Theta) {
-			t.Fatalf("%s: Theta length %d, want %d", st.name, len(got.Theta), len(want.Theta))
-		}
-		for k := range want.Theta {
-			sameBits(t, st.name+" Theta", got.Theta[k], want.Theta[k])
-		}
+		return r, d0, p.SigmaReuses.Load() - before
+	}
+	got, gotD0, gotReuses := edf(&s)
+	want, wantD0, wantReuses := edf(new(Scratch))
+	sameResult(t, "EDF fixed point", got, want)
+	sameBits(t, "EDF fixed point d0", gotD0, wantD0)
+	if gotReuses != wantReuses || gotReuses == 0 {
+		t.Errorf("EDF fixed point replayed %d σ after another fixed point, %d on a fresh Scratch; want equal and > 0",
+			gotReuses, wantReuses)
+	}
+}
+
+// sameResult requires two Results to agree bit for bit.
+func sameResult(t *testing.T, name string, got, want Result) {
+	t.Helper()
+	sameBits(t, name+" D", got.D, want.D)
+	sameBits(t, name+" Sigma", got.Sigma, want.Sigma)
+	sameBits(t, name+" Gamma", got.Gamma, want.Gamma)
+	sameBits(t, name+" X", got.X, want.X)
+	sameBits(t, name+" Bound.M", got.Bound.M, want.Bound.M)
+	sameBits(t, name+" Bound.Alpha", got.Bound.Alpha, want.Bound.Alpha)
+	if len(got.Theta) != len(want.Theta) {
+		t.Fatalf("%s: Theta length %d, want %d", name, len(got.Theta), len(want.Theta))
+	}
+	for k := range want.Theta {
+		sameBits(t, name+" Theta", got.Theta[k], want.Theta[k])
 	}
 }
 
@@ -405,6 +413,7 @@ func TestPathBoundMatchesMergeReference(t *testing.T) {
 		for _, h := range []int{1, 2, 3, 7, 16} {
 			for _, delta := range []float64{0, math.Inf(1), math.Inf(-1), -1.5} {
 				cfg := PathConfig{H: h, C: 100, Through: p.through, Cross: p.cross, Delta0c: delta}
+				s.buildPricer(cfg)
 				for _, gamma := range []float64{1e-6, 0.01, 0.3, 1, 2.5, 4.4} {
 					want, err := refPathBound(h, p.through, p.cross, gamma, math.IsInf(delta, -1))
 					if err != nil {

@@ -74,11 +74,12 @@ func (cfg PathConfig) GammaMax() float64 {
 }
 
 // Scratch carries the reusable buffers of the analytic hot path: the
-// candidate and θ vectors of the inner optimization and the per-node
-// bound list of the path assembly. Reusing one Scratch across calls
-// makes steady-state γ-sweeps allocation-free — the property the
-// optimizer benchmarks pin (see internal/core/alloc_test.go and
-// DESIGN.md's Performance section).
+// candidate and θ vectors of the inner optimization, the path pricing
+// table and the SoA tables of the inner solve. Reusing one Scratch
+// across calls makes steady-state γ-sweeps allocation-free — the
+// property the optimizer benchmarks pin (see internal/core/alloc_test.go
+// and DESIGN.md's Performance section). The buffers carry nothing from
+// one top-level call to the next: each call rebuilds what it reads.
 //
 // Ownership rules: a Scratch is NOT safe for concurrent use, and the
 // Theta slice of a Result returned by a Scratch method aliases the
@@ -91,11 +92,10 @@ type Scratch struct {
 	cands  []float64
 	thetas []float64
 
-	// kern is the γ-independent envelope pricing table (see batch.go):
-	// built once per (H, through, cross) and reused by every γ probe,
-	// including across the Delta0c variations of an EDF fixed-point
-	// solve, together with the σ log those solves replay.
-	kern pathKernel
+	// pricer is the γ-independent envelope pricing table (see batch.go),
+	// built once per search, or once per EDF fixed point, and read by
+	// every γ probe.
+	pricer envelope.PathPricer
 
 	// SoA tables of the inner solve, sized h: per-hop service rates
 	// ch_i = C − (i−1)γ and the closed-form ratios σ/ch_i, ch_i − β,
@@ -109,9 +109,10 @@ type Scratch struct {
 	// one lower bound per candidate (at most 3h+1).
 	sums []float64
 
-	// floor is the grid floor of the EDF fixed point running on this
-	// Scratch (edf.go); reset by each EDFProvisioned solve.
-	floor gridFloor
+	// fixed is what the searches of the EDF fixed point running on this
+	// Scratch pass on to each other (edf.go): the grid floor and the σ
+	// log. Reset by each fixed point; no other search reads it.
+	fixed fixedPoint
 
 	// addTab holds the buffers of the additive analysis' per-node decay
 	// chain and pair-merge tables, rebuilt by every AdditiveBound call
@@ -152,11 +153,13 @@ func (s *Scratch) DelayBound(ctx context.Context, cfg PathConfig, eps float64) (
 	return s.delayBound(ctx, cfg, eps, nil)
 }
 
-// delayBound is Scratch.DelayBound with the EDF fixed point's grid floor
-// (edf.go), or nil for the plain search. A floor may skip grid probes it
-// proves cannot win and may end the search early; a search it ended
-// returns a zero Result with fl.decided set.
-func (s *Scratch) delayBound(ctx context.Context, cfg PathConfig, eps float64, fl *gridFloor) (Result, error) {
+// delayBound is Scratch.DelayBound as one search of the EDF fixed point
+// whose state is fp (edf.go), or, with fp nil, the plain search. A plain
+// search builds its own pricing table; a fixed point builds one for all
+// its searches. fp may skip grid probes it proves cannot win, may end
+// the search early and replays σ from its log; a search it ended
+// returns a zero Result with fp.decided set.
+func (s *Scratch) delayBound(ctx context.Context, cfg PathConfig, eps float64, fp *fixedPoint) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -169,15 +172,19 @@ func (s *Scratch) delayBound(ctx context.Context, cfg PathConfig, eps float64, f
 	}
 	s.stats.delayBoundCalls++
 	defer s.flushOptStats()
+	if fp == nil {
+		s.buildPricer(cfg)
+	}
 	sp := obs.SpanFromContext(ctx).Child("DelayBound")
 	defer sp.End()
 
 	// The search's 110 probes go through the D-only table-driven kernel
 	// (batch.go) and are not traced; only the winning γ is priced in
-	// full, with θ, under the span. Probe n replays the σ that the last
-	// probe numbered n logged when both probed the same γ.
-	res, err := gammaSearch(ctx, gmax, gmax/(gammaGridN+1), delayBoundGoldenIters, fl,
-		func(n int, g float64) float64 { return s.dOnlyAtGamma(cfg, eps, n, g) },
+	// full, with θ, under the span. Within a fixed point, probe n
+	// replays the σ that the last probe numbered n logged when both
+	// probed the same γ.
+	res, err := gammaSearch(ctx, gmax, gmax/(gammaGridN+1), delayBoundGoldenIters, fp,
+		func(n int, g float64) float64 { return s.dOnlyAtGamma(cfg, eps, fp, n, g) },
 		func(g float64) (Result, float64, error) {
 			r, err := s.delayBoundAtGamma(sp, cfg, eps, g)
 			return r, r.D, err
@@ -209,12 +216,14 @@ func (s *Scratch) DelayBoundAtGamma(cfg PathConfig, eps, gamma float64) (Result,
 		return Result{}, err
 	}
 	defer s.flushOptStats()
+	s.buildPricer(cfg)
 	return s.delayBoundAtGamma(nil, cfg, eps, gamma)
 }
 
-// delayBoundAtGamma is DelayBoundAtGamma after configuration validation:
-// the γ search of DelayBound validates once at entry and prices its
-// winner through here, traced as a child of parent (nil: untraced).
+// delayBoundAtGamma is DelayBoundAtGamma after configuration validation
+// and the pricing table's build: the γ search of DelayBound validates
+// once at entry and prices its winner through here, traced as a child
+// of parent (nil: untraced).
 func (s *Scratch) delayBoundAtGamma(parent *obs.Span, cfg PathConfig, eps, gamma float64) (Result, error) {
 	s.stats.gammaProbes++
 	s.stats.gammaBatchProbes++ // pathBound prices through the per-config table
@@ -243,8 +252,9 @@ func (s *Scratch) delayBoundAtGamma(parent *obs.Span, cfg PathConfig, eps, gamma
 // reproduces the paper's closed form Eq. (34), which the tests verify.
 //
 // The assembly is table-driven: the γ-independent merge structure lives
-// in the Scratch's envelope.PathPricer (built once per configuration by
-// ensurePricer), and each probe pays only the γ-dependent exponentials.
+// in the Scratch's envelope.PathPricer (built for cfg's traffic by
+// buildPricer before the search), and each probe pays only the
+// γ-dependent exponentials.
 // The pricer replays the list-and-Merge arithmetic expression for
 // expression, so results are bit-identical to materializing the segment
 // slice and calling envelope.Merge — pinned by batch_test.go's
@@ -255,7 +265,7 @@ func (s *Scratch) delayBoundAtGamma(parent *obs.Span, cfg PathConfig, eps, gamma
 // guarantee is deterministic and only the through envelope's bound is
 // paid.
 func (s *Scratch) pathBound(cfg PathConfig, gamma float64) envelope.ExpBound {
-	p := s.ensurePricer(cfg)
+	p := &s.pricer
 	if math.IsInf(cfg.Delta0c, -1) {
 		s.stats.envSegs++
 		return p.ThroughBoundAt(gamma)
@@ -467,19 +477,7 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 	// non-increasing under monotone rounding and X >= 0 — so the walk
 	// stops at the hop a scan from 0 stops at, and the sum adds the same
 	// terms in the same order (DESIGN.md §16, "Hop hints").
-	//
-	// The θ-sum loops carry an early bail: once the partial sum exceeds
-	// bailAt := best + 5e-12·(1+best), the candidate can neither win nor
-	// tie and its remaining hops are skipped. Soundness: partials are
-	// non-decreasing up to ~1e-13 relative rounding (the Δ >= 0 regime
-	// adds unguarded saturation terms that can round a hair below zero),
-	// so the final total T satisfies T > best·(1+4e-12) + 4e-12, which
-	// puts T strictly above the adoption switch's best + 1e-12·(1+|T|)
-	// tie threshold — the 5e-12 margin dominates both the 1e-12
-	// tolerance and every rounding slack. The same threshold pre-gates
-	// the adoption switch, so losing candidates pay one compare instead
-	// of the Abs/tol arithmetic.
-	best, bailAt := math.Inf(1), math.Inf(1)
+	best := math.Inf(1)
 	soch, chmb, socmb := s.soch, s.chmb, s.socmb
 	var zeroTot, mdTot float64
 	zeroSet, mdSet := false, false
@@ -496,7 +494,6 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 			total = mdTot
 		default:
 			total = x
-			bailed := false
 			i := int(hints[k])
 			switch {
 			case delta <= 0 && x <= md: // strict priority always lands here
@@ -531,10 +528,6 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 				for ; i < h; i++ {
 					if v := num/chs[i] - x; v > 0 {
 						total += v
-						if total > bailAt {
-							bailed = true
-							break
-						}
 					}
 				}
 			default:
@@ -557,24 +550,13 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 						break
 					}
 					total += thetaA
-					if total > bailAt {
-						bailed = true
-						break
-					}
 				}
 				if sat {
 					num := sigma + beta*(x+delta)
 					for ; i < h; i++ {
 						total += num/chs[i] - x
-						if total > bailAt {
-							bailed = true
-							break
-						}
 					}
 				}
-			}
-			if bailed {
-				continue // cannot beat best, cannot tie: no dedup slot either
 			}
 			if x == 0 {
 				zeroTot, zeroSet = total, true
@@ -582,19 +564,14 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 				mdTot, mdSet = total, true
 			}
 		}
-		if total > bailAt {
-			continue // dedup replays and bail-free sums above the tie band
-		}
 		// Ties (d is constant along plateaus, e.g. for BMUX) break toward
 		// the larger X, which deactivates θ terms and matches the paper's
 		// canonical solutions (θ = 0 for blind multiplexing, Eq. 43).
 		switch tol := 1e-12 * (1 + math.Abs(total)); {
 		case math.IsInf(best, 1):
 			best, xOpt = total, x
-			bailAt = best + 5e-12*(1+best)
 		case total < best-tol:
 			best, xOpt = total, x
-			bailAt = best + 5e-12*(1+best)
 		case total <= best+tol && x > xOpt:
 			xOpt = x
 		}
@@ -838,7 +815,7 @@ func OptimizeAlpha(build func(alpha float64) (PathConfig, error), eps, alphaLo, 
 // gammaGridN is the number of grid points of every γ search, and
 // delayBoundGoldenIters the golden-section steps of DelayBound's: its
 // search probes gammaGridN + 2 + delayBoundGoldenIters γ (the size of
-// the σ log, batch.go) before pricing its winner.
+// the EDF fixed point's σ log, edf.go) before pricing its winner.
 const (
 	gammaGridN            = 48
 	delayBoundGoldenIters = 60
@@ -856,14 +833,14 @@ const (
 // payload and delay. ctx is polled before every probe, and a cancelled
 // search returns its error.
 //
-// fl, the EDF fixed point's grid floor (edf.go), is nil for every other
-// search. With a floor the grid starts at the point that won the last
-// search, skips the points the floor proves cannot be the grid's first
-// minimum, and ends the search, with fl.decided set, once its minimum
-// is at most fl.stop. The grid's minimum and first argmin, and so the
-// result, are those of the full grid (DESIGN.md §16, "Grid floors
-// along the EDF bracket").
-func gammaSearch[R any](ctx context.Context, gmax, width float64, iters int, fl *gridFloor,
+// fp, the running EDF fixed point's state (edf.go), is nil for every
+// other search. With it the grid starts at the point that won the last
+// search, skips the points the grid floor proves cannot be the grid's
+// first minimum, and ends the search, with fp.decided set, once its
+// minimum is at most fp.stop. The grid's minimum and first argmin, and
+// so the result, are those of the full grid (DESIGN.md §16, "Grid
+// floors along the EDF bracket").
+func gammaSearch[R any](ctx context.Context, gmax, width float64, iters int, fp *fixedPoint,
 	probe func(n int, gamma float64) float64, full func(gamma float64) (R, float64, error)) (R, error) {
 	var none R
 	done := ctx.Done()
@@ -875,7 +852,7 @@ func gammaSearch[R any](ctx context.Context, gmax, width float64, iters int, fl 
 			return probe(n, g)
 		}
 	}
-	first := fl.begin()
+	first := fp.begin()
 	bestI, bestD := 0, math.Inf(1)
 	for k := 0; k <= gammaGridN; k++ {
 		i := k
@@ -884,19 +861,19 @@ func gammaSearch[R any](ctx context.Context, gmax, width float64, iters int, fl 
 		} else if k == first {
 			continue
 		}
-		if i == 0 || fl.skip(i, bestI, bestD) {
+		if i == 0 || fp.skip(i, bestI, bestD) {
 			continue
 		}
 		d := f(i-1, gridGamma(gmax, i))
-		fl.note(i, d)
+		fp.note(i, d)
 		if d < bestD || d == bestD && i < bestI {
 			bestD, bestI = d, i
 		}
-		if fl.decides(bestI, bestD) {
+		if fp.decides(bestI, bestD) {
 			return none, nil
 		}
 	}
-	fl.end(bestI)
+	fp.end(bestI)
 	if err := ctx.Err(); err != nil {
 		return none, err
 	}

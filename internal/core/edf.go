@@ -39,36 +39,47 @@ func EDFProvisioned(cfg PathConfig, eps, ratio float64) (Result, float64, error)
 // appears as an "EDFProvisioned" span whose converged recomputation —
 // and only it — is traced down to innerMinimize. The whole solve — the
 // BMUX bracket, every bisection step, and the final recomputation —
-// shares one Scratch, so its ~100 inner DelayBound sweeps reuse the same
+// runs on one pooled Scratch, so its ~32 γ searches reuse the same
 // buffers instead of allocating fresh ones per step.
-//
-// The steps share a grid floor too (gridFloor): a lower bound on each γ
-// grid point's D, taken from the bracket end with the lower Δ, lets a
-// step skip the grid points that cannot win and end as soon as its
-// grid minimum settles the step. Every step decides as the full search
-// would, and the result is bit-identical to a bisection over plain
-// DelayBound calls.
 func EDFProvisionedCtx(ctx context.Context, cfg PathConfig, eps, ratio float64) (Result, float64, error) {
+	s := getScratch()
+	defer putScratch(s)
+	out, d0, err := s.edfProvisioned(ctx, cfg, eps, ratio)
+	out.Theta = append([]float64(nil), out.Theta...) // un-alias from the pooled scratch
+	return out, d0, err
+}
+
+// edfProvisioned is EDFProvisionedCtx on s; see the Scratch ownership
+// rules. The fixed point owns everything its searches share: one
+// pricing table, built before the BMUX bracket, and s.fixed, reset here
+// (fixedPoint). Its grid floor lets a step skip the grid points that
+// cannot win and end as soon as its grid minimum settles the step, and
+// its σ log replays σ. Every step decides as the full search would, and
+// the result is bit-identical to a bisection over plain DelayBound
+// calls.
+func (s *Scratch) edfProvisioned(ctx context.Context, cfg PathConfig, eps, ratio float64) (Result, float64, error) {
 	if !(ratio > 0) || math.IsInf(ratio, 1) {
 		return Result{}, 0, badConfig("deadline ratio must be positive and finite, got %g", ratio)
 	}
 	if err := checkEps(eps); err != nil {
 		return Result{}, 0, err
 	}
+	bmuxCfg := cfg
+	bmuxCfg.Delta0c = math.Inf(1)
+	if err := bmuxCfg.Validate(); err != nil {
+		return Result{}, 0, fmt.Errorf("core: EDF provisioning bracket: %w", err)
+	}
 	sp := obs.SpanFromContext(ctx).Child("EDFProvisioned")
 	defer sp.End()
 	probeCtx := obs.WithoutSpan(ctx)
 
-	// The whole solve shares one pooled Scratch; the path pricing table
-	// is keyed on the traffic only, so every bisection step's DelayBound
-	// (a different Delta0c) reuses the same priced envelope structure.
-	s := getScratch()
-	defer putScratch(s)
-	fl := &s.floor
-	fl.reset(cfg)
-	bmuxCfg := cfg
-	bmuxCfg.Delta0c = math.Inf(1)
-	bmux, err := s.delayBound(probeCtx, bmuxCfg, eps, fl)
+	// Every search below prices the same traffic at another Delta0c, so
+	// one pricing table and one fixed-point state serve them all.
+	defer s.flushOptStats()
+	s.buildPricer(cfg)
+	fp := &s.fixed
+	fp.reset(cfg)
+	bmux, err := s.delayBound(probeCtx, bmuxCfg, eps, fp)
 	if err != nil {
 		return Result{}, 0, fmt.Errorf("core: EDF provisioning bracket: %w", err)
 	}
@@ -88,28 +99,28 @@ func EDFProvisionedCtx(ctx context.Context, cfg PathConfig, eps, ratio float64) 
 		trial.Delta0c = mid / float64(cfg.H) * (1 - ratio)
 		// A search whose grid minimum reaches mid ends there: then
 		// f(mid) <= mid, and the step sets hi as the full search would.
-		fl.stop = mid
-		r, err := s.delayBound(probeCtx, trial, eps, fl)
+		fp.stop = mid
+		r, err := s.delayBound(probeCtx, trial, eps, fp)
 		if err != nil {
 			return Result{}, 0, fmt.Errorf("core: EDF provisioning at d=%g: %w", mid, err)
 		}
-		toHi := fl.decided || !(r.D > mid)
+		toHi := fp.decided || !(r.D > mid)
 		if toHi {
 			hi = mid
 		} else {
 			lo = mid
 		}
 		if toHi == floorAtHi {
-			fl.commit()
+			fp.commit()
 		}
 		if hi-lo <= 1e-9*hi {
 			break
 		}
 	}
-	fl.stop = math.NaN()
+	fp.stop = math.NaN()
 	if p := optProbe.Load(); p != nil {
 		p.EDFBisections.Add(int64(iters))
-		p.GammaSkips.Add(fl.skips)
+		p.GammaSkips.Add(fp.skips)
 	}
 	if !(hi-lo <= 1e-6*hi) {
 		return Result{}, 0, fmt.Errorf("%w: EDF fixed point still bracketed by [%g, %g] after 100 bisections",
@@ -118,36 +129,52 @@ func EDFProvisionedCtx(ctx context.Context, cfg PathConfig, eps, ratio float64) 
 	d := hi
 
 	// Recompute once at the converged deadline so the reported result is
-	// self-consistent. The Theta of the shared scratch must be un-aliased:
-	// the package-level contract hands the caller full ownership.
+	// self-consistent.
 	final := cfg
 	final.Delta0c = d / float64(cfg.H) * (1 - ratio)
-	out, err := s.delayBound(obs.ContextWithSpan(ctx, sp), final, eps, fl)
+	out, err := s.delayBound(obs.ContextWithSpan(ctx, sp), final, eps, fp)
 	if err != nil {
 		return Result{}, 0, err
 	}
-	out.Theta = append([]float64(nil), out.Theta...)
 	sp.SetAttr("ratio", ratio)
 	sp.SetAttr("bisections", iters)
 	sp.SetAttr("D", out.D)
 	return out, out.D / float64(cfg.H), nil
 }
 
-// gridFloor carries what the γ searches of one EDF fixed point learn
-// about the γ grid (DESIGN.md §16, "Grid floors along the EDF bracket").
-// For fixed traffic and γ the exact inner minimum is non-decreasing in
-// Δ_{0,c}, σ(γ) and γmax do not change with a finite Δ_{0,c}, and the
-// computed D lies within E of the exact one. So grid point i's D priced
-// at the bracket end with the lower Δ, less 2E, bounds its D from below
-// at every later step: lb[i]. A search skips point i when lb[i] exceeds
-// the grid minimum so far, or equals it at a later point, since then i
-// is not the grid's first minimum.
+// sigmaLogSize is the number of probes one DelayBound γ search makes
+// before its final full pricings: the grid, the two golden-section
+// seeds and one probe per golden-section step.
+const sigmaLogSize = gammaGridN + 2 + delayBoundGoldenIters
+
+// sigmaProbe is one slot of the σ log: the σ a probe priced at γ.
+type sigmaProbe struct{ gamma, sigma float64 }
+
+// fixedPoint is what the γ searches of one EDF fixed point pass on to
+// each other, and the only state any search hands to the next. Every
+// search of the fixed point prices the same traffic at the same ε, with
+// a Δ_{0,c} that is never −∞, so σ(γ) and γmax are the same in all of
+// them; only Δ moves.
 //
-// Only a search at the Δ just assigned to the lower end commits its
-// probes to lb, and only those it priced (cur where priced has bit i);
-// a skipped point keeps its older bound, which holds from its own,
-// lower, Δ on.
-type gridFloor struct {
+// The σ log: log[n] holds the (γ, σ) of the last probe numbered n, and
+// probe n replays it when it probes the same γ, bit for bit. reset
+// empties it (γ = 0 is never probed). A grid probe's number is its grid
+// index, so a probe the floor skips leaves its slot alone, and the
+// golden section's probes keep theirs whatever the grid skipped.
+//
+// The grid floor (DESIGN.md §16, "Grid floors along the EDF bracket"):
+// for fixed traffic and γ the exact inner minimum is non-decreasing in
+// Δ_{0,c}, and the computed D lies within E of the exact one. So grid
+// point i's D priced at the bracket end with the lower Δ, less 2E,
+// bounds its D from below at every later step: lb[i]. A search skips
+// point i when lb[i] exceeds the grid minimum so far, or equals it at a
+// later point, since then i is not the grid's first minimum. Only a
+// search at the Δ just assigned to the lower end commits its probes to
+// lb, and only those it priced (cur where priced has bit i); a skipped
+// point keeps its older bound, which holds from its own, lower, Δ on.
+type fixedPoint struct {
+	log [sigmaLogSize]sigmaProbe // by probe number; empty where gamma is 0
+
 	lb, cur [gammaGridN + 1]float64 // by grid point 1..gammaGridN; lb is NaN where unknown
 	priced  uint64                  // bit i: the running search priced point i into cur[i]
 	first   int                     // the point the next search probes first: the last winner (0: none)
@@ -161,62 +188,83 @@ type gridFloor struct {
 	c, rhoc, gmax float64
 }
 
-// reset readies the floor for a new fixed point of cfg's traffic.
-func (fl *gridFloor) reset(cfg PathConfig) {
-	for i := range fl.lb {
-		fl.lb[i] = math.NaN()
+// reset readies the state for a new fixed point of cfg's traffic: an
+// empty σ log and no floor.
+func (fp *fixedPoint) reset(cfg PathConfig) {
+	fp.log = [sigmaLogSize]sigmaProbe{}
+	for i := range fp.lb {
+		fp.lb[i] = math.NaN()
 	}
-	fl.first, fl.stop, fl.skips = 0, math.NaN(), 0
-	fl.h, fl.c, fl.rhoc = cfg.H, cfg.C, cfg.Cross.Rho
+	fp.first, fp.stop, fp.skips = 0, math.NaN(), 0
+	fp.h, fp.c, fp.rhoc = cfg.H, cfg.C, cfg.Cross.Rho
 	finite := cfg
 	finite.Delta0c = 0
-	fl.gmax = finite.GammaMax()
+	fp.gmax = finite.GammaMax()
+}
+
+// loggedSigma returns the σ that probe n logged, and whether it was
+// logged at gamma, bit for bit (a probed γ is positive or NaN, so ==
+// never matches an empty slot or a NaN). Outside a fixed point
+// (fp nil) nothing is logged.
+func (fp *fixedPoint) loggedSigma(n int, gamma float64) (float64, bool) {
+	if fp == nil {
+		return 0, false
+	}
+	e := &fp.log[n]
+	return e.sigma, e.gamma == gamma
+}
+
+// logSigma logs the σ that probe n priced at gamma.
+func (fp *fixedPoint) logSigma(n int, gamma, sigma float64) {
+	if fp != nil {
+		fp.log[n] = sigmaProbe{gamma, sigma}
+	}
 }
 
 // begin starts a search and returns the grid point to probe first.
-func (fl *gridFloor) begin() int {
-	if fl == nil {
+func (fp *fixedPoint) begin() int {
+	if fp == nil {
 		return 0
 	}
-	fl.priced, fl.decided = 0, false
-	return fl.first
+	fp.priced, fp.decided = 0, false
+	return fp.first
 }
 
 // skip reports whether grid point i cannot be the first minimum of a
 // grid whose minimum so far is bestD, first reached at point bestI. A
 // NaN bound never skips.
-func (fl *gridFloor) skip(i, bestI int, bestD float64) bool {
-	if fl == nil {
+func (fp *fixedPoint) skip(i, bestI int, bestD float64) bool {
+	if fp == nil {
 		return false
 	}
-	if lb := fl.lb[i]; lb > bestD || lb == bestD && i > bestI {
-		fl.skips++
+	if lb := fp.lb[i]; lb > bestD || lb == bestD && i > bestI {
+		fp.skips++
 		return true
 	}
 	return false
 }
 
 // note records the running search's D at grid point i.
-func (fl *gridFloor) note(i int, d float64) {
-	if fl != nil {
-		fl.cur[i], fl.priced = d, fl.priced|1<<i
+func (fp *fixedPoint) note(i int, d float64) {
+	if fp != nil {
+		fp.cur[i], fp.priced = d, fp.priced|1<<i
 	}
 }
 
 // decides ends the running search when its grid minimum bestD, at
 // point bestI, is at most stop.
-func (fl *gridFloor) decides(bestI int, bestD float64) bool {
-	if fl == nil || !(bestD <= fl.stop) {
+func (fp *fixedPoint) decides(bestI int, bestD float64) bool {
+	if fp == nil || !(bestD <= fp.stop) {
 		return false
 	}
-	fl.first, fl.decided = bestI, true
+	fp.first, fp.decided = bestI, true
 	return true
 }
 
 // end records the winner of a search that probed the whole grid.
-func (fl *gridFloor) end(bestI int) {
-	if fl != nil {
-		fl.first = bestI
+func (fp *fixedPoint) end(bestI int) {
+	if fp != nil {
+		fp.first = bestI
 	}
 }
 
@@ -224,11 +272,11 @@ func (fl *gridFloor) end(bestI int) {
 // caller has just assigned its Δ to the bracket's lower-Δ end. A
 // point's floor is its D less 2E, NaN where floorMargin vouches for
 // none.
-func (fl *gridFloor) commit() {
-	for m := fl.priced; m != 0; m &= m - 1 {
+func (fp *fixedPoint) commit() {
+	for m := fp.priced; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		d := fl.cur[i]
-		fl.lb[i] = d - floorMargin(fl.h, fl.c, fl.rhoc, gridGamma(fl.gmax, i), d)
+		d := fp.cur[i]
+		fp.lb[i] = d - floorMargin(fp.h, fp.c, fp.rhoc, gridGamma(fp.gmax, i), d)
 	}
 }
 

@@ -237,3 +237,52 @@ func TestEntryPointsRejectBadEps(t *testing.T) {
 		}
 	}
 }
+
+// FuzzEDFProvisionedReusedScratch solves random traffics A, B, A as EDF
+// fixed points on one Scratch. The two solves of A must agree bit for
+// bit in D, σ, γ, X, θ and d*₀ and replay as many σ: a fixed point
+// reads nothing that the one before it left on the Scratch.
+func FuzzEDFProvisionedReusedScratch(f *testing.F) {
+	f.Add(5, 15.0, 35.0, 0.1, 0.1, 3, 20.0, 30.0, 0.2, 0.2, 10.0)
+	f.Add(4, 10.0, 20.0, 0.1, 0.1, 4, 10.0, 20.0, 0.2, 0.1, 0.5)
+	f.Add(30, 20.0, 40.0, 0.02, 0.05, 1, 40.0, 10.0, 0.5, 0.3, 2.0)
+	f.Fuzz(func(t *testing.T, hA int, rhoA, rhocA, alphaA, alphacA float64,
+		hB int, rhoB, rhocB, alphaB, alphacB, ratio float64) {
+		path := func(h int, rho, rhoc, alpha, alphac float64) PathConfig {
+			ok := func(a float64) bool { return a >= 1e-3 && a <= 10 }
+			if h < 1 || h > 40 || !(rho > 0) || !(rhoc >= 0) || !(rho+rhoc < 95) || !ok(alpha) || !ok(alphac) {
+				t.Skip()
+			}
+			return PathConfig{H: h, C: 100,
+				Through: envelope.EBB{M: 1, Rho: rho, Alpha: alpha},
+				Cross:   envelope.EBB{M: 1, Rho: rhoc, Alpha: alphac}}
+		}
+		a := path(hA, rhoA, rhocA, alphaA, alphacA)
+		b := path(hB, rhoB, rhocB, alphaB, alphacB)
+		if !(ratio >= 1e-2 && ratio <= 100) {
+			t.Skip()
+		}
+		p := testProbe(t)
+		var s Scratch
+		solve := func(cfg PathConfig) (Result, float64, int64, error) {
+			before := p.SigmaReuses.Load()
+			r, d0, err := s.edfProvisioned(context.Background(), cfg, 1e-9, ratio)
+			r.Theta = append([]float64(nil), r.Theta...)
+			return r, d0, p.SigmaReuses.Load() - before, err
+		}
+		first, d0, reuses, err := solve(a)
+		solve(b)
+		again, d0Again, reusesAgain, errAgain := solve(a)
+		if (err == nil) != (errAgain == nil) {
+			t.Fatalf("A solved with error %v, then %v after B", err, errAgain)
+		}
+		if err != nil {
+			return
+		}
+		sameResult(t, "A after B", again, first)
+		sameBits(t, "A after B d0", d0Again, d0)
+		if reusesAgain != reuses {
+			t.Errorf("A replayed %d σ, then %d after B", reuses, reusesAgain)
+		}
+	})
+}

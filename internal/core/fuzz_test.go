@@ -7,8 +7,8 @@ import (
 
 // FuzzInnerMinimize checks, for arbitrary parameters, that the exact
 // solver's reported optimum is feasible and consistent, and that the
-// table-driven sweep (innerSolve, with its candidate screen, hop-hinted
-// prefix screens and early bail) reproduces the formula-per-hop
+// table-driven sweep (innerSolve, with its candidate screen and
+// hop-hinted prefix screens) reproduces the formula-per-hop
 // reference refInnerMinimize bit for bit.
 func FuzzInnerMinimize(f *testing.F) {
 	f.Add(3, 100.0, 1.0, 40.0, 0.0, 250.0)

@@ -7,13 +7,15 @@ import (
 )
 
 // OptProbe receives the optimizer's introspection counters: how many γ
-// and α probes a bound cost, how often the path pricing table was
-// rebuilt, how much inner-minimization and envelope work ran underneath.
-// Within one search every probe is priced once — the searches never
-// revisit a γ or an α (TestSearchesPriceEachProbeOnce). The one count
-// of cache hits is SigmaReuses: the γ probes whose σ was replayed from
-// the previous search at the same traffic, ε and scheduler class (the
-// σ log, batch.go), as along an EDF fixed point. The runner installs
+// and α probes a bound cost, how many path pricing tables were built
+// (one per search, or one per EDF fixed point), how much
+// inner-minimization and envelope work ran underneath. Within one
+// search every probe is priced once — the searches never revisit a γ or
+// an α (TestSearchesPriceEachProbeOnce). The one count of cache hits is
+// SigmaReuses: the γ probes of an EDF fixed point whose σ was replayed
+// from an earlier search of the same fixed point (its σ log, edf.go).
+// Every count is the same whichever pooled Scratch a solve draws. The
+// runner installs
 // one probe per process (backed by obs.Registry counters, so a
 // -metrics-addr endpoint serves them live); nil fields discard their
 // counts.
@@ -35,8 +37,8 @@ type OptProbe struct {
 	AlphaProbes      *obs.Counter // α evaluations priced
 	EDFBisections    *obs.Counter // EDF fixed-point bisection iterations
 	AdditiveProbes   *obs.Counter // additive-analysis γ evaluations
-	PricerBuilds     *obs.Counter // path pricing tables built (pathKernel rebuilds)
-	SigmaReuses      *obs.Counter // γ probes whose σ was replayed from the last search's log
+	PricerBuilds     *obs.Counter // path pricing tables built: one per search or EDF fixed point
+	SigmaReuses      *obs.Counter // EDF γ probes whose σ was replayed from the fixed point's σ log
 	GammaSkips       *obs.Counter // EDF γ-grid probes skipped: a grid floor proved they cannot win
 
 	// GammaMemoHits and AlphaMemoHits are never incremented: the γ and α

@@ -69,10 +69,12 @@ func TestOptProbeCountsDelayBound(t *testing.T) {
 	if b, g := p.GammaBatchProbes.Load(), p.GammaProbes.Load(); b < g {
 		t.Errorf("gamma_batch_probes = %d < gamma_probes = %d: scalar path must price through the tables", b, g)
 	}
-	// A Scratch builds the path table once per traffic description and
-	// keeps it across Δ, which is what an EDF fixed point relies on.
-	// (The pooled scratch above may arrive with the table already built,
-	// so its build count is not asserted.)
+	// Every search builds its own path table, whatever the Scratch
+	// priced before; only an EDF fixed point shares one table among its
+	// searches.
+	if got := p.PricerBuilds.Load(); got != 1 {
+		t.Errorf("path_pricer_builds = %d for one search, want 1", got)
+	}
 	before := p.PricerBuilds.Load()
 	var s Scratch
 	for _, delta := range []float64{0, 5, math.Inf(1)} {
@@ -81,8 +83,15 @@ func TestOptProbeCountsDelayBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if got := p.PricerBuilds.Load() - before; got != 3 {
+		t.Errorf("path_pricer_builds = %d over three searches of one traffic, want 3", got)
+	}
+	before = p.PricerBuilds.Load()
+	if _, _, err := s.edfProvisioned(context.Background(), cfg, 1e-9, 10); err != nil {
+		t.Fatal(err)
+	}
 	if got := p.PricerBuilds.Load() - before; got != 1 {
-		t.Errorf("path_pricer_builds = %d over three Δ of one traffic, want 1", got)
+		t.Errorf("path_pricer_builds = %d for one EDF fixed point, want 1", got)
 	}
 }
 
@@ -115,11 +124,12 @@ func TestSearchesPriceEachProbeOnce(t *testing.T) {
 		for _, h := range []int{1, 4, 20} {
 			cfg := paperPathConfig(h, delta)
 			var rec Scratch
+			rec.buildPricer(cfg)
 			probed := map[float64]int{}
 			var full []float64
 			gmax := cfg.GammaMax()
 			_, err := gammaSearch(ctx, gmax, gmax/49, 60, nil,
-				func(n int, g float64) float64 { probed[g]++; return rec.dOnlyAtGamma(cfg, eps, n, g) },
+				func(n int, g float64) float64 { probed[g]++; return rec.dOnlyAtGamma(cfg, eps, nil, n, g) },
 				func(g float64) (Result, float64, error) {
 					full = append(full, g)
 					r, err := rec.delayBoundAtGamma(nil, cfg, eps, g)

@@ -15,15 +15,29 @@ import (
 var ErrInterrupted = errors.New("interrupted")
 
 // SignalContext returns a context that is cancelled on SIGINT or
-// SIGTERM, plus a stop function releasing the signal registration. A
-// second signal while the first is still being handled kills the process
-// the default way — a wedged cleanup path must not make the tool
-// unkillable.
+// SIGTERM, plus a stop function releasing the signal registration. The
+// registration is released before the context is cancelled, so a second
+// signal after the first has been seen kills the process the default
+// way — a wedged cleanup path must not make the tool unkillable.
 func SignalContext(parent context.Context) (context.Context, context.CancelFunc) {
 	if parent == nil {
 		parent = context.Background()
 	}
-	return signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
+	ctx, cancel := context.WithCancel(parent)
+	ch := make(chan os.Signal, 1)
+	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		select {
+		case <-ch:
+		case <-ctx.Done():
+		}
+		signal.Stop(ch)
+		cancel()
+	}()
+	return ctx, func() {
+		signal.Stop(ch)
+		cancel()
+	}
 }
 
 // Interrupted reports whether err is the result of a cancelled run:

@@ -1,12 +1,18 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func TestInterruptedClassification(t *testing.T) {
@@ -78,4 +84,65 @@ func TestReportInterruptedAndSweeps(t *testing.T) {
 	var nilReport *RunReport
 	nilReport.SetInterrupted()
 	nilReport.ObserveSweep("x", 1, 2) // nil-safety
+}
+
+// TestSecondSignalKills re-executes the test binary as a helper that
+// ignores its cancelled signal context, as a wedged run would: the
+// first SIGTERM must cancel the context, and the second must kill the
+// process the default way.
+func TestSecondSignalKills(t *testing.T) {
+	if os.Getenv("OBS_SIGNAL_HELPER") == "1" {
+		ctx, stop := SignalContext(context.Background())
+		defer stop()
+		fmt.Println("ready")
+		<-ctx.Done()
+		fmt.Println("cancelled")
+		time.Sleep(time.Minute) // wedged: never returns on its own
+		os.Exit(3)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSecondSignalKills$")
+	cmd.Env = append(os.Environ(), "OBS_SIGNAL_HELPER=1")
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	lines := bufio.NewScanner(out)
+	await := func(want string) {
+		t.Helper()
+		for lines.Scan() {
+			if lines.Text() == want {
+				return
+			}
+		}
+		t.Fatalf("helper exited before printing %q", want)
+	}
+	await("ready")
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	await("cancelled")
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		io.Copy(io.Discard, out)
+		done <- cmd.Wait()
+	}()
+	select {
+	case err := <-done:
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatalf("helper ended with %v, want death by SIGTERM", err)
+		}
+		if ws, ok := exit.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGTERM {
+			t.Fatalf("helper ended with %v, want death by SIGTERM", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("helper survived a second SIGTERM")
+	}
 }

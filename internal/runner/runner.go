@@ -37,8 +37,8 @@ func optimizerProbe() *core.OptProbe {
 		AlphaProbes:      r.Counter("core_alpha_probes_total", "alpha evaluations priced", nil),
 		EDFBisections:    r.Counter("core_edf_bisections_total", "EDF fixed-point bisection iterations", nil),
 		AdditiveProbes:   r.Counter("core_additive_probes_total", "additive-analysis gamma evaluations", nil),
-		PricerBuilds:     r.Counter("core_path_pricer_builds_total", "path-bound pricing tables built (one serves every gamma probe and EDF deadline of a traffic description)", nil),
-		SigmaReuses:      r.Counter("core_sigma_reuses_total", "gamma probes whose sigma was replayed from the previous gamma search of the same traffic", nil),
+		PricerBuilds:     r.Counter("core_path_pricer_builds_total", "path-bound pricing tables built (one per gamma search, or one for all the searches of an EDF fixed point)", nil),
+		SigmaReuses:      r.Counter("core_sigma_reuses_total", "EDF fixed-point gamma probes whose sigma was replayed from an earlier gamma search of the same fixed point", nil),
 		GammaSkips:       r.Counter("core_gamma_probes_skipped_total", "EDF fixed-point gamma-grid probes skipped because a grid floor proved they cannot win", nil),
 	}
 }

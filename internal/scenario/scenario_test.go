@@ -285,7 +285,7 @@ func TestSchedulerForRejectsBadParams(t *testing.T) {
 }
 
 // TestTandemRejectsBadPktsize pins the -pktsize domain: 0 (fluid) or a
-// positive finite packet size on a precedence discipline.
+// finite packet size of at least C/10^4 on a precedence discipline.
 func TestTandemRejectsBadPktsize(t *testing.T) {
 	sc, err := Get("tandem")
 	if err != nil {
@@ -295,6 +295,8 @@ func TestTandemRejectsBadPktsize(t *testing.T) {
 		{"pktsize": math.NaN()},
 		{"pktsize": -3.0},
 		{"pktsize": math.Inf(1)},
+		{"pktsize": 1e-9},
+		{"pktsize": 1e-13},
 		{"pktsize": 1.5, "sched": "gps"},
 		{"pktsize": 1.5, "sched": "drr"},
 	} {

@@ -148,6 +148,13 @@ func (tandemScenario) Evaluate(ctx context.Context, cfg Config, _ Point, be Back
 		if sched == "gps" || sched == "drr" {
 			return Result{}, fmt.Errorf("%w: -pktsize applies to precedence schedulers only", core.ErrBadConfig)
 		}
+		// Each node commits up to C/pktsize packets per slot, and the
+		// serve loop polls no context between them; the simulator also
+		// needs a packet above its 1e-12 residual tolerance.
+		if pkt < c/1e4 || pkt <= 1e-12 {
+			return Result{}, fmt.Errorf("%w: -pktsize must be at least C/10^4 = %g (10^4 packets per node per slot) and above 1e-12, got %g",
+				core.ErrBadConfig, c/1e4, pkt)
+		}
 		inner := mkSched
 		mkSched = func(node int) sim.Scheduler {
 			// Every remaining discipline runs on a HeadQueue.

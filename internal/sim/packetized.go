@@ -28,13 +28,15 @@ type NonPreemptive struct {
 var _ Scheduler = (*NonPreemptive)(nil)
 
 // NewNonPreemptive wraps the given precedence scheduler (any HeadQueue:
-// the *Precedence disciplines SP, BMUX and EDF, or the *FIFO ring).
+// the *Precedence disciplines SP, BMUX and EDF, or the *FIFO ring). The
+// packet size must exceed ServeInto's 1e-12 residual tolerance: a packet
+// at or below it would leave the queue without being served.
 func NewNonPreemptive(inner HeadQueue, packetSize float64) (*NonPreemptive, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("sim: NonPreemptive needs an inner scheduler")
 	}
-	if packetSize <= 0 || math.IsNaN(packetSize) || math.IsInf(packetSize, 0) {
-		return nil, fmt.Errorf("sim: packet size must be positive and finite, got %g", packetSize)
+	if !(packetSize > 1e-12) || math.IsInf(packetSize, 0) {
+		return nil, fmt.Errorf("sim: packet size must be finite and above 1e-12, got %g", packetSize)
 	}
 	return &NonPreemptive{inner: inner, packetSize: packetSize}, nil
 }

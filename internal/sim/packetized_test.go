@@ -22,6 +22,26 @@ func TestNonPreemptiveValidation(t *testing.T) {
 	}
 }
 
+// TestNonPreemptiveRejectsSubTolerancePackets: ServeInto treats 1e-12
+// as nothing left to send, so a packet at or below it would leave the
+// queue unserved (1e-11 enqueued in 1e-13 packets would serve 0 and
+// keep 1.9e-12 in the backlog). A size above it serves the whole queue.
+func TestNonPreemptiveRejectsSubTolerancePackets(t *testing.T) {
+	for _, size := range []float64{1e-12, 1e-13, math.SmallestNonzeroFloat64, math.NaN()} {
+		if _, err := NewNonPreemptive(NewFIFO(), size); err == nil {
+			t.Errorf("packet size %g accepted, want an error", size)
+		}
+	}
+	s, err := NewNonPreemptive(NewFIFO(), 1e-11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Enqueue(0, 0, 1e-10)
+	if out := serveAll(s, 1); math.Abs(out[0]-1e-10) > 1e-12 || s.Backlog() > 1e-12 {
+		t.Fatalf("served %g of 1e-10 in 1e-11 packets, %g left", out[0], s.Backlog())
+	}
+}
+
 func TestNonPreemptiveFinishesCommittedPacket(t *testing.T) {
 	// A low-priority packet in transmission cannot be interrupted by a
 	// later high-priority arrival — the defining non-preemption effect.
