@@ -122,7 +122,7 @@ func AdditiveBoundCtx(ctx context.Context, cfg PathConfig, eps float64) (Additiv
 		func(g float64) (AdditiveResult, float64, error) {
 			r, err := tab.atGamma(cfg, eps, g, true)
 			return r, r.D, err
-		})
+		}, nil)
 	if err == nil && sp != nil {
 		sp.SetAttr("gamma", res.Gamma)
 		sp.SetAttr("D", res.D)

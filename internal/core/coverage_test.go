@@ -163,3 +163,32 @@ func mustDecreasing(t *testing.T) minplus.Curve {
 	}
 	return c
 }
+
+// TestOptimizeAlphaFuncLeavesRange pins the α-range contract that
+// OptimizeAlphaFunc keeps: when the grid's best point is an end of
+// [alphaLo, alphaHi], the golden section refines one grid interval
+// beyond it, so a monotone objective's α lands outside the range, by
+// at most one grid interval.
+func TestOptimizeAlphaFuncLeavesRange(t *testing.T) {
+	const lo, hi = 1e-3, 50.0
+	step := math.Pow(hi/lo, 1.0/40)
+	for _, tc := range []struct {
+		name string
+		obj  func(alpha float64) float64
+		in   func(a float64) bool
+	}{
+		{"falling", func(a float64) float64 { return 1 / a }, func(a float64) bool { return a > hi && a <= hi*step }},
+		{"rising", func(a float64) float64 { return a }, func(a float64) bool { return a < lo && a >= lo/step }},
+	} {
+		a, v, err := OptimizeAlphaFunc(context.Background(), func(_ context.Context, alpha float64) (float64, float64, error) {
+			return tc.obj(alpha), tc.obj(alpha), nil
+		}, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tc.in(a) || v != tc.obj(a) {
+			t.Errorf("%s objective: α = %g (value %g), want outside [%g, %g] by at most a factor %g",
+				tc.name, a, v, lo, hi, step)
+		}
+	}
+}

@@ -113,7 +113,7 @@ func DelayBoundDetPath(cfg DetPathConfig) (DetResult, error) {
 		}
 	}
 	step := hiTheta / gridN
-	t := goldenMin(eval, math.Max(0, bestT-step), bestT+step, 48)
+	t := goldenMin(eval, math.Max(0, bestT-step), bestT+step, 48, nil)
 	if d := eval(t); d < bestD {
 		bestD, bestT = d, t
 	}

@@ -178,7 +178,7 @@ func (s *Scratch) delayBound(ctx context.Context, cfg PathConfig, eps float64, f
 	sp := obs.SpanFromContext(ctx).Child("DelayBound")
 	defer sp.End()
 
-	// The search's 110 probes go through the D-only table-driven kernel
+	// The search's 109 probes go through the D-only table-driven kernel
 	// (batch.go) and are not traced; only the winning γ is priced in
 	// full, with θ, under the span. Within a fixed point, probe n
 	// replays the σ that the last probe numbered n logged when both
@@ -188,6 +188,9 @@ func (s *Scratch) delayBound(ctx context.Context, cfg PathConfig, eps float64, f
 		func(g float64) (Result, float64, error) {
 			r, err := s.delayBoundAtGamma(sp, cfg, eps, g)
 			return r, r.D, err
+		},
+		func(a, b float64, na, nb int, upper bool) float64 {
+			return s.intervalBound(cfg, eps, fp, a, b, na, nb, upper)
 		})
 	if err == nil && sp != nil { // guard: boxing the attr values would allocate on the untraced path
 		sp.SetAttr("gamma", res.Gamma)
@@ -712,13 +715,17 @@ func PaperRecipe(h int, c, gamma, rhoc, delta, sigma float64) float64 {
 
 // OptimizeAlphaFunc is the α search of the package: it sweeps the EBB
 // decay parameter α (the free effective-bandwidth parameter s of
-// Markov-modulated sources) over [alphaLo, alphaHi] for an objective
-// eval(ctx, α) that returns a value — typically a delay bound; NaN, +Inf
-// or an error mark α infeasible — and a payload. The sweep is a
-// log-spaced grid followed by a golden-section refinement; it returns
-// the winning α with the payload eval returned for it, so no caller
-// prices a winner twice. No α is priced twice either: the 41 grid
-// points, the 38 golden-section points and the final probe are
+// Markov-modulated sources) for an objective eval(ctx, α) that returns a
+// value — typically a delay bound; NaN, +Inf or an error mark α
+// infeasible — and a payload. The sweep is a grid of 41 log-spaced
+// points on [alphaLo, alphaHi] followed by a golden-section refinement
+// over one grid interval on each side of the grid's best point, so the
+// returned α may lie up to one grid interval, a factor
+// (alphaHi/alphaLo)^(1/40), beyond an end of [alphaLo, alphaHi] when
+// the grid's best point is that end (TestOptimizeAlphaFuncLeavesRange).
+// It returns the winning α with the payload eval returned for it, so no
+// caller prices a winner twice. No α is priced twice either: the 41
+// grid points, the 37 golden-section points and the final probe are
 // distinct (TestSearchesPriceEachProbeOnce), so the sweep keeps only the
 // grid's best probe and the final one, and caches nothing.
 //
@@ -777,7 +784,7 @@ func OptimizeAlphaFunc[R any](ctx context.Context, eval func(ctx context.Context
 	}
 	step := (logHi - logLo) / gridN
 	refined := goldenMin(func(la float64) float64 { return f(probeCtx, math.Exp(la)).v },
-		math.Log(bestA)-step, math.Log(bestA)+step, 36)
+		math.Log(bestA)-step, math.Log(bestA)+step, 36, nil)
 	a := math.Exp(refined)
 	p := f(obs.ContextWithSpan(ctx, sp), a)
 	if err := ctx.Err(); err != nil {
@@ -814,7 +821,7 @@ func OptimizeAlpha(build func(alpha float64) (PathConfig, error), eps, alphaLo, 
 
 // gammaGridN is the number of grid points of every γ search, and
 // delayBoundGoldenIters the golden-section steps of DelayBound's: its
-// search probes gammaGridN + 2 + delayBoundGoldenIters γ (the size of
+// search probes gammaGridN + 1 + delayBoundGoldenIters γ (the size of
 // the EDF fixed point's σ log, edf.go) before pricing its winner.
 const (
 	gammaGridN            = 48
@@ -839,18 +846,30 @@ const (
 // first minimum, and ends the search, with fp.decided set, once its
 // minimum is at most fp.stop. The grid's minimum and first argmin, and
 // so the result, are those of the full grid (DESIGN.md §16, "Grid
-// floors along the EDF bracket").
+// floors along the EDF bracket"). A bisection step (fp.stop a number)
+// also ends its golden section, with fp.decided set, once bound, the
+// interval bound of the delay over a bracket (Scratch.intervalBound),
+// settles on which side of fp.stop the search's result lies (DESIGN.md
+// §16, "Interval bounds end the golden section"). bound is nil for the
+// other searches.
 func gammaSearch[R any](ctx context.Context, gmax, width float64, iters int, fp *fixedPoint,
-	probe func(n int, gamma float64) float64, full func(gamma float64) (R, float64, error)) (R, error) {
+	probe func(n int, gamma float64) float64, full func(gamma float64) (R, float64, error),
+	bound func(a, b float64, na, nb int, upper bool) float64) (R, error) {
 	var none R
 	done := ctx.Done()
-	f := func(n int, g float64) float64 {
+	cancelled := func() bool {
 		select {
 		case <-done:
-			return math.Inf(1)
+			return true
 		default:
-			return probe(n, g)
+			return false
 		}
+	}
+	f := func(n int, g float64) float64 {
+		if cancelled() {
+			return math.Inf(1)
+		}
+		return probe(n, g)
 	}
 	first := fp.begin()
 	bestI, bestD := 0, math.Inf(1)
@@ -881,11 +900,28 @@ func gammaSearch[R any](ctx context.Context, gmax, width float64, iters int, fp 
 		return none, fmt.Errorf("%w: no feasible gamma below %g", ErrUnstable, gmax)
 	}
 	bestG := gridGamma(gmax, bestI)
+	lo, hi := math.Max(bestG-width, gmax*1e-9), math.Min(bestG+width, gmax*(1-1e-9))
+	var settle func(a, b float64, ka, kb int, f1, f2 float64) bool
+	if bound != nil && fp.bisecting() {
+		// The golden section's probe k is probe gammaGridN+k; the ends
+		// of [lo, hi] have no probe number (−1).
+		num := func(k int) int {
+			if k < 0 {
+				return -1
+			}
+			return gammaGridN + k
+		}
+		settle = func(a, b float64, ka, kb int, f1, f2 float64) bool {
+			return !cancelled() && fp.settle(a, b, num(ka), num(kb), f1, f2, bound)
+		}
+	}
 	n := gammaGridN
-	g := goldenMin(func(g float64) float64 { n++; return f(n-1, g) },
-		math.Max(bestG-width, gmax*1e-9), math.Min(bestG+width, gmax*(1-1e-9)), iters)
+	g := goldenMin(func(g float64) float64 { n++; return f(n-1, g) }, lo, hi, iters, settle)
 	if err := ctx.Err(); err != nil {
 		return none, err
+	}
+	if fp.settled() {
+		return none, nil
 	}
 	r, d, err := full(g)
 	if err != nil || !(d <= bestD) {
@@ -899,25 +935,43 @@ func gridGamma(gmax float64, i int) float64 {
 	return gmax * float64(i) / float64(gammaGridN+1)
 }
 
-// goldenMin minimizes f on [lo, hi] by golden-section search; f should be
+// goldenMin minimizes f on [lo, hi] by golden-section search over iters
+// steps and returns the midpoint of the last bracket; f should be
 // unimodal on the bracket (our outer objectives are, empirically; callers
 // seed the bracket from a grid scan so a flat or noisy f degrades
-// gracefully to the grid answer).
-func goldenMin(f func(float64) float64, lo, hi float64, iters int) float64 {
+// gracefully to the grid answer). Each step narrows the bracket and
+// probes one new inner point, except the last, whose point would never
+// be read: f runs iters+1 times.
+//
+// stop, when not nil, is asked before each step whether the search may
+// end there. It sees the bracket [a, b], the numbers of the probes at its
+// ends (the k-th call of f is probe k; an end of [lo, hi] is −1) and the
+// values f1, f2 at the bracket's two inner points; every later probe and
+// the returned midpoint lie in [a, b].
+func goldenMin(f func(float64) float64, lo, hi float64, iters int,
+	stop func(a, b float64, ka, kb int, f1, f2 float64) bool) float64 {
 	const phi = 0.6180339887498949
 	a, b := lo, hi
 	c1 := b - phi*(b-a)
 	c2 := a + phi*(b-a)
 	f1, f2 := f(c1), f(c2)
+	ka, kb, k1, k2 := -1, -1, 0, 1
 	for i := 0; i < iters; i++ {
+		if stop != nil && stop(a, b, ka, kb, f1, f2) {
+			break
+		}
 		if f1 <= f2 {
-			b, c2, f2 = c2, c1, f1
-			c1 = b - phi*(b-a)
-			f1 = f(c1)
+			b, c2, f2, kb, k2 = c2, c1, f1, k2, k1
+			c1, k1 = b-phi*(b-a), i+2
+			if i < iters-1 {
+				f1 = f(c1)
+			}
 		} else {
-			a, c1, f1 = c1, c2, f2
-			c2 = a + phi*(b-a)
-			f2 = f(c2)
+			a, c1, f1, ka, k1 = c1, c2, f2, k1, k2
+			c2, k2 = a+phi*(b-a), i+2
+			if i < iters-1 {
+				f2 = f(c2)
+			}
 		}
 	}
 	return (a + b) / 2

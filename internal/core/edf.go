@@ -99,12 +99,17 @@ func (s *Scratch) edfProvisioned(ctx context.Context, cfg PathConfig, eps, ratio
 		trial.Delta0c = mid / float64(cfg.H) * (1 - ratio)
 		// A search whose grid minimum reaches mid ends there: then
 		// f(mid) <= mid, and the step sets hi as the full search would.
+		// One whose golden section an interval bound settles ends there,
+		// on the side of mid the full search would reach.
 		fp.stop = mid
 		r, err := s.delayBound(probeCtx, trial, eps, fp)
 		if err != nil {
 			return Result{}, 0, fmt.Errorf("core: EDF provisioning at d=%g: %w", mid, err)
 		}
-		toHi := fp.decided || !(r.D > mid)
+		toHi := !(r.D > mid)
+		if fp.decided != undecided {
+			toHi = fp.decided == decidedHi
+		}
 		if toHi {
 			hi = mid
 		} else {
@@ -121,6 +126,7 @@ func (s *Scratch) edfProvisioned(ctx context.Context, cfg PathConfig, eps, ratio
 	if p := optProbe.Load(); p != nil {
 		p.EDFBisections.Add(int64(iters))
 		p.GammaSkips.Add(fp.skips)
+		p.IntervalDecisions.Add(fp.decisions)
 	}
 	if !(hi-lo <= 1e-6*hi) {
 		return Result{}, 0, fmt.Errorf("%w: EDF fixed point still bracketed by [%g, %g] after 100 bisections",
@@ -144,8 +150,8 @@ func (s *Scratch) edfProvisioned(ctx context.Context, cfg PathConfig, eps, ratio
 
 // sigmaLogSize is the number of probes one DelayBound γ search makes
 // before its final full pricings: the grid, the two golden-section
-// seeds and one probe per golden-section step.
-const sigmaLogSize = gammaGridN + 2 + delayBoundGoldenIters
+// seeds and one probe per golden-section step but the last.
+const sigmaLogSize = gammaGridN + 1 + delayBoundGoldenIters
 
 // sigmaProbe is one slot of the σ log: the σ a probe priced at γ.
 type sigmaProbe struct{ gamma, sigma float64 }
@@ -172,15 +178,22 @@ type sigmaProbe struct{ gamma, sigma float64 }
 // search at the Δ just assigned to the lower end commits its probes to
 // lb, and only those it priced (cur where priced has bit i); a skipped
 // point keeps its older bound, which holds from its own, lower, Δ on.
+//
+// The interval decision (DESIGN.md §16, "Interval bounds end the golden
+// section"): a bisection step's search is ended, on the side of stop
+// that its full result would reach, once an interval bound over its
+// golden bracket settles that side (settle). loose paces the tries.
 type fixedPoint struct {
 	log [sigmaLogSize]sigmaProbe // by probe number; empty where gamma is 0
 
-	lb, cur [gammaGridN + 1]float64 // by grid point 1..gammaGridN; lb is NaN where unknown
-	priced  uint64                  // bit i: the running search priced point i into cur[i]
-	first   int                     // the point the next search probes first: the last winner (0: none)
-	stop    float64                 // the running search ends once its grid minimum is <= stop (NaN: never)
-	decided bool                    // the running search ended at stop
-	skips   int64                   // grid probes skipped (core_gamma_probes_skipped_total)
+	lb, cur   [gammaGridN + 1]float64 // by grid point 1..gammaGridN; lb is NaN where unknown
+	priced    uint64                  // bit i: the running search priced point i into cur[i]
+	first     int                     // the point the next search probes first: the last winner (0: none)
+	stop      float64                 // the running step's mid (NaN: the search is no bisection step)
+	decided   int                     // how the running search ended early: undecided, decidedHi or decidedLo
+	loose     [2]float64              // the lower and the upper bound's looseness at their last failed try
+	skips     int64                   // grid probes skipped (core_gamma_probes_skipped_total)
+	decisions int64                   // steps an interval bound settled (core_edf_interval_decisions_total)
 
 	// What commit needs of the traffic: H, C, ρ_c and the finite-Δ γmax
 	// every search of the fixed point shares.
@@ -195,7 +208,7 @@ func (fp *fixedPoint) reset(cfg PathConfig) {
 	for i := range fp.lb {
 		fp.lb[i] = math.NaN()
 	}
-	fp.first, fp.stop, fp.skips = 0, math.NaN(), 0
+	fp.first, fp.stop, fp.skips, fp.decisions = 0, math.NaN(), 0, 0
 	fp.h, fp.c, fp.rhoc = cfg.H, cfg.C, cfg.Cross.Rho
 	finite := cfg
 	finite.Delta0c = 0
@@ -205,9 +218,9 @@ func (fp *fixedPoint) reset(cfg PathConfig) {
 // loggedSigma returns the σ that probe n logged, and whether it was
 // logged at gamma, bit for bit (a probed γ is positive or NaN, so ==
 // never matches an empty slot or a NaN). Outside a fixed point
-// (fp nil) nothing is logged.
+// (fp nil) nothing is logged, and no probe has a negative n.
 func (fp *fixedPoint) loggedSigma(n int, gamma float64) (float64, bool) {
-	if fp == nil {
+	if fp == nil || n < 0 {
 		return 0, false
 	}
 	e := &fp.log[n]
@@ -226,7 +239,7 @@ func (fp *fixedPoint) begin() int {
 	if fp == nil {
 		return 0
 	}
-	fp.priced, fp.decided = 0, false
+	fp.priced, fp.decided, fp.loose = 0, undecided, [2]float64{}
 	return fp.first
 }
 
@@ -257,7 +270,7 @@ func (fp *fixedPoint) decides(bestI int, bestD float64) bool {
 	if fp == nil || !(bestD <= fp.stop) {
 		return false
 	}
-	fp.first, fp.decided = bestI, true
+	fp.first, fp.decided = bestI, decidedHi
 	return true
 }
 
@@ -266,6 +279,61 @@ func (fp *fixedPoint) end(bestI int) {
 	if fp != nil {
 		fp.first = bestI
 	}
+}
+
+// How a search of the fixed point ended early (fixedPoint.decided).
+const (
+	undecided = iota
+	decidedHi // f(mid) <= mid: the step sets hi = mid
+	decidedLo // f(mid) > mid: the step sets lo = mid
+)
+
+// bisecting reports whether the running search is a bisection step,
+// whose golden section an interval bound may end.
+func (fp *fixedPoint) bisecting() bool { return fp != nil && !math.IsNaN(fp.stop) }
+
+// settled reports whether an interval bound ended the running search.
+func (fp *fixedPoint) settled() bool { return fp != nil && fp.decided != undecided }
+
+// settle decides the running bisection step when bound, the interval
+// bound of the search's delay over the golden bracket [a, b] (whose end
+// probes are na and nb, −1 where unprobed), lies on one side of mid =
+// fp.stop: the search returns a delay at a γ inside every bracket of
+// its golden section, or its grid minimum, which is above mid. So a
+// lower bound above mid sends the step to lo, and an upper bound at
+// most mid sends it to hi (then the search's delay beats its grid
+// minimum). A NaN bound decides nothing.
+//
+// Each try costs an inner solve, so the lower bound is tried only when
+// min(f1, f2), the least delay at the bracket's inner points, exceeds
+// mid by more than the looseness its last failed try left (the inner
+// point's delay less the bound), and the upper bound when max(f1, f2)
+// lies below mid by more than its looseness. Both looseness values
+// shrink by φ per golden-section step, as the bracket does; a NaN bound
+// ends the tries of its kind for the search.
+func (fp *fixedPoint) settle(a, b float64, na, nb int, f1, f2 float64,
+	bound func(a, b float64, na, nb int, upper bool) float64) bool {
+	const shrink = 0.6180339887498949
+	mid := fp.stop
+	if lo := math.Min(f1, f2); lo-mid > fp.loose[0] {
+		lb := bound(a, b, na, nb, false)
+		if lb > mid {
+			fp.decided, fp.decisions = decidedLo, fp.decisions+1
+			return true
+		}
+		fp.loose[0] = lo - lb
+	}
+	if hi := math.Max(f1, f2); mid-hi > fp.loose[1] {
+		ub := bound(a, b, na, nb, true)
+		if ub <= mid {
+			fp.decided, fp.decisions = decidedHi, fp.decisions+1
+			return true
+		}
+		fp.loose[1] = ub - hi
+	}
+	fp.loose[0] *= shrink
+	fp.loose[1] *= shrink
+	return false
 }
 
 // commit makes the running search's priced grid points the floor: the
@@ -298,4 +366,49 @@ func floorMargin(h int, c, rhoc, gamma, d float64) float64 {
 		return math.NaN()
 	}
 	return 1e-12 + (1e-12+k)*(2*load*d)
+}
+
+// intervalBound bounds the delay that cfg's search computes at every γ
+// in [a, b] (DESIGN.md §16, "Interval bounds end the golden section"):
+// with upper false from below, by the inner solve at a's rates and
+// b's σ less 2δσ, and otherwise from above, by the solve at b's rates
+// and a's σ plus 2δσ, each widened by floorMargin at b. σ at the end it
+// reads is replayed from fp's σ log, which holds every probe of the
+// running search (na and nb number the ends' probes), or priced where
+// the end was never probed. It returns NaN where the margins cannot
+// vouch for the bound.
+func (s *Scratch) intervalBound(cfg PathConfig, eps float64, fp *fixedPoint, a, b float64, na, nb int, upper bool) float64 {
+	end, n := b, nb
+	if upper {
+		end, n = a, na
+	}
+	sigma, ok := fp.loggedSigma(n, end)
+	if !ok {
+		sigma = s.pathBound(cfg, end).SigmaFor(eps)
+	}
+	ds := 2 * sigmaSlack(cfg.H, cfg.Through.Alpha, cfg.Cross.Alpha, a, sigma)
+	rates := a
+	if upper {
+		rates, sigma = b, math.Nextafter(sigma+ds, math.Inf(1))
+	} else {
+		sigma = math.Max(0, math.Nextafter(sigma-ds, math.Inf(-1)))
+	}
+	d, _ := s.innerSolve(cfg.H, cfg.C, rates, cfg.Cross.Rho, cfg.Delta0c, sigma)
+	m := floorMargin(cfg.H, cfg.C, cfg.Cross.Rho, b, d)
+	if upper {
+		return d + m
+	}
+	return d - m
+}
+
+// sigmaSlack returns δσ, a bound on how far the σ that pathBound and
+// SigmaFor compute on h hops at any γ >= a lies from the exact value
+// of their expression, given the computed σ at the end that bounds it
+// (DESIGN.md §16): 2u·[(5 + 2/(α_t·a))/α_t + (2h−1)(5 + 2/(α_c·a))/α_c
+// + 3w + (h+6)σ], with u = 2⁻⁵³ and w = 1/α_t + h/α_c. A tiny α·a makes
+// it large or infinite, which only loosens the bound.
+func sigmaSlack(h int, alphaT, alphaC, a, sigma float64) float64 {
+	w := 1/alphaT + float64(h)/alphaC
+	t := (5+2/(alphaT*a))/alphaT + float64(2*h-1)*(5+2/(alphaC*a))/alphaC + 3*w + float64(h+6)*sigma
+	return 0x1p-52 * t
 }

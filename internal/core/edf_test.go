@@ -56,11 +56,14 @@ func refEDFProvisioned(cfg PathConfig, eps, ratio float64) (Result, float64, err
 	return out, out.D / float64(cfg.H), nil
 }
 
-// TestEDFProvisionedMatchesUnflooredBisection pins the grid floor's
-// exactness: EDFProvisioned, which skips grid probes and ends steps
-// early, returns D, σ, γ, X, θ and d*₀ bit for bit equal to a
-// bisection over full searches, for deadline ratios on both sides of
-// 1 (the floor at hi and at lo) over random traffic.
+// TestEDFProvisionedMatchesUnflooredBisection pins the exactness of the
+// grid floor and of the interval decision: EDFProvisioned, which skips
+// grid probes and ends steps early, returns D, σ, γ, X, θ and d*₀ bit
+// for bit equal to a bisection over full searches, for deadline ratios
+// on both sides of 1 (the floor at hi and at lo) over random traffic,
+// light and near saturation. Interval bounds settle steps toward both
+// ends of the bracket here (an instrumented copy counted 1,097 toward
+// lo and 315 toward hi in the light draws alone).
 func TestEDFProvisionedMatchesUnflooredBisection(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	p := testProbe(t)
@@ -70,12 +73,15 @@ func TestEDFProvisionedMatchesUnflooredBisection(t *testing.T) {
 			draws = 1
 		}
 		for _, ratio := range []float64{0.25, 0.5, 2, 10} {
-			for k := 0; k < draws; k++ {
+			for k := 0; k <= draws; k++ {
 				cfg := PathConfig{
 					H:       h,
 					C:       100,
 					Through: envelope.EBB{M: 1 + rng.Float64(), Rho: 5 + 20*rng.Float64(), Alpha: 0.02 + 0.3*rng.Float64()},
 					Cross:   envelope.EBB{M: 1 + rng.Float64(), Rho: 5 + 40*rng.Float64(), Alpha: 0.02 + 0.3*rng.Float64()},
+				}
+				if k == draws { // the last draw loads the path to 99.9%
+					cfg.Cross.Rho = 99.9 - cfg.Through.Rho
 				}
 				want, wantD0, err := refEDFProvisioned(cfg, 1e-9, ratio)
 				if err != nil {
@@ -104,6 +110,9 @@ func TestEDFProvisionedMatchesUnflooredBisection(t *testing.T) {
 	}
 	if p.GammaSkips.Load() == 0 {
 		t.Error("no grid probe was skipped: the floor never engaged")
+	}
+	if p.IntervalDecisions.Load() == 0 {
+		t.Error("no step was settled by an interval bound")
 	}
 }
 
@@ -283,6 +292,143 @@ func FuzzEDFProvisionedReusedScratch(f *testing.F) {
 		sameBits(t, "A after B d0", d0Again, d0)
 		if reusesAgain != reuses {
 			t.Errorf("A replayed %d σ, then %d after B", reuses, reusesAgain)
+		}
+	})
+}
+
+// intervalDraws calls f with random path traffics and γ brackets
+// a <= g <= b inside (0, γmax): both finite-Δ regimes and BMUX, H up to
+// 4096 (only without -short), plateaus of equal ch_i (γ near 1e-15),
+// loads near saturation and brackets from a few ulps to the whole
+// range.
+func intervalDraws(t *testing.T, f func(cfg PathConfig, eps, a, g, b float64)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(3232))
+	for _, h := range []int{1, 2, 3, 5, 10, 30, 64, 480, 4096} {
+		if h > 480 && testing.Short() {
+			continue
+		}
+		trials := 30
+		switch {
+		case h > 480:
+			trials = 2
+		case h > 64:
+			trials = 6
+		}
+		for _, delta := range schedulerDeltas {
+			if math.IsInf(delta, -1) {
+				continue // strict priority prices another σ; no bisection step has it
+			}
+			for trial := 0; trial < trials; trial++ {
+				load := 0.2 + 0.75*rng.Float64()
+				if trial%5 == 0 {
+					load = 1 - 1e-6*rng.Float64() // near saturation
+				}
+				rho := load * 100 * rng.Float64()
+				cfg := PathConfig{
+					H:       h,
+					C:       100,
+					Through: envelope.EBB{M: 1 + 3*rng.Float64(), Rho: rho, Alpha: 0.005 + rng.Float64()},
+					Cross:   envelope.EBB{M: 1 + 3*rng.Float64(), Rho: load*100 - rho, Alpha: 0.005 + rng.Float64()},
+					Delta0c: delta * (1 + 50*rng.Float64()),
+				}
+				gmax := cfg.GammaMax()
+				if !(gmax > 0) {
+					continue
+				}
+				eps := math.Pow(10, -2-10*rng.Float64())
+				var a, g, b float64
+				switch trial % 4 {
+				case 0: // a few ulps wide
+					a = gmax * (0.02 + 0.96*rng.Float64())
+					g = math.Nextafter(a, gmax)
+					b = math.Nextafter(math.Nextafter(g, gmax), gmax)
+				case 1: // a plateau of equal ch_i
+					a = 1e-15 * (1 + rng.Float64())
+					g, b = 1.5*a, 2*a
+				case 2: // anywhere in the range
+					x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+					sort.Float64s(x)
+					a, g, b = gmax*(1e-9+x[0]*(1-2e-9)), gmax*(1e-9+x[1]*(1-2e-9)), gmax*(1e-9+x[2]*(1-2e-9))
+				default: // as narrow as a late golden-section bracket
+					w := gmax * 1e-6 * rng.Float64()
+					a = gmax * (0.05 + 0.9*rng.Float64())
+					g, b = a+w*rng.Float64(), a+w
+				}
+				if !(0 < a && a <= g && g <= b && b < gmax) {
+					continue
+				}
+				f(cfg, eps, a, g, b)
+			}
+		}
+	}
+}
+
+// TestIntervalBoundsBracketSearch pins the interval decision's premise
+// (DESIGN.md §16, "Interval bounds end the golden section"): for every γ
+// g in a bracket [a, b], the delay the search computes at g, with σ
+// priced as it prices it, lies within the bracket's interval bounds,
+// margins included, and its σ within 2δσ of σ at the bracket's ends.
+func TestIntervalBoundsBracketSearch(t *testing.T) {
+	var s Scratch
+	n, decidable := 0, 0
+	intervalDraws(t, func(cfg PathConfig, eps, a, g, b float64) {
+		s.buildPricer(cfg)
+		sigma := func(x float64) float64 { return s.pathBound(cfg, x).SigmaFor(eps) }
+		sa, sg, sb := sigma(a), sigma(g), sigma(b)
+		if slo := sb - 2*sigmaSlack(cfg.H, cfg.Through.Alpha, cfg.Cross.Alpha, a, sb); slo > sg {
+			t.Fatalf("cfg=%+v a=%v g=%v b=%v: σ(g) = %v below σ(b) − 2δσ = %v", cfg, a, g, b, sg, slo)
+		}
+		if shi := sa + 2*sigmaSlack(cfg.H, cfg.Through.Alpha, cfg.Cross.Alpha, a, sa); sg > shi {
+			t.Fatalf("cfg=%+v a=%v g=%v b=%v: σ(g) = %v above σ(a) + 2δσ = %v", cfg, a, g, b, sg, shi)
+		}
+		d := s.dOnlyAtGamma(cfg, eps, nil, 0, g)
+		lo := s.intervalBound(cfg, eps, nil, a, b, -1, -1, false)
+		hi := s.intervalBound(cfg, eps, nil, a, b, -1, -1, true)
+		if lo > d || d > hi {
+			t.Fatalf("cfg=%+v eps=%g a=%v g=%v b=%v: D(g) = %v outside [%v, %v]", cfg, eps, a, g, b, d, lo, hi)
+		}
+		n++
+		if !math.IsNaN(lo) && !math.IsNaN(hi) {
+			decidable++
+		}
+	})
+	t.Logf("%d brackets, %d with both bounds", n, decidable)
+	if n < 1000 || decidable < n/2 {
+		t.Fatalf("sweep degenerated: %d brackets, %d with both bounds", n, decidable)
+	}
+}
+
+// FuzzIntervalBounds fuzzes TestIntervalBoundsBracketSearch's
+// inequality: D(g) within the interval bounds of [a, b] for a <= g <= b.
+func FuzzIntervalBounds(f *testing.F) {
+	f.Add(5, 15.0, 35.0, 0.1, 0.3, 2.0, 1.0, 1e-9, 0.3, 0.5, 0.7)
+	f.Add(30, 20.0, 40.0, 0.02, 0.05, -3.0, 2.0, 1e-6, 0.5, 0.5, 0.5000001)
+	f.Add(480, 30.0, 30.0, 0.5, 0.5, 0.0, 1.0, 1e-3, 1e-9, 2e-9, 3e-9)
+	f.Add(2, 49.0, 50.9, 1.0, 0.01, 40.0, 3.0, 1e-9, 0.1, 0.9, 0.95)
+	f.Fuzz(func(t *testing.T, h int, rho, rhoc, alpha, alphac, delta, m, eps, xa, xg, xb float64) {
+		ok := func(v, lo, hi float64) bool { return v >= lo && v <= hi }
+		if !ok(float64(h), 1, 512) || !ok(rho, 0, 100) || !ok(rhoc, 0, 100) || !ok(alpha, 1e-3, 10) ||
+			!ok(alphac, 1e-3, 10) || math.IsNaN(delta) || math.IsInf(delta, -1) || !ok(m, 1, 1e3) ||
+			!(eps > 0 && eps < 1) || !(0 < xa && xa <= xg && xg <= xb && xb < 1) {
+			t.Skip()
+		}
+		cfg := PathConfig{H: h, C: 100,
+			Through: envelope.EBB{M: m, Rho: rho, Alpha: alpha},
+			Cross:   envelope.EBB{M: 1, Rho: rhoc, Alpha: alphac},
+			Delta0c: delta}
+		gmax := cfg.GammaMax()
+		if !(gmax > 0) {
+			t.Skip()
+		}
+		a, g, b := xa*gmax, xg*gmax, xb*gmax
+		var s Scratch
+		s.buildPricer(cfg)
+		d := s.dOnlyAtGamma(cfg, eps, nil, 0, g)
+		lo := s.intervalBound(cfg, eps, nil, a, b, -1, -1, false)
+		hi := s.intervalBound(cfg, eps, nil, a, b, -1, -1, true)
+		if lo > d || d > hi {
+			t.Fatalf("D(%v) = %v outside [%v, %v] over [%v, %v]", g, d, lo, hi, a, b)
 		}
 	})
 }

@@ -91,7 +91,7 @@ func DelayBoundHetero(p HeteroPath, eps float64) (Result, error) {
 		func(g float64) (Result, float64, error) {
 			r, err := heteroAtGamma(p, eps, g)
 			return r, r.D, err
-		})
+		}, nil)
 }
 
 func heteroAtGamma(p HeteroPath, eps, gamma float64) (Result, error) {

@@ -41,6 +41,11 @@ type OptProbe struct {
 	SigmaReuses      *obs.Counter // EDF γ probes whose σ was replayed from the fixed point's σ log
 	GammaSkips       *obs.Counter // EDF γ-grid probes skipped: a grid floor proved they cannot win
 
+	// IntervalDecisions counts the EDF bisection steps whose golden
+	// section an interval bound ended. Each bound costs one inner solve,
+	// counted in InnerMinCalls but not in GammaProbes.
+	IntervalDecisions *obs.Counter
+
 	// GammaMemoHits and AlphaMemoHits are never incremented: the γ and α
 	// memos they counted never hit and are deleted. The fields stay only
 	// because perfbench names them; ROADMAP's perf-gate item retires them

@@ -16,20 +16,21 @@ func testProbe(t *testing.T) *OptProbe {
 	t.Helper()
 	r := obs.NewRegistry()
 	p := &OptProbe{
-		DelayBoundCalls:  r.Counter("delaybound_calls", "", nil),
-		GammaProbes:      r.Counter("gamma_probes", "", nil),
-		GammaBatchProbes: r.Counter("gamma_batch_probes", "", nil),
-		InnerMinCalls:    r.Counter("innermin_calls", "", nil),
-		InnerCandidates:  r.Counter("innermin_candidates", "", nil),
-		InnerReplays:     r.Counter("innermin_replays", "", nil),
-		EnvelopeSegs:     r.Counter("envelope_segments", "", nil),
-		AlphaSweeps:      r.Counter("alpha_sweeps", "", nil),
-		AlphaProbes:      r.Counter("alpha_probes", "", nil),
-		EDFBisections:    r.Counter("edf_bisections", "", nil),
-		AdditiveProbes:   r.Counter("additive_probes", "", nil),
-		PricerBuilds:     r.Counter("path_pricer_builds", "", nil),
-		SigmaReuses:      r.Counter("sigma_reuses", "", nil),
-		GammaSkips:       r.Counter("gamma_probes_skipped", "", nil),
+		DelayBoundCalls:   r.Counter("delaybound_calls", "", nil),
+		GammaProbes:       r.Counter("gamma_probes", "", nil),
+		GammaBatchProbes:  r.Counter("gamma_batch_probes", "", nil),
+		InnerMinCalls:     r.Counter("innermin_calls", "", nil),
+		InnerCandidates:   r.Counter("innermin_candidates", "", nil),
+		InnerReplays:      r.Counter("innermin_replays", "", nil),
+		EnvelopeSegs:      r.Counter("envelope_segments", "", nil),
+		AlphaSweeps:       r.Counter("alpha_sweeps", "", nil),
+		AlphaProbes:       r.Counter("alpha_probes", "", nil),
+		EDFBisections:     r.Counter("edf_bisections", "", nil),
+		AdditiveProbes:    r.Counter("additive_probes", "", nil),
+		PricerBuilds:      r.Counter("path_pricer_builds", "", nil),
+		SigmaReuses:       r.Counter("sigma_reuses", "", nil),
+		GammaSkips:        r.Counter("gamma_probes_skipped", "", nil),
+		IntervalDecisions: r.Counter("edf_interval_decisions", "", nil),
 	}
 	SetOptProbe(p)
 	t.Cleanup(func() { SetOptProbe(nil) })
@@ -51,9 +52,10 @@ func TestOptProbeCountsDelayBound(t *testing.T) {
 	if got := p.GammaProbes.Load(); got < 10 {
 		t.Errorf("gamma_probes = %d, want a sweep's worth (>= 10)", got)
 	}
-	if p.InnerMinCalls.Load() < p.GammaProbes.Load() {
-		t.Errorf("innermin_calls = %d < gamma_probes = %d: every probe minimizes",
-			p.InnerMinCalls.Load(), p.GammaProbes.Load())
+	// Every probe minimizes, and a plain search tries no interval bound.
+	if p.InnerMinCalls.Load() != p.GammaProbes.Load() || p.IntervalDecisions.Load() != 0 {
+		t.Errorf("innermin_calls = %d, gamma_probes = %d, edf_interval_decisions = %d: want equal calls and probes, no decision",
+			p.InnerMinCalls.Load(), p.GammaProbes.Load(), p.IntervalDecisions.Load())
 	}
 	if p.InnerCandidates.Load() == 0 || p.EnvelopeSegs.Load() == 0 {
 		t.Errorf("candidates = %d, segments = %d, want both > 0",
@@ -98,12 +100,13 @@ func TestOptProbeCountsDelayBound(t *testing.T) {
 // TestSearchesPriceEachProbeOnce pins the cost model that lets the
 // analytic core run without memos: neither search revisits a point, so
 // every γ and every α is priced once. DelayBound's γ search probes 48
-// grid points and 2 + 60 golden-section points, then prices the refined
-// γ in full, and the grid's best again when the refinement does not beat
-// it; the additive baseline's search probes 48 + 2 + 50. The α sweep
-// probes 41 grid points, 2 + 36 golden-section points and the refined
-// α. Each recorded search is checked against the probe counters of the
-// entry point that runs it, so the test follows their parameters.
+// grid points and 2 + 59 golden-section points (the last step's point
+// is never read, so never probed), then prices the refined γ in full,
+// and the grid's best again when the refinement does not beat it; the
+// additive baseline's search probes 48 + 2 + 49. The α sweep probes 41
+// grid points, 2 + 35 golden-section points and the refined α. Each
+// recorded search is checked against the probe counters of the entry
+// point that runs it, so the test follows their parameters.
 func TestSearchesPriceEachProbeOnce(t *testing.T) {
 	p := testProbe(t)
 	ctx := context.Background()
@@ -134,11 +137,11 @@ func TestSearchesPriceEachProbeOnce(t *testing.T) {
 					full = append(full, g)
 					r, err := rec.delayBoundAtGamma(nil, cfg, eps, g)
 					return r, r.D, err
-				})
+				}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			distinct("γ", probed, 48+62)
+			distinct("γ", probed, 48+61)
 			if len(full) == 2 && probed[full[1]] == 0 {
 				t.Errorf("fallback priced γ %g, which is not a grid point", full[1])
 			}
@@ -170,10 +173,10 @@ func TestSearchesPriceEachProbeOnce(t *testing.T) {
 		func(g float64) (AdditiveResult, float64, error) {
 			r, err := tab.atGamma(cfg, eps, g, true)
 			return r, r.D, err
-		}); err != nil {
+		}, nil); err != nil {
 		t.Fatal(err)
 	}
-	distinct("additive γ", probed, 48+52)
+	distinct("additive γ", probed, 48+51)
 	before := p.AdditiveProbes.Load()
 	if _, err := AdditiveBound(cfg, eps); err != nil {
 		t.Fatal(err)
@@ -202,7 +205,7 @@ func TestSearchesPriceEachProbeOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		distinct("α", alphas, 41+38+1)
+		distinct("α", alphas, 41+37+1)
 		if got := p.AlphaProbes.Load() - before; got != int64(len(alphas)) {
 			t.Errorf("alpha_probes = %d, the recorded sweep priced %d", got, len(alphas))
 		}
@@ -227,11 +230,18 @@ func TestOptProbeCountsAlphaAndEDF(t *testing.T) {
 		t.Error("alpha_probes = 0, want > 0")
 	}
 
+	solves, probes := p.InnerMinCalls.Load(), p.GammaProbes.Load()
 	if _, _, err := EDFProvisioned(paperPathConfig(2, 0), 1e-9, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.EDFBisections.Load(); got == 0 {
 		t.Error("edf_bisections = 0, want > 0")
+	}
+	// Each interval decision costs at least one bound solve, an inner
+	// solve that is no γ probe.
+	bounds := (p.InnerMinCalls.Load() - solves) - (p.GammaProbes.Load() - probes)
+	if got := p.IntervalDecisions.Load(); got == 0 || bounds < got {
+		t.Errorf("edf_interval_decisions = %d with %d bound solves, want > 0 and <= the solves", got, bounds)
 	}
 
 	if _, err := AdditiveBound(paperPathConfig(2, 0), 1e-9); err != nil {

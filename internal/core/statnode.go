@@ -85,7 +85,7 @@ func DelayBoundStatNode(c float64, through envelope.EBB, cross []StatFlow, eps f
 		func(g float64) (NodeResult, float64, error) {
 			r, err := statNodeAtGamma(c, through, active, eps, g)
 			return r, r.D, err
-		})
+		}, nil)
 }
 
 func statNodeAtGamma(c float64, through envelope.EBB, active []StatFlow, eps, gamma float64) (NodeResult, error) {

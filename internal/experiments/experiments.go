@@ -201,11 +201,20 @@ func (s Setup) PathBound(model TrafficModel, h int, n0, nc, delta float64) (core
 		if err != nil {
 			return 0, pathWinner{}, err
 		}
+		if cfg.GammaMax() <= 0 {
+			return 0, pathWinner{}, errUnstableAlpha
+		}
 		res, err := core.DelayBoundCtx(ctx, cfg, s.Eps)
 		return res.D, pathWinner{res, cfg}, err
 	}, s.AlphaLo, s.AlphaHi)
 	return w.res, w.cfg, err
 }
+
+// errUnstableAlpha marks an α at which the load reaches the capacity.
+// The α sweeps return it before pricing, by the solver's own stability
+// test, because OptimizeAlphaFunc discards an infeasible α's error and
+// the solver would pay to format one.
+var errUnstableAlpha = fmt.Errorf("%w: load reaches capacity at this alpha", core.ErrUnstable)
 
 // checkPath rejects the inputs no α can make feasible.
 func checkPath(model TrafficModel, h int) error {
@@ -230,6 +239,10 @@ func (s Setup) BoundModel(model TrafficModel, sched Scheduler, h int, n0, nc flo
 	// baseline runs its node-by-node γ search. The last two ignore the
 	// path's Δ.
 	var price func(ctx context.Context, cfg core.PathConfig) (float64, error)
+	// gmax is the rate-slack limit the solver tests for stability first:
+	// γmax for DelayBound and EDF, whose bracket is BMUX, and the
+	// additive search's own.
+	gmax := core.PathConfig.GammaMax
 	delta := 0.0
 	switch sched {
 	case BMUX, FIFO:
@@ -242,6 +255,9 @@ func (s Setup) BoundModel(model TrafficModel, sched Scheduler, h int, n0, nc flo
 			return res.D, err
 		}
 	case BMUXAdditive:
+		gmax = func(cfg core.PathConfig) float64 {
+			return (cfg.C - cfg.Through.Rho - cfg.Cross.Rho) / float64(cfg.H)
+		}
 		price = func(ctx context.Context, cfg core.PathConfig) (float64, error) {
 			res, err := core.AdditiveBoundCtx(ctx, cfg, s.Eps)
 			return res.D, err
@@ -261,6 +277,9 @@ func (s Setup) BoundModel(model TrafficModel, sched Scheduler, h int, n0, nc flo
 		cfg, err := build(alpha)
 		if err != nil {
 			return 0, 0, err
+		}
+		if gmax(cfg) <= 0 {
+			return 0, 0, errUnstableAlpha
 		}
 		d, err := price(ctx, cfg)
 		return d, d, err

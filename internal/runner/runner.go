@@ -40,6 +40,8 @@ func optimizerProbe() *core.OptProbe {
 		PricerBuilds:     r.Counter("core_path_pricer_builds_total", "path-bound pricing tables built (one per gamma search, or one for all the searches of an EDF fixed point)", nil),
 		SigmaReuses:      r.Counter("core_sigma_reuses_total", "EDF fixed-point gamma probes whose sigma was replayed from an earlier gamma search of the same fixed point", nil),
 		GammaSkips:       r.Counter("core_gamma_probes_skipped_total", "EDF fixed-point gamma-grid probes skipped because a grid floor proved they cannot win", nil),
+		IntervalDecisions: r.Counter("core_edf_interval_decisions_total",
+			"EDF bisection steps whose golden section an interval bound ended; each bound is one inner solve, so core_innermin_calls_total minus core_gamma_probes_total counts the bound solves", nil),
 	}
 }
 
