@@ -113,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzInnerSolveMonotoneInDelta -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzEDFProvisionedReusedScratch -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzIntervalBounds -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzAlphaFloor -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzCurveOps -fuzztime=10s ./internal/minplus/
 	$(GO) test -run='^$$' -fuzz=FuzzPseudoInverse -fuzztime=10s ./internal/minplus/
 

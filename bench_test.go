@@ -12,6 +12,7 @@ import (
 
 	"deltasched/internal/core"
 	"deltasched/internal/envelope"
+	"deltasched/internal/experiments"
 	"deltasched/internal/measure"
 	"deltasched/internal/minplus"
 	"deltasched/internal/obs"
@@ -416,6 +417,30 @@ func BenchmarkEDFProvisioningRatioHalf(b *testing.B) {
 		}
 	}
 }
+
+// benchFigurePoint times one figure point end to end: the α sweep of
+// Setup.Bound, with its floor, over the scheduler's γ-optimized bound
+// at U = 50% split evenly between through and cross flows (Fig. 4's
+// N0 = Nc).
+func benchFigurePoint(b *testing.B, sched experiments.Scheduler, h int) {
+	s := experiments.PaperSetup()
+	n := s.FlowCount(0.5) / 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Bound(sched, h, n, n); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFigurePointEDF is the costliest kind of figure point: EDF
+// with d*_c = 10·d*_0 at H = 30, one provisioning fixed point per
+// priced α.
+func BenchmarkFigurePointEDF(b *testing.B) { benchFigurePoint(b, experiments.EDFRatio10, 30) }
+
+// BenchmarkFigurePointFIFO is a FIFO figure point at H = 10: one
+// DelayBound per priced α.
+func BenchmarkFigurePointFIFO(b *testing.B) { benchFigurePoint(b, experiments.FIFO, 10) }
 
 // BenchmarkAdditiveBound measures the node-by-node baseline of Fig. 4.
 func BenchmarkAdditiveBound(b *testing.B) {

@@ -73,6 +73,17 @@ func (cfg PathConfig) GammaMax() float64 {
 	return (cfg.C - cfg.Cross.Rho - cfg.Through.Rho) / float64(cfg.H+1)
 }
 
+// stableGammaMax returns cfg's γmax, or ErrUnstable with the path's
+// rates when no rate slack is left (γmax <= 0): the stability test of
+// every γ-optimized search and of the EDF bracket.
+func stableGammaMax(cfg PathConfig) (float64, error) {
+	gmax := cfg.GammaMax()
+	if gmax <= 0 {
+		return 0, fmt.Errorf("%w: rho=%g, rho_c=%g, C=%g", ErrUnstable, cfg.Through.Rho, cfg.Cross.Rho, cfg.C)
+	}
+	return gmax, nil
+}
+
 // Scratch carries the reusable buffers of the analytic hot path: the
 // candidate and θ vectors of the inner optimization, the path pricing
 // table and the SoA tables of the inner solve. Reusing one Scratch
@@ -166,9 +177,9 @@ func (s *Scratch) delayBound(ctx context.Context, cfg PathConfig, eps float64, f
 	if err := checkEps(eps); err != nil {
 		return Result{}, err
 	}
-	gmax := cfg.GammaMax()
-	if gmax <= 0 {
-		return Result{}, fmt.Errorf("%w: rho=%g, rho_c=%g, C=%g", ErrUnstable, cfg.Through.Rho, cfg.Cross.Rho, cfg.C)
+	gmax, err := stableGammaMax(cfg)
+	if err != nil {
+		return Result{}, err
 	}
 	s.stats.delayBoundCalls++
 	defer s.flushOptStats()
@@ -314,6 +325,13 @@ func (s *Scratch) innerMinimize(h int, c, gamma, rhoc, delta, sigma float64) (d,
 	return d, xOpt
 }
 
+// screenMinH is the shortest path whose inner solves screen their
+// candidates. On shorter paths the exact sweep over every candidate
+// costs less than the screen saves, and it returns the same (D, X), as
+// the screen drops only candidates that cannot win (DESIGN.md §16,
+// "Screened candidates").
+const screenMinH = 7
+
 // growTo returns buf resized to n valid entries, reusing its backing
 // array when large enough.
 func growTo(buf []float64, n int) []float64 {
@@ -324,10 +342,10 @@ func growTo(buf []float64, n int) []float64 {
 }
 
 // innerSolve is innerMinimize without the θ-vector fill: the candidate
-// enumeration, the candidate screen (screen.go) and the breakpoint sweep
-// over the Scratch's SoA tables. The γ sweeps run ~100 of these per
-// DelayBound and never read θ, so the fill is paid only by the winning
-// evaluation (innerMinimize).
+// enumeration, the candidate screen (screen.go, from screenMinH hops
+// on) and the breakpoint sweep over the Scratch's SoA tables. The γ
+// sweeps run ~100 of these per DelayBound and never read θ, so the fill
+// is paid only by the winning evaluation (innerMinimize).
 //
 // The evaluation loop is a regime-specialized replay of thetaAt over
 // precomputed per-hop tables: same expressions, same operand order, same
@@ -464,7 +482,9 @@ func (s *Scratch) innerSolve(h int, c, gamma, rhoc, delta, sigma float64) (d, xO
 	}
 	s.cands, s.hints = cands, hints
 	s.stats.innerCands += int64(len(cands))
-	cands, hints = s.screen(h, beta, delta, sigma)
+	if h >= screenMinH {
+		cands, hints = s.screen(h, beta, delta, sigma)
+	}
 	s.stats.innerReplays += int64(len(cands))
 
 	// Breakpoint sweep over the screen's survivors. Two value slots
@@ -719,15 +739,20 @@ func PaperRecipe(h int, c, gamma, rhoc, delta, sigma float64) float64 {
 // value — typically a delay bound; NaN, +Inf or an error mark α
 // infeasible — and a payload. The sweep is a grid of 41 log-spaced
 // points on [alphaLo, alphaHi] followed by a golden-section refinement
-// over one grid interval on each side of the grid's best point, so the
-// returned α may lie up to one grid interval, a factor
-// (alphaHi/alphaLo)^(1/40), beyond an end of [alphaLo, alphaHi] when
-// the grid's best point is that end (TestOptimizeAlphaFuncLeavesRange).
-// It returns the winning α with the payload eval returned for it, so no
-// caller prices a winner twice. No α is priced twice either: the 41
-// grid points, the 37 golden-section points and the final probe are
-// distinct (TestSearchesPriceEachProbeOnce), so the sweep keeps only the
-// grid's best probe and the final one, and caches nothing.
+// over one grid interval on each side of the grid's best point, its
+// first (lowest-α) minimum, so the returned α may lie up to one grid
+// interval, a factor (alphaHi/alphaLo)^(1/40), beyond an end of
+// [alphaLo, alphaHi] when the grid's best point is that end
+// (TestOptimizeAlphaFuncLeavesRange). It returns the winning α with the
+// payload eval returned for it, so no caller prices a winner twice. No
+// α is priced twice either: the 41 grid points, the 37 golden-section
+// points and the final probe are distinct
+// (TestSearchesPriceEachProbeOnce), so the sweep keeps only the grid's
+// best probe and the final one, and caches nothing.
+//
+// The grid is scanned from alphaHi down, and OptimizePathAlpha's sweeps
+// skip, unpriced, the grid points whose delay floor already loses; this
+// one prices all 41.
 //
 // ctx is checked before every probe, and a cancelled sweep returns its
 // error. When ctx carries an active span the sweep appears as an
@@ -737,6 +762,57 @@ func PaperRecipe(h int, c, gamma, rhoc, delta, sigma float64) float64 {
 // trace shows one priced bound per sweep and tracing costs no extra
 // evaluation.
 func OptimizeAlphaFunc[R any](ctx context.Context, eval func(ctx context.Context, alpha float64) (float64, R, error), alphaLo, alphaHi float64) (float64, R, error) {
+	return alphaSweep(ctx, eval, nil, alphaLo, alphaHi)
+}
+
+// OptimizePathAlpha is OptimizeAlphaFunc for an objective that prices
+// the path build(α) describes: price(ctx, cfg) returns the D of
+// DelayBound for cfg at eps, or of EDFProvisioned for cfg's traffic at
+// eps and any deadline ratio (NaN, +Inf or an error where α is
+// infeasible), and a payload; a build error marks α infeasible too. It
+// returns what OptimizeAlphaFunc returns for that objective, bit for
+// bit, but skips each grid α whose delay floor, a lower bound on both
+// searches' D (Scratch.alphaFloor), exceeds the least D priced so far:
+// such an α cannot be the grid's first minimum. build must be pure: it
+// runs for the floor and again for the price.
+func OptimizePathAlpha[R any](ctx context.Context, build func(alpha float64) (PathConfig, error), eps float64,
+	price func(ctx context.Context, cfg PathConfig) (float64, R, error), alphaLo, alphaHi float64) (float64, R, error) {
+	s := getScratch()
+	defer putScratch(s)
+	floor := func(alpha float64) float64 {
+		cfg, err := build(alpha)
+		if err != nil {
+			return math.Inf(-1)
+		}
+		return s.alphaFloor(cfg, eps)
+	}
+	return alphaSweep(ctx, func(ctx context.Context, alpha float64) (float64, R, error) {
+		cfg, err := build(alpha)
+		if err != nil {
+			var none R
+			return 0, none, err
+		}
+		return price(ctx, cfg)
+	}, floor, alphaLo, alphaHi)
+}
+
+// alphaSweep is the one α scan behind OptimizeAlphaFunc and
+// OptimizePathAlpha. floor, when not nil, bounds eval's value from below
+// at every α (−Inf or NaN where it knows no bound).
+//
+// The grid runs from alphaHi down and adopts a probe whose value is at
+// most the best so far, so it ends at the grid's first minimum and its
+// payload, as an upward scan keeping strict improvements would, and
+// with no feasible point it fails as that scan does. It skips point i
+// when floor(α_i) exceeds the best value so far, strictly: then α_i's
+// value is above the minimum over the points above it, so α_i is no
+// minimum, and the golden section, its bracket and the final probe are
+// those of the full grid (DESIGN.md §16, "Floors across the α grid").
+// Downward is the order that pays: the load, and with it every bound,
+// grows with α, so the grid's minimum sits at or next to its last
+// stable point, which the scan prices first.
+func alphaSweep[R any](ctx context.Context, eval func(ctx context.Context, alpha float64) (float64, R, error),
+	floor func(alpha float64) float64, alphaLo, alphaHi float64) (float64, R, error) {
 	var none R
 	if alphaLo <= 0 || alphaHi <= alphaLo {
 		return 0, none, badConfig("need 0 < alphaLo < alphaHi, got [%g, %g]", alphaLo, alphaHi)
@@ -745,11 +821,12 @@ func OptimizeAlphaFunc[R any](ctx context.Context, eval func(ctx context.Context
 	defer sp.End()
 	probeCtx := obs.WithoutSpan(ctx)
 
-	var nProbes int64
+	var nProbes, nSkips int64
 	defer func() {
 		if p := optProbe.Load(); p != nil {
 			p.AlphaSweeps.Add(1)
 			p.AlphaProbes.Add(nProbes)
+			p.AlphaSkips.Add(nSkips)
 		}
 	}()
 	type probe struct {
@@ -770,9 +847,13 @@ func OptimizeAlphaFunc[R any](ctx context.Context, eval func(ctx context.Context
 	const gridN = 40
 	logLo, logHi := math.Log(alphaLo), math.Log(alphaHi)
 	bestA, best := 0.0, probe{v: math.Inf(1)}
-	for i := 0; i <= gridN; i++ {
+	for i := gridN; i >= 0; i-- {
 		a := math.Exp(logLo + (logHi-logLo)*float64(i)/gridN)
-		if p := f(probeCtx, a); p.v < best.v {
+		if floor != nil && ctx.Err() == nil && floor(a) > best.v {
+			nSkips++
+			continue
+		}
+		if p := f(probeCtx, a); p.v <= best.v {
 			bestA, best = a, p
 		}
 	}
@@ -800,18 +881,14 @@ func OptimizeAlphaFunc[R any](ctx context.Context, eval func(ctx context.Context
 	return a, p.r, nil
 }
 
-// OptimizeAlpha is OptimizeAlphaFunc specialized to DelayBound: build(α)
+// OptimizeAlpha is OptimizePathAlpha specialized to DelayBound: build(α)
 // supplies the path description at each α and the best bound is
 // returned. All sweep evaluations share one Scratch, so the γ-probes
 // inside each DelayBound are allocation-free.
 func OptimizeAlpha(build func(alpha float64) (PathConfig, error), eps, alphaLo, alphaHi float64) (Result, error) {
 	s := getScratch()
 	defer putScratch(s)
-	_, r, err := OptimizeAlphaFunc(context.Background(), func(ctx context.Context, alpha float64) (float64, Result, error) {
-		cfg, err := build(alpha)
-		if err != nil {
-			return 0, Result{}, err
-		}
+	_, r, err := OptimizePathAlpha(context.Background(), build, eps, func(ctx context.Context, cfg PathConfig) (float64, Result, error) {
 		r, err := s.DelayBound(ctx, cfg, eps)
 		r.Theta = append([]float64(nil), r.Theta...) // un-alias from the shared scratch
 		return r.D, r, err

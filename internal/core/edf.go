@@ -69,6 +69,11 @@ func (s *Scratch) edfProvisioned(ctx context.Context, cfg PathConfig, eps, ratio
 	if err := bmuxCfg.Validate(); err != nil {
 		return Result{}, 0, fmt.Errorf("core: EDF provisioning bracket: %w", err)
 	}
+	// An unstable load fails before the pricing table is built, with the
+	// error the bracket's search would return.
+	if _, err := stableGammaMax(bmuxCfg); err != nil {
+		return Result{}, 0, fmt.Errorf("core: EDF provisioning bracket: %w", err)
+	}
 	sp := obs.SpanFromContext(ctx).Child("EDFProvisioned")
 	defer sp.End()
 	probeCtx := obs.WithoutSpan(ctx)
@@ -399,6 +404,48 @@ func (s *Scratch) intervalBound(cfg PathConfig, eps float64, fp *fixedPoint, a, 
 		return d + m
 	}
 	return d - m
+}
+
+// alphaFloor bounds from below the D that DelayBound computes for cfg at
+// eps, and the D that EDFProvisioned computes for cfg's traffic at eps
+// and any deadline ratio (DESIGN.md §16, "Floors across the α grid"). It
+// holds at every Δ_{0,c} that prices σ and γmax as cfg's does: every
+// Δ > −∞ when cfg's is, which covers every search of an EDF fixed
+// point. Hop H's constraint gives D >= σ/ch_H at every γ, as its β term
+// is a positive part, and σ and ch_H fall as γ grows. Each search prices
+// its D at a γ in [γmax·1e-9, γmax·(1−1e-9)], which its grid points cut
+// into 49 intervals [a, b]; over one, D is at least (σ(b) − 2δσ)/ch_H(a),
+// rounded down, less the downward margin floorMargin at b, and the floor
+// is the least of the 49. It returns −Inf where no margin vouches for a
+// bound: an invalid or unstable cfg, a bad eps, or a NaN margin.
+func (s *Scratch) alphaFloor(cfg PathConfig, eps float64) float64 {
+	gmax := cfg.GammaMax()
+	if cfg.Validate() != nil || checkEps(eps) != nil || !(gmax > 0) {
+		return math.Inf(-1)
+	}
+	defer s.flushOptStats()
+	s.buildPricer(cfg)
+	floor := math.Inf(1)
+	a := gmax * 1e-9
+	for i := 1; i <= gammaGridN+1; i++ {
+		b := gmax * (1 - 1e-9)
+		if i <= gammaGridN {
+			b = gridGamma(gmax, i)
+		}
+		sigma := s.pathBound(cfg, b).SigmaFor(eps)
+		ds := 2 * sigmaSlack(cfg.H, cfg.Through.Alpha, cfg.Cross.Alpha, a, sigma)
+		sigma = math.Max(0, math.Nextafter(sigma-ds, math.Inf(-1)))
+		// ch_H at a, formed as innerSolve forms it, is the largest ch_H
+		// of the interval; rounding the quotient toward 0 keeps it low.
+		d := math.Nextafter(sigma/(cfg.C-float64(cfg.H-1)*a), 0)
+		m := floorMargin(cfg.H, cfg.C, cfg.Cross.Rho, b, d)
+		if math.IsNaN(m) {
+			return math.Inf(-1)
+		}
+		floor = math.Min(floor, d-m)
+		a = b
+	}
+	return floor
 }
 
 // sigmaSlack returns δσ, a bound on how far the σ that pathBound and

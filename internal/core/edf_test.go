@@ -116,6 +116,29 @@ func TestEDFProvisionedMatchesUnflooredBisection(t *testing.T) {
 	}
 }
 
+// TestEDFProvisionedUnstableBuildsNoTable pins where an unstable load
+// fails: before the fixed point builds its pricing table, with the
+// error text of the BMUX bracket's search.
+func TestEDFProvisionedUnstableBuildsNoTable(t *testing.T) {
+	p := testProbe(t)
+	cfg := paperPathConfig(3, 0)
+	cfg.Cross.Rho = 90 // ρ + ρ_c > C
+	bmux := cfg
+	bmux.Delta0c = math.Inf(1)
+	_, want := DelayBound(bmux, 1e-9)
+	before := p.PricerBuilds.Load()
+	_, _, err := EDFProvisioned(cfg, 1e-9, 10)
+	if !errors.Is(err, ErrUnstable) {
+		t.Fatalf("EDFProvisioned at an unstable load: %v, want ErrUnstable", err)
+	}
+	if want == nil || err.Error() != "core: EDF provisioning bracket: "+want.Error() {
+		t.Errorf("error %q, want the bracket's %q", err, want)
+	}
+	if got := p.PricerBuilds.Load() - before; got != 0 {
+		t.Errorf("path_pricer_builds = %d for an unstable load, want 0", got)
+	}
+}
+
 // TestInnerSolveMonotoneInDelta checks the property the grid floor
 // rests on, over the inner solves of the screen's tests (every Δ
 // regime, the plateaus, H up to 4096): along a ladder of finite Δ and

@@ -8,10 +8,12 @@ import (
 
 // OptProbe receives the optimizer's introspection counters: how many γ
 // and α probes a bound cost, how many path pricing tables were built
-// (one per search, or one per EDF fixed point), how much
+// (one per search, per EDF fixed point or per α floor), how much
 // inner-minimization and envelope work ran underneath. Within one
 // search every probe is priced once — the searches never revisit a γ or
-// an α (TestSearchesPriceEachProbeOnce). The one count of cache hits is
+// an α (TestSearchesPriceEachProbeOnce) — and the floored searches skip
+// some probes unpriced: the EDF γ grid (GammaSkips) and the α grid of
+// OptimizePathAlpha (AlphaSkips). The one count of cache hits is
 // SigmaReuses: the γ probes of an EDF fixed point whose σ was replayed
 // from an earlier search of the same fixed point (its σ log, edf.go).
 // Every count is the same whichever pooled Scratch a solve draws. The
@@ -35,9 +37,10 @@ type OptProbe struct {
 	EnvelopeSegs     *obs.Counter // envelope segments assembled and merged by pathBound
 	AlphaSweeps      *obs.Counter // OptimizeAlphaFunc sweeps
 	AlphaProbes      *obs.Counter // α evaluations priced
+	AlphaSkips       *obs.Counter // α-grid probes skipped: a delay floor proved they cannot win
 	EDFBisections    *obs.Counter // EDF fixed-point bisection iterations
 	AdditiveProbes   *obs.Counter // additive-analysis γ evaluations
-	PricerBuilds     *obs.Counter // path pricing tables built: one per search or EDF fixed point
+	PricerBuilds     *obs.Counter // path pricing tables built: one per search, EDF fixed point or α floor
 	SigmaReuses      *obs.Counter // EDF γ probes whose σ was replayed from the fixed point's σ log
 	GammaSkips       *obs.Counter // EDF γ-grid probes skipped: a grid floor proved they cannot win
 

@@ -25,6 +25,7 @@ func testProbe(t *testing.T) *OptProbe {
 		EnvelopeSegs:      r.Counter("envelope_segments", "", nil),
 		AlphaSweeps:       r.Counter("alpha_sweeps", "", nil),
 		AlphaProbes:       r.Counter("alpha_probes", "", nil),
+		AlphaSkips:        r.Counter("alpha_probes_skipped", "", nil),
 		EDFBisections:     r.Counter("edf_bisections", "", nil),
 		AdditiveProbes:    r.Counter("additive_probes", "", nil),
 		PricerBuilds:      r.Counter("path_pricer_builds", "", nil),
@@ -228,6 +229,12 @@ func TestOptProbeCountsAlphaAndEDF(t *testing.T) {
 	}
 	if p.AlphaProbes.Load() == 0 {
 		t.Error("alpha_probes = 0, want > 0")
+	}
+	// The bound falls as α grows here, so the floor skips grid points;
+	// priced plus skipped is what the sweep prices without a floor: 41
+	// grid points, 37 golden-section points and the final probe.
+	if priced, skipped := p.AlphaProbes.Load(), p.AlphaSkips.Load(); skipped == 0 || priced+skipped != 41+37+1 {
+		t.Errorf("alpha_probes = %d, alpha_probes_skipped = %d: want some skipped and 79 in all", priced, skipped)
 	}
 
 	solves, probes := p.InnerMinCalls.Load(), p.GammaProbes.Load()

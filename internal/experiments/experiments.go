@@ -190,23 +190,20 @@ type pathWinner struct {
 // Path describes, swept over [s.AlphaLo, s.AlphaHi]: the winning Result
 // and the PathConfig, at the winning α, it was priced on. Inside the
 // sweep an error only marks one α infeasible, so H < 1 and a nil model
-// are rejected before it starts.
+// are rejected before it starts. The sweep skips the α whose delay
+// floor already loses (core.OptimizePathAlpha).
 func (s Setup) PathBound(model TrafficModel, h int, n0, nc, delta float64) (core.Result, core.PathConfig, error) {
 	if err := checkPath(model, h); err != nil {
 		return core.Result{}, core.PathConfig{}, err
 	}
-	build := s.Path(model, h, n0, nc, delta)
-	_, w, err := core.OptimizeAlphaFunc(s.ctx(), func(ctx context.Context, alpha float64) (float64, pathWinner, error) {
-		cfg, err := build(alpha)
-		if err != nil {
-			return 0, pathWinner{}, err
-		}
-		if cfg.GammaMax() <= 0 {
-			return 0, pathWinner{}, errUnstableAlpha
-		}
-		res, err := core.DelayBoundCtx(ctx, cfg, s.Eps)
-		return res.D, pathWinner{res, cfg}, err
-	}, s.AlphaLo, s.AlphaHi)
+	_, w, err := core.OptimizePathAlpha(s.ctx(), s.Path(model, h, n0, nc, delta), s.Eps,
+		func(ctx context.Context, cfg core.PathConfig) (float64, pathWinner, error) {
+			if cfg.GammaMax() <= 0 {
+				return 0, pathWinner{}, errUnstableAlpha
+			}
+			res, err := core.DelayBoundCtx(ctx, cfg, s.Eps)
+			return res.D, pathWinner{res, cfg}, err
+		}, s.AlphaLo, s.AlphaHi)
 	return w.res, w.cfg, err
 }
 
@@ -229,7 +226,10 @@ func checkPath(model TrafficModel, h int) error {
 
 // BoundModel is Bound for an arbitrary traffic model (extension beyond the
 // paper's two-state sources). Every scheduler is priced through one α
-// sweep that keeps only the bound value.
+// sweep that keeps only the bound value. The BMUX, FIFO and EDF sweeps
+// skip the α whose delay floor already loses (core.OptimizePathAlpha);
+// the floor does not bound the additive baseline, whose sweep prices
+// every α.
 func (s Setup) BoundModel(model TrafficModel, sched Scheduler, h int, n0, nc float64) (float64, error) {
 	if err := checkPath(model, h); err != nil {
 		return 0, err
@@ -273,16 +273,23 @@ func (s Setup) BoundModel(model TrafficModel, sched Scheduler, h int, n0, nc flo
 		}
 	}
 	build := s.Path(model, h, n0, nc, delta)
-	_, d, err := core.OptimizeAlphaFunc(s.ctx(), func(ctx context.Context, alpha float64) (float64, float64, error) {
-		cfg, err := build(alpha)
-		if err != nil {
-			return 0, 0, err
-		}
+	priceAt := func(ctx context.Context, cfg core.PathConfig) (float64, float64, error) {
 		if gmax(cfg) <= 0 {
 			return 0, 0, errUnstableAlpha
 		}
 		d, err := price(ctx, cfg)
 		return d, d, err
-	}, s.AlphaLo, s.AlphaHi)
+	}
+	if sched == BMUXAdditive {
+		_, d, err := core.OptimizeAlphaFunc(s.ctx(), func(ctx context.Context, alpha float64) (float64, float64, error) {
+			cfg, err := build(alpha)
+			if err != nil {
+				return 0, 0, err
+			}
+			return priceAt(ctx, cfg)
+		}, s.AlphaLo, s.AlphaHi)
+		return d, err
+	}
+	_, d, err := core.OptimizePathAlpha(s.ctx(), build, s.Eps, priceAt, s.AlphaLo, s.AlphaHi)
 	return d, err
 }

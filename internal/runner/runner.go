@@ -35,9 +35,10 @@ func optimizerProbe() *core.OptProbe {
 		EnvelopeSegs:     r.Counter("core_envelope_segments_total", "envelope segments assembled and merged by the path bound", nil),
 		AlphaSweeps:      r.Counter("core_alpha_sweeps_total", "alpha (EBB decay) optimization sweeps", nil),
 		AlphaProbes:      r.Counter("core_alpha_probes_total", "alpha evaluations priced", nil),
+		AlphaSkips:       r.Counter("core_alpha_probes_skipped_total", "alpha-grid probes skipped unpriced because a delay floor proved they cannot win; priced plus skipped equals the alpha probes the sweeps would price without a floor", nil),
 		EDFBisections:    r.Counter("core_edf_bisections_total", "EDF fixed-point bisection iterations", nil),
 		AdditiveProbes:   r.Counter("core_additive_probes_total", "additive-analysis gamma evaluations", nil),
-		PricerBuilds:     r.Counter("core_path_pricer_builds_total", "path-bound pricing tables built (one per gamma search, or one for all the searches of an EDF fixed point)", nil),
+		PricerBuilds:     r.Counter("core_path_pricer_builds_total", "path-bound pricing tables built (one per gamma search, one for all the searches of an EDF fixed point, or one per alpha floor)", nil),
 		SigmaReuses:      r.Counter("core_sigma_reuses_total", "EDF fixed-point gamma probes whose sigma was replayed from an earlier gamma search of the same fixed point", nil),
 		GammaSkips:       r.Counter("core_gamma_probes_skipped_total", "EDF fixed-point gamma-grid probes skipped because a grid floor proved they cannot win", nil),
 		IntervalDecisions: r.Counter("core_edf_interval_decisions_total",
